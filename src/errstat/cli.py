@@ -28,7 +28,8 @@ from .severity import (
 )
 from .severity import severity as severity_value
 from .error_tradeoff import Tail
-from .errors import CsvFormatError, DegenerateDataError, DomainError, InfeasibleParameterError
+from .errors import (CsvFormatError, DegenerateDataError, DomainError, InfeasibleParameterError,
+                     check_int)
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
@@ -60,9 +61,7 @@ def _parse_grid(text: str, name: str) -> list[float]:
             count = int(parts[2])
         except ValueError as exc:
             raise DomainError(f"{name}: {exc}") from None
-        if count < 1:
-            raise DomainError(f"{name}: grid count must be >= 1, got {count}")
-        if count == 1:
+        if check_int(count, f"{name} grid count", 1) == 1:
             return [lo]
         step = (hi - lo) / (count - 1)
         return [lo + i * step for i in range(count)]
@@ -248,7 +247,7 @@ def _cmd_pdist(args) -> str:
             file=sys.stderr,
         )
     if not kept:
-        raise DomainError("--grid: no usable points strictly inside (0, 1)")
+        raise DomainError("--grid: no usable points between p=0 and p=1")
     rows = [
         (p, pvalue_dist.pdf_under_alternative(p, spec), pvalue_dist.cdf_under_alternative(p, spec))
         for p in kept

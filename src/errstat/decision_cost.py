@@ -19,7 +19,8 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .distributions import normal_cdf, normal_pdf, normal_quantile
-from .errors import DomainError
+from .errors import (DomainError, check_at_least, check_finite, check_open_unit, check_positive,
+                     check_unit)
 
 Cdf = Callable[[float], float]
 
@@ -46,25 +47,18 @@ class CostParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        for name in ("cost_type1", "cost_type2"):
-            v = getattr(self, name)
-            if not (v >= 0.0) or not math.isfinite(v):
-                raise DomainError(f"{name} must be nonnegative and finite, got {v!r}")
-        if not (0.0 <= self.prior_good <= 1.0) or math.isnan(self.prior_good):
-            raise DomainError(f"prior_good must lie in [0, 1], got {self.prior_good!r}")
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma!r}")
-        for name in ("mu0", "mu1"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
+        check_at_least(self.cost_type1, "cost_type1", 0.0)
+        check_at_least(self.cost_type2, "cost_type2", 0.0)
+        check_unit(self.prior_good, "prior_good")
+        check_positive(self.sigma, "sigma")
+        check_finite(self.mu0, "mu0")
+        check_finite(self.mu1, "mu1")
 
     @property
     def cost_ratio(self) -> float:
         """cost_type2 / cost_type1; needs both costs strictly positive."""
-        if self.cost_type1 <= 0.0 or self.cost_type2 <= 0.0:
-            raise DomainError("cost ratio needs strictly positive costs")
-        return self.cost_type2 / self.cost_type1
+        cost1 = check_positive(self.cost_type1, "cost_type1")
+        return check_positive(self.cost_type2, "cost_type2") / cost1
 
     def null_cdf(self, c: float) -> float:
         return normal_cdf((c - self.mu0) / self.sigma)
@@ -90,9 +84,7 @@ def expected_cost(
     The two distribution handles default to the Gaussians in params; passing
     explicit cdfs is the extension seam for non-Gaussian statistics.
     """
-    c = float(c)
-    if not math.isfinite(c):
-        raise DomainError(f"critical value must be finite, got {c!r}")
+    c = check_finite(c, "critical value")
     f0 = null_cdf if null_cdf is not None else params.null_cdf
     f1 = alt_cdf if alt_cdf is not None else params.alt_cdf
     return (params.prior_good * (1.0 - f0(c)) * params.cost_type1
@@ -101,9 +93,7 @@ def expected_cost(
 
 def cost_derivative(c: float, params: CostParams) -> float:
     """d/dc of expected_cost for the Gaussian pair."""
-    c = float(c)
-    if not math.isfinite(c):
-        raise DomainError(f"critical value must be finite, got {c!r}")
+    c = check_finite(c, "critical value")
     return (-params.prior_good * params.cost_type1 * params.null_pdf(c)
             + (1.0 - params.prior_good) * params.cost_type2 * params.alt_pdf(c))
 
@@ -114,14 +104,10 @@ def closed_form_minimizer(params: CostParams) -> float:
         raise DomainError(
             f"closed-form minimizer requires mu0 < mu1, got mu0={params.mu0}, mu1={params.mu1}"
         )
-    phi = params.prior_good
-    if not (0.0 < phi < 1.0):
-        raise DomainError(
-            f"closed-form minimizer requires 0 < prior_good < 1, got {phi!r}"
-        )
-    if params.cost_type1 <= 0.0 or params.cost_type2 <= 0.0:
-        raise DomainError("closed-form minimizer requires strictly positive costs")
-    log_term = math.log((1.0 - phi) * params.cost_type2 / (phi * params.cost_type1))
+    phi = check_open_unit(params.prior_good, "prior_good")
+    cost1 = check_positive(params.cost_type1, "cost_type1")
+    cost2 = check_positive(params.cost_type2, "cost_type2")
+    log_term = math.log((1.0 - phi) * cost2 / (phi * cost1))
     return (params.sigma ** 2 / (params.mu0 - params.mu1) * log_term
             + 0.5 * (params.mu0 + params.mu1))
 
@@ -187,12 +173,8 @@ def cost_monotonicity_region(c: float, params: CostParams, tol: float = 1e-9) ->
     density ratio f0(c)/f1(c); the gap between those two sides is compared
     against tol, and |gap| <= tol reports the stationary point.
     """
-    c = float(c)
-    if not math.isfinite(c):
-        raise DomainError(f"critical value must be finite, got {c!r}")
-    phi = params.prior_good
-    if not (0.0 < phi < 1.0):
-        raise DomainError(f"classification requires 0 < prior_good < 1, got {phi!r}")
+    c = check_finite(c, "critical value")
+    phi = check_open_unit(params.prior_good, "prior_good")
     lhs = params.cost_ratio * (1.0 - phi) / phi
     # Density ratio computed in log space so deep-tail thresholds stay finite.
     log_ratio = ((c - params.mu1) ** 2 - (c - params.mu0) ** 2) / (2.0 * params.sigma ** 2)
@@ -205,15 +187,11 @@ def cost_monotonicity_region(c: float, params: CostParams, tol: float = 1e-9) ->
 
 def alpha_from_critical(c: float, params: CostParams) -> float:
     """Type I error probability implied by the threshold: 1 - F0(c)."""
-    c = float(c)
-    if not math.isfinite(c):
-        raise DomainError(f"critical value must be finite, got {c!r}")
+    c = check_finite(c, "critical value")
     return 1.0 - params.null_cdf(c)
 
 
 def critical_from_alpha(alpha: float, params: CostParams) -> float:
     """Threshold whose type I error equals alpha (inverse of alpha_from_critical)."""
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0) or math.isnan(alpha):
-        raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+    alpha = check_open_unit(alpha, "alpha")
     return params.mu0 - params.sigma * normal_quantile(alpha)

@@ -5,14 +5,17 @@ Chebyshev approximations to erf/erfc (double-precision accurate on the whole
 real line), the quantile starts from Acklam's approximation and is polished
 with Halley steps against the cdf, and the t cdf is the regularized
 incomplete beta function evaluated by a modified-Lentz continued fraction.
-Everything is a pure scalar function of floats; no global state.
+The Cody rational pieces use only + * / and take floats or ndarrays (the
+exp(-y^2) split is handed math or numpy functions), so the Monte Carlo
+array kernel evaluates this same code; everything else is a pure scalar
+function of floats. No global state, and no numpy import here.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_int, check_open_unit
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -43,67 +46,63 @@ _ERF_Q = (2.56852019228982242e00, 1.87295284992346047e00,
           2.33520497626869185e-3)
 
 
-def _require_finite(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-def _erfc_positive(y: float) -> float:
-    # erfc(y) for y > 0.46875; split exp(-y^2) as Cody does to keep the
-    # tail accurate in relative terms.
-    if y <= 4.0:
-        xnum = _ERF_C[8] * y
-        xden = y
-        for i in range(7):
-            xnum = (xnum + _ERF_C[i]) * y
-            xden = (xden + _ERF_D[i]) * y
-        result = (xnum + _ERF_C[7]) / (xden + _ERF_D[7])
-    else:
-        if y >= 26.5:
-            return 0.0
-        ysq = 1.0 / (y * y)
-        xnum = _ERF_P[5] * ysq
-        xden = ysq
-        for i in range(4):
-            xnum = (xnum + _ERF_P[i]) * ysq
-            xden = (xden + _ERF_Q[i]) * ysq
-        result = ysq * (xnum + _ERF_P[4]) / (xden + _ERF_Q[4])
-        result = (_INV_SQRT_PI - result) / y
-    ytrunc = math.floor(y * 16.0) / 16.0
-    delta = (y - ytrunc) * (y + ytrunc)
-    return math.exp(-ytrunc * ytrunc) * math.exp(-delta) * result
-
-
-def _erf_small(x: float) -> float:
+def _erf_small(x):
     # erf(x) for |x| <= 0.46875.
+    a, b = _ERF_A, _ERF_B
     ysq = x * x
-    xnum = _ERF_A[4] * ysq
-    xden = ysq
-    for i in range(3):
-        xnum = (xnum + _ERF_A[i]) * ysq
-        xden = (xden + _ERF_B[i]) * ysq
-    return x * (xnum + _ERF_A[3]) / (xden + _ERF_B[3])
+    xnum = (((a[4] * ysq + a[0]) * ysq + a[1]) * ysq + a[2]) * ysq
+    xden = (((ysq + b[0]) * ysq + b[1]) * ysq + b[2]) * ysq
+    return x * (xnum + a[3]) / (xden + b[3])
+
+
+def _erfc_mid_ratio(y):
+    # erfc(y) * exp(y^2) for 0.46875 < y <= 4.
+    c, d = _ERF_C, _ERF_D
+    xnum = (((((((c[8] * y + c[0]) * y + c[1]) * y + c[2]) * y + c[3]) * y + c[4]) * y
+             + c[5]) * y + c[6]) * y
+    xden = (((((((y + d[0]) * y + d[1]) * y + d[2]) * y + d[3]) * y + d[4]) * y
+             + d[5]) * y + d[6]) * y
+    return (xnum + c[7]) / (xden + d[7])
+
+
+def _erfc_big_ratio(y):
+    # erfc(y) * exp(y^2) for 4 < y < 26.5.
+    p, q = _ERF_P, _ERF_Q
+    ysq = 1.0 / (y * y)
+    xnum = ((((p[5] * ysq + p[0]) * ysq + p[1]) * ysq + p[2]) * ysq + p[3]) * ysq
+    xden = ((((ysq + q[0]) * ysq + q[1]) * ysq + q[2]) * ysq + q[3]) * ysq
+    return (_INV_SQRT_PI - ysq * (xnum + p[4]) / (xden + q[4])) / y
+
+
+def _exp_neg_sq(y, exp, floor):
+    # exp(-y^2) split as Cody does, so the erfc tail stays accurate in
+    # relative terms; exp and floor come from math or numpy.
+    ytrunc = floor(y * 16.0) / 16.0
+    delta = (y - ytrunc) * (y + ytrunc)
+    return exp(-ytrunc * ytrunc) * exp(-delta)
 
 
 def _erfc(x: float) -> float:
     y = abs(x)
     if y <= 0.46875:
         return 1.0 - _erf_small(x)
-    tail = _erfc_positive(y)
+    if y >= 26.5:
+        tail = 0.0
+    else:
+        ratio = _erfc_mid_ratio(y) if y <= 4.0 else _erfc_big_ratio(y)
+        tail = _exp_neg_sq(y, math.exp, math.floor) * ratio
     return tail if x > 0.0 else 2.0 - tail
 
 
 def normal_pdf(x: float) -> float:
     """Standard Gaussian density (2*pi)**-0.5 * exp(-x**2 / 2)."""
-    x = _require_finite(x, "x")
+    x = check_finite(x, "x")
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 def normal_cdf(x: float) -> float:
     """Standard Gaussian distribution function, accurate to ~1e-15 absolute."""
-    x = _require_finite(x, "x")
+    x = check_finite(x, "x")
     return 0.5 * _erfc(-x / _SQRT2)
 
 
@@ -140,9 +139,7 @@ def _acklam(p: float) -> float:
 
 def normal_quantile(p: float) -> float:
     """Inverse of normal_cdf on (0, 1); round-trips to ~1e-15."""
-    p = float(p)
-    if not (0.0 < p < 1.0) or math.isnan(p):
-        raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
+    p = check_open_unit(p, "p")
     x = _acklam(p)
     # Two Halley steps; skipped in the extreme tail where the density
     # underflows (Acklam alone is already ~1e-9 relative there).
@@ -211,18 +208,10 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
-def _check_df(df: int) -> int:
-    if not isinstance(df, (int,)) or isinstance(df, bool):
-        raise DomainError(f"df must be an integer >= 1, got {df!r}")
-    if df < 1:
-        raise DomainError(f"df must be >= 1, got {df}")
-    return df
-
-
 def student_t_cdf(x: float, df: int) -> float:
     """Student-t distribution function with ``df`` degrees of freedom."""
-    x = _require_finite(x, "x")
-    df = _check_df(df)
+    x = check_finite(x, "x")
+    df = check_int(df, "df", 1)
     if x == 0.0:
         return 0.5
     tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x * x))
@@ -237,10 +226,8 @@ def _student_t_pdf(x: float, df: int) -> float:
 
 def student_t_quantile(p: float, df: int) -> float:
     """Inverse of student_t_cdf; safeguarded Newton inside a bisection bracket."""
-    p = float(p)
-    if not (0.0 < p < 1.0) or math.isnan(p):
-        raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
-    df = _check_df(df)
+    p = check_open_unit(p, "p")
+    df = check_int(df, "df", 1)
     if p == 0.5:
         return 0.0
     if p < 0.5:

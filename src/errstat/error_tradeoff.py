@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import normal_cdf, normal_quantile
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_int, check_open_unit, check_positive
 
 
 class Tail(Enum):
@@ -30,10 +30,8 @@ class GaussianTestModel:
     tail: Tail = Tail.ONE_SIDED_UPPER
 
     def __post_init__(self):
-        if not math.isfinite(self.effect_size):
-            raise DomainError(f"effect_size must be finite, got {self.effect_size!r}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        check_finite(self.effect_size, "effect_size")
+        object.__setattr__(self, "n", check_int(self.n, "n", 1))
 
     @property
     def noncentrality(self) -> float:
@@ -41,16 +39,9 @@ class GaussianTestModel:
         return math.sqrt(self.n) * self.effect_size
 
 
-def _check_prob_open(value: float, name: str) -> float:
-    value = float(value)
-    if not (0.0 < value < 1.0) or math.isnan(value):
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-    return value
-
-
 def type2_error(alpha: float, model: GaussianTestModel) -> float:
     """Probability of failing to reject at level alpha when the effect is real."""
-    alpha = _check_prob_open(alpha, "alpha")
+    alpha = check_open_unit(alpha, "alpha")
     shift = model.noncentrality
     # z_{1-alpha} as -quantile(alpha): exact by symmetry, no 1 - alpha rounding
     if model.tail is Tail.ONE_SIDED_UPPER:
@@ -72,14 +63,12 @@ def required_sample_size(alpha: float, beta: float, mu_star: float, sigma: float
     one-sided-upper test. Raises DomainError for mu_star == 0, where no
     finite sample size exists.
     """
-    alpha = _check_prob_open(alpha, "alpha")
-    beta = _check_prob_open(beta, "beta")
-    mu_star = float(mu_star)
-    if not math.isfinite(mu_star) or mu_star == 0.0:
-        raise DomainError(f"mu_star must be finite and nonzero, got {mu_star!r}")
-    sigma = float(sigma)
-    if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
+    alpha = check_open_unit(alpha, "alpha")
+    beta = check_open_unit(beta, "beta")
+    mu_star = check_finite(mu_star, "mu_star")
+    if mu_star == 0.0:
+        raise DomainError(f"mu_star must be nonzero, got {mu_star!r}")
+    sigma = check_positive(sigma, "sigma")
     z_sum = -(normal_quantile(alpha) + normal_quantile(beta))
     n_real = (sigma * z_sum / mu_star) ** 2
     return max(1, math.ceil(n_real))

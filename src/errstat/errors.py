@@ -1,9 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the validators that raise them.
 
 The CLI maps these onto process exit codes, so keep the hierarchy flat and
 the meanings distinct: bad parameter values, mathematically infeasible
 requests, degenerate data, and malformed input files.
 """
+
+import math
+import numbers
+import operator
 
 
 class ErrstatError(Exception):
@@ -28,3 +32,84 @@ class CsvFormatError(ErrstatError, ValueError):
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
+
+
+# --- precondition validators ---------------------------------------------
+#
+# One validator per kind of precondition. Each accepts any real number
+# (numpy scalars included), returns it as a float (or an int), and raises
+# DomainError with the message "{name} must ..., got {value!r}" for values
+# out of range and for non-numbers alike.
+
+_OPEN_UNIT = "lie strictly inside (0, 1)"
+_UNIT = "lie in [0, 1]"
+_FINITE = "be finite"
+_POSITIVE = "be positive and finite"
+
+
+def _fail(name: str, requirement: str, value) -> DomainError:
+    return DomainError(f"{name} must {requirement}, got {value!r}")
+
+
+def _real(value, name: str, requirement: str) -> float:
+    # The tuple test spares ints and float subclasses the slower ABC check,
+    # which admits the other numpy scalars and fractions.
+    if isinstance(value, (float, int)) or isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise _fail(name, requirement, value)
+
+
+def check_open_unit(value, name: str) -> float:
+    """value as a float in the open interval (0, 1)."""
+    x = value if type(value) is float else _real(value, name, _OPEN_UNIT)
+    if 0.0 < x < 1.0:
+        return x
+    raise _fail(name, _OPEN_UNIT, x)
+
+
+def check_unit(value, name: str) -> float:
+    """value as a float in the closed interval [0, 1]."""
+    x = value if type(value) is float else _real(value, name, _UNIT)
+    if 0.0 <= x <= 1.0:
+        return x
+    raise _fail(name, _UNIT, x)
+
+
+def check_finite(value, name: str) -> float:
+    """value as a finite float."""
+    x = value if type(value) is float else _real(value, name, _FINITE)
+    if math.isfinite(x):
+        return x
+    raise _fail(name, _FINITE, x)
+
+
+def check_positive(value, name: str) -> float:
+    """value as a float in (0, inf)."""
+    x = value if type(value) is float else _real(value, name, _POSITIVE)
+    if 0.0 < x < math.inf:
+        return x
+    raise _fail(name, _POSITIVE, x)
+
+
+def check_at_least(value, name: str, minimum: float) -> float:
+    """value as a finite float >= minimum."""
+    x = value if type(value) is float else _real(value, name, f"be finite and >= {minimum}")
+    if minimum <= x < math.inf:
+        return x
+    raise _fail(name, f"be finite and >= {minimum}", x)
+
+
+def check_int(value, name: str, minimum: int) -> int:
+    """value as a Python int >= minimum; numpy integers pass, bool does not."""
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if n >= minimum:
+                return n
+    raise _fail(name, f"be an integer >= {minimum}", value)

@@ -19,78 +19,25 @@ import numpy as np
 
 from .decision_cost import CostParams
 from .error_tradeoff import Tail
-from .distributions import normal_quantile
-from .errors import DomainError
+from .distributions import (_erf_small, _erfc_big_ratio, _erfc_mid_ratio, _exp_neg_sq,
+                            normal_quantile)
+from .errors import DomainError, check_finite, check_int, check_open_unit, check_unit
 
 CHUNK_SIZE = 1 << 16
 RNG_ALGORITHM = "numpy-pcg64/seedseq(entropy=seed, spawn_key=(chunk,))/chunk=65536"
 
 _SQRT2 = math.sqrt(2.0)
 
-# Vectorized twin of distributions._erfc (same Cody coefficients); kept here
-# because the scalar kernels are the reference implementation and this one
-# only has to agree with them to ~1e-15 (covered by a test).
-_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-      3.20937758913846947e03, 1.85777706184603153e-1)
-_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-      2.84423683343917062e03)
-_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-      2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-      2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
-_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-      1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-      3.43936767414372164e03, 1.23033935480374942e03)
-_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-      1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
-_Q = (2.56852019228982242e00, 1.87295284992346047e00, 5.27905102951428412e-1,
-      6.05183413124413191e-2, 2.33520497626869185e-3)
-_INV_SQRT_PI = 0.5641895835477562869480794515607726
-
-
-def _erfc_nonneg(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    small = t <= 0.46875
-    mid = (t > 0.46875) & (t <= 4.0)
-    big = t > 4.0
-    if small.any():
-        ts = t[small]
-        ysq = ts * ts
-        xnum = _A[4] * ysq
-        xden = ysq.copy()
-        for i in range(3):
-            xnum = (xnum + _A[i]) * ysq
-            xden = (xden + _B[i]) * ysq
-        out[small] = 1.0 - ts * (xnum + _A[3]) / (xden + _B[3])
-    if mid.any():
-        tm = t[mid]
-        xnum = _C[8] * tm
-        xden = tm.copy()
-        for i in range(7):
-            xnum = (xnum + _C[i]) * tm
-            xden = (xden + _D[i]) * tm
-        res = (xnum + _C[7]) / (xden + _D[7])
-        ytr = np.floor(tm * 16.0) / 16.0
-        out[mid] = np.exp(-ytr * ytr) * np.exp(-(tm - ytr) * (tm + ytr)) * res
-    if big.any():
-        tb = t[big]
-        with np.errstate(over="ignore", under="ignore"):
-            ysq = 1.0 / (tb * tb)
-            xnum = _P[5] * ysq
-            xden = ysq.copy()
-            for i in range(4):
-                xnum = (xnum + _P[i]) * ysq
-                xden = (xden + _Q[i]) * ysq
-            res = ysq * (xnum + _P[4]) / (xden + _Q[4])
-            res = (_INV_SQRT_PI - res) / tb
-            ytr = np.floor(tb * 16.0) / 16.0
-            res = np.exp(-ytr * ytr) * np.exp(-(tb - ytr) * (tb + ytr)) * res
-        out[big] = np.where(tb >= 26.5, 0.0, res)
-    return out
-
-
 def _normal_cdf_vec(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    ec = _erfc_nonneg(np.abs(x) / _SQRT2)
+    t = np.abs(x) / _SQRT2
+    ec = np.zeros_like(t)  # erfc(t); stays 0 from t = 26.5 on, as in the scalar kernel
+    small = t <= 0.46875
+    ec[small] = 1.0 - _erf_small(t[small])
+    for region, ratio in ((~small & (t <= 4.0), _erfc_mid_ratio),
+                          ((t > 4.0) & (t < 26.5), _erfc_big_ratio)):
+        tr = t[region]
+        ec[region] = _exp_neg_sq(tr, np.exp, np.floor) * ratio(tr)
     return np.where(x < 0.0, 0.5 * ec, 1.0 - 0.5 * ec)
 
 
@@ -107,21 +54,15 @@ class SimConfig:
     tail: Tail = Tail.ONE_SIDED_UPPER
 
     def __post_init__(self):
-        if not isinstance(self.num_trials, int) or isinstance(self.num_trials, bool) \
-                or self.num_trials < 1:
-            raise DomainError(f"num_trials must be a positive integer, got {self.num_trials!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
-                or not (0 <= self.seed < 2 ** 64):
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not (0.0 <= self.prior_null <= 1.0) or math.isnan(self.prior_null):
-            raise DomainError(f"prior_null must lie in [0, 1], got {self.prior_null!r}")
-        if not (0.0 < self.alpha < 1.0) or math.isnan(self.alpha):
-            raise DomainError(f"alpha must lie strictly inside (0, 1), got {self.alpha!r}")
-        if not math.isfinite(self.effect_size):
-            raise DomainError(f"effect_size must be finite, got {self.effect_size!r}")
-        if not isinstance(self.n_per_study, int) or isinstance(self.n_per_study, bool) \
-                or self.n_per_study < 1:
-            raise DomainError(f"n_per_study must be a positive integer, got {self.n_per_study!r}")
+        object.__setattr__(self, "num_trials", check_int(self.num_trials, "num_trials", 1))
+        seed = check_int(self.seed, "seed", 0)
+        if seed >= 2 ** 64:
+            raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        object.__setattr__(self, "seed", seed)
+        check_unit(self.prior_null, "prior_null")
+        check_open_unit(self.alpha, "alpha")
+        check_finite(self.effect_size, "effect_size")
+        object.__setattr__(self, "n_per_study", check_int(self.n_per_study, "n_per_study", 1))
 
     @property
     def noncentrality(self) -> float:
@@ -339,9 +280,7 @@ def simulate_expected_cost(c: float, params: CostParams, config: SimConfig,
     Uses params.prior_good for the good/bad mixture and the Gaussian laws
     from params; config supplies num_trials and the seed.
     """
-    c = float(c)
-    if not math.isfinite(c):
-        raise DomainError(f"critical value must be finite, got {c!r}")
+    c = check_finite(c, "critical value")
 
     def run_chunk(index: int, count: int) -> tuple[int, int]:
         rng = _chunk_rng(config.seed, index)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .distributions import normal_cdf, normal_pdf, normal_quantile
 from .error_tradeoff import Tail
-from .errors import DomainError
+from .errors import check_finite, check_int, check_open_unit, check_positive
 
 
 @dataclass(frozen=True)
@@ -27,27 +27,18 @@ class AlternativeSpec:
     n: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.delta):
-            raise DomainError(f"delta must be finite, got {self.delta!r}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        check_finite(self.delta, "delta")
+        object.__setattr__(self, "n", check_int(self.n, "n", 1))
 
     @property
     def noncentrality(self) -> float:
         return math.sqrt(self.n) * self.delta
 
 
-def _check_p_open(p: float) -> float:
-    p = float(p)
-    if not (0.0 < p < 1.0) or math.isnan(p):
-        raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
-    return p
-
-
 def pdf_under_alternative(p: float, spec: AlternativeSpec,
                           tail: Tail = Tail.ONE_SIDED_UPPER) -> float:
     """Density of the p-value at p; constant 1 when delta = 0."""
-    p = _check_p_open(p)
+    p = check_open_unit(p, "p")
     m = spec.noncentrality
     # z_{1-p} computed as -quantile(p) so tiny p keeps full precision.
     if tail is Tail.ONE_SIDED_UPPER:
@@ -60,7 +51,7 @@ def pdf_under_alternative(p: float, spec: AlternativeSpec,
 def cdf_under_alternative(p: float, spec: AlternativeSpec,
                           tail: Tail = Tail.ONE_SIDED_UPPER) -> float:
     """Probability of observing a p-value below p when the effect is real."""
-    p = _check_p_open(p)
+    p = check_open_unit(p, "p")
     m = spec.noncentrality
     if tail is Tail.ONE_SIDED_UPPER:
         z = -normal_quantile(p)
@@ -71,7 +62,7 @@ def cdf_under_alternative(p: float, spec: AlternativeSpec,
 
 def quantile_under_alternative(q: float, spec: AlternativeSpec) -> float:
     """Inverse of the one-sided cdf: the p-value below which a fraction q falls."""
-    q = _check_p_open(q)
+    q = check_open_unit(q, "q")
     return normal_cdf(normal_quantile(q) - spec.noncentrality)
 
 
@@ -86,31 +77,21 @@ class ObservedResult:
     d_observed: float
 
     def __post_init__(self):
-        if not math.isfinite(self.d_observed):
-            raise DomainError(f"d_observed must be finite, got {self.d_observed!r}")
+        check_finite(self.d_observed, "d_observed")
 
     @classmethod
     def from_statistic(cls, d_observed: float) -> "ObservedResult":
-        return cls(float(d_observed))
+        return cls(check_finite(d_observed, "d_observed"))
 
     @classmethod
     def from_p_value(cls, p_observed: float) -> "ObservedResult":
-        p_observed = float(p_observed)
-        if not (0.0 < p_observed < 1.0) or math.isnan(p_observed):
-            raise DomainError(
-                f"p_observed must lie strictly inside (0, 1), got {p_observed!r}"
-            )
+        p_observed = check_open_unit(p_observed, "p_observed")
         return cls(-normal_quantile(0.5 * p_observed))
 
     @classmethod
     def from_summary(cls, estimate: float, stderr: float) -> "ObservedResult":
-        stderr = float(stderr)
-        if not (stderr > 0.0) or not math.isfinite(stderr):
-            raise DomainError(f"stderr must be positive and finite, got {stderr!r}")
-        estimate = float(estimate)
-        if not math.isfinite(estimate):
-            raise DomainError(f"estimate must be finite, got {estimate!r}")
-        return cls(estimate / stderr)
+        stderr = check_positive(stderr, "stderr")
+        return cls(check_finite(estimate, "estimate") / stderr)
 
     @property
     def p_observed(self) -> float:
@@ -125,9 +106,7 @@ def reproducibility_probability(observed: ObservedResult, alpha: float,
     Two-sided (default): Phi(d_o - z_{1-alpha/2}) + Phi(-z_{1-alpha/2} - d_o).
     One-sided upper: Phi(d_o - z_{1-alpha}). Equals alpha when d_o = 0.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0) or math.isnan(alpha):
-        raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+    alpha = check_open_unit(alpha, "alpha")
     d_o = observed.d_observed
     if tail is Tail.ONE_SIDED_UPPER:
         return normal_cdf(d_o + normal_quantile(alpha))

@@ -13,19 +13,12 @@ behind "cut the threshold by r to multiply the replication rate n-fold".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import error_tradeoff
-from .errors import DomainError, InfeasibleParameterError
-
-
-def _check_prob_open(value: float, name: str) -> float:
-    value = float(value)
-    if not (0.0 < value < 1.0) or math.isnan(value):
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-    return value
+from .errors import (InfeasibleParameterError, check_at_least, check_finite, check_open_unit,
+                     check_positive)
 
 
 @dataclass(frozen=True)
@@ -37,11 +30,11 @@ class ScreeningParams:
     prior_null: float
 
     def __post_init__(self):
-        _check_prob_open(self.alpha, "alpha")
-        _check_prob_open(self.power, "power")
+        check_open_unit(self.alpha, "alpha")
+        check_open_unit(self.power, "power")
         # Degenerate priors are rejected: at 0 or 1 the rate is identically
         # 0 or 1 and the derivative formulas lose their sign guarantees.
-        _check_prob_open(self.prior_null, "prior_null")
+        check_open_unit(self.prior_null, "prior_null")
 
     @property
     def prior_odds(self) -> "PriorOdds":
@@ -55,12 +48,11 @@ class PriorOdds:
     ratio: float
 
     def __post_init__(self):
-        if not (self.ratio > 0.0) or not math.isfinite(self.ratio):
-            raise DomainError(f"odds ratio must be positive and finite, got {self.ratio!r}")
+        check_positive(self.ratio, "odds ratio")
 
     @classmethod
     def from_prior_null(cls, prior_null: float) -> "PriorOdds":
-        _check_prob_open(prior_null, "prior_null")
+        prior_null = check_open_unit(prior_null, "prior_null")
         return cls((1.0 - prior_null) / prior_null)
 
     @property
@@ -76,8 +68,8 @@ def false_positive_rate(params: ScreeningParams) -> float:
 
 def false_positive_rate_odds(alpha: float, power: float, odds: PriorOdds) -> float:
     """Prior-odds form alpha / (alpha + power * R); exactly 1/2 on the boundary R = alpha/power."""
-    alpha = _check_prob_open(alpha, "alpha")
-    power = _check_prob_open(power, "power")
+    alpha = check_open_unit(alpha, "alpha")
+    power = check_open_unit(power, "power")
     return alpha / (alpha + power * odds.ratio)
 
 
@@ -109,7 +101,7 @@ def combined_fpr_curve(
     and sample count before applying the rate. Returns
     [(alpha, beta, fpr), ...] in input order.
     """
-    _check_prob_open(prior_null, "prior_null")
+    prior_null = check_open_unit(prior_null, "prior_null")
     model = error_tradeoff.GaussianTestModel(effect_size=effect_size, n=n)
     out = []
     for alpha in alphas:
@@ -126,12 +118,8 @@ def replication_threshold_factor(gamma: float, n_fold: float) -> float:
     answer n_fold*(1-gamma)/(1-n_fold*gamma) does not depend on power or the
     prior odds (they cancel). Only possible while n_fold*gamma < 1.
     """
-    gamma = float(gamma)
-    if not (0.0 < gamma < 1.0) or math.isnan(gamma):
-        raise DomainError(f"gamma must lie strictly inside (0, 1), got {gamma!r}")
-    n_fold = float(n_fold)
-    if not (n_fold >= 1.0) or not math.isfinite(n_fold):
-        raise DomainError(f"n_fold must be >= 1, got {n_fold!r}")
+    gamma = check_open_unit(gamma, "gamma")
+    n_fold = check_at_least(n_fold, "n_fold", 1.0)
     if n_fold * gamma >= 1.0:
         raise InfeasibleParameterError(
             f"a true positive rate of {gamma} cannot be raised {n_fold}-fold: "
@@ -147,10 +135,8 @@ def gamma_for_factor(r: float, n_fold: float) -> float:
     Requires r > n_fold; n_fold == 1 is degenerate (the factor is then
     identically 1, so no r > 1 is attainable).
     """
-    r = float(r)
-    n_fold = float(n_fold)
-    if not (n_fold >= 1.0) or not math.isfinite(n_fold):
-        raise DomainError(f"n_fold must be >= 1, got {n_fold!r}")
+    r = check_finite(r, "r")
+    n_fold = check_at_least(n_fold, "n_fold", 1.0)
     if not (r > n_fold):
         raise InfeasibleParameterError(
             f"threshold factor r must exceed n_fold (got r={r}, n_fold={n_fold}): "

@@ -13,14 +13,13 @@ the lag-regression context) is available for the same operations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from .distributions import normal_cdf, normal_quantile, student_t_cdf, student_t_quantile
 from .error_tradeoff import Tail
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_int, check_open_unit, check_positive
 
 
 class ReferenceDist(Enum):
@@ -48,14 +47,12 @@ class SummaryStats:
     df: Optional[int] = None
 
     def __post_init__(self):
-        if not math.isfinite(self.estimate):
-            raise DomainError(f"estimate must be finite, got {self.estimate!r}")
-        if not (self.stderr > 0.0) or not math.isfinite(self.stderr):
-            raise DomainError(f"stderr must be positive and finite, got {self.stderr!r}")
+        check_finite(self.estimate, "estimate")
+        check_positive(self.stderr, "stderr")
         for name in ("n", "df"):
             v = getattr(self, name)
-            if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
-                raise DomainError(f"{name} must be a positive integer, got {v!r}")
+            if v is not None:
+                object.__setattr__(self, name, check_int(v, name, 1))
 
     @property
     def standardized(self) -> float:
@@ -80,8 +77,7 @@ class SeverityClaim:
     bound: float
 
     def __post_init__(self):
-        if not math.isfinite(self.bound):
-            raise DomainError(f"claim bound must be finite, got {self.bound!r}")
+        check_finite(self.bound, "claim bound")
 
 
 def _reference_cdf(z: float, stats: SummaryStats, reference: ReferenceDist) -> float:
@@ -105,18 +101,14 @@ def severity_curve(stats: SummaryStats, bounds: Sequence[float],
                    direction: ClaimDirection = ClaimDirection.GREATER_THAN,
                    ) -> list[tuple[float, float]]:
     """Severity at each bound, for probing which parameter values are warranted."""
-    return [
-        (float(b), severity(stats, SeverityClaim(direction, float(b)), reference))
-        for b in bounds
-    ]
+    claims = [SeverityClaim(direction, check_finite(b, "claim bound")) for b in bounds]
+    return [(claim.bound, severity(stats, claim, reference)) for claim in claims]
 
 
 def confidence_lower_limit(stats: SummaryStats, level: float,
                            reference: ReferenceDist = ReferenceDist.NORMAL) -> float:
     """One-sided lower confidence limit; severity of 'parameter > limit' equals level."""
-    level = float(level)
-    if not (0.0 < level < 1.0) or math.isnan(level):
-        raise DomainError(f"level must lie strictly inside (0, 1), got {level!r}")
+    level = check_open_unit(level, "level")
     if reference is ReferenceDist.NORMAL:
         q = normal_quantile(level)
     else:

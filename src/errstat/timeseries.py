@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .distributions import student_t_cdf
-from .errors import CsvFormatError, DegenerateDataError, DomainError
+from .errors import CsvFormatError, DegenerateDataError, DomainError, check_finite, check_int
 from .severity import SummaryStats
 
 # Relative residual variance below which a fit is reported as exact
@@ -37,8 +37,7 @@ class Series:
         if len(self.values) < 3:
             raise DomainError(f"series needs at least 3 values, got {len(self.values)}")
         for i, v in enumerate(self.values):
-            if not math.isfinite(v):
-                raise DomainError(f"series value at index {i} is not finite: {v!r}")
+            check_finite(v, f"series value at index {i}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -122,21 +121,27 @@ def _lag_pairs(series: Series, tau: int) -> tuple[list[float], list[float]]:
     return list(vals[: len(vals) - tau]), list(vals[tau:])
 
 
-def lag_regression(series: Series, tau: int) -> LagFit:
-    """Least-squares fit of each value on its tau-steps-earlier predecessor."""
-    if not isinstance(tau, int) or isinstance(tau, bool) or tau < 1:
-        raise DomainError(f"tau must be a positive integer, got {tau!r}")
-    if tau >= len(series) - 2:
-        raise DomainError(
-            f"tau = {tau} leaves fewer than 3 pairs from {len(series)} values"
-        )
-    x, y = _lag_pairs(series, tau)
+def _window_moments(x: list[float], y: list[float]) -> tuple[float, float, float, float, float]:
+    # Each window gets its own mean: (mean_x, mean_y, sxx, syy, sxy).
     k = len(x)
     mean_x = math.fsum(x) / k
     mean_y = math.fsum(y) / k
     sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
     syy = math.fsum((yi - mean_y) ** 2 for yi in y)
     sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
+    return mean_x, mean_y, sxx, syy, sxy
+
+
+def lag_regression(series: Series, tau: int) -> LagFit:
+    """Least-squares fit of each value on its tau-steps-earlier predecessor."""
+    tau = check_int(tau, "tau", 1)
+    if tau >= len(series) - 2:
+        raise DomainError(
+            f"tau = {tau} leaves fewer than 3 pairs from {len(series)} values"
+        )
+    x, y = _lag_pairs(series, tau)
+    k = len(x)
+    mean_x, mean_y, sxx, syy, sxy = _window_moments(x, y)
     if sxx == 0.0:
         raise DegenerateDataError("predictor window has zero variance (constant series)")
     if syy == 0.0:
@@ -167,31 +172,24 @@ def lag_regression(series: Series, tau: int) -> LagFit:
 
 def autocorrelation(series: Series, tau: int) -> float:
     """Sample correlation of the lag-tau pairs (tau = 0 returns 1 by convention)."""
-    if not isinstance(tau, int) or isinstance(tau, bool) or tau < 0:
-        raise DomainError(f"tau must be a nonnegative integer, got {tau!r}")
+    tau = check_int(tau, "tau", 0)
     if tau >= len(series) - 1:
         raise DomainError(f"tau = {tau} leaves fewer than 2 pairs from {len(series)} values")
     x, y = _lag_pairs(series, tau) if tau > 0 else (list(series.values), list(series.values))
-    k = len(x)
-    mean_x = math.fsum(x) / k
-    mean_y = math.fsum(y) / k
-    sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
-    syy = math.fsum((yi - mean_y) ** 2 for yi in y)
+    _, _, sxx, syy, sxy = _window_moments(x, y)
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateDataError("zero variance in a lag window; correlation undefined")
     if tau == 0:
         return 1.0
-    sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
     return sxy / math.sqrt(sxx * syy)
 
 
 def t_from_correlation(r: float, n: int) -> tuple[float, float]:
     """t statistic and two-sided p-value for a correlation from n observations."""
-    r = float(r)
-    if not math.isfinite(r) or not (-1.0 <= r <= 1.0):
+    r = check_finite(r, "correlation")
+    if not -1.0 <= r <= 1.0:
         raise DomainError(f"correlation must lie in [-1, 1], got {r!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise DomainError(f"n must be an integer >= 3, got {n!r}")
+    n = check_int(n, "n", 3)
     if abs(r) == 1.0:
         raise DegenerateDataError("correlation of +/-1 gives an infinite t statistic")
     t = r * math.sqrt(n - 2) / math.sqrt(1.0 - r * r)

@@ -1,0 +1,147 @@
+"""The shared precondition validators and the error surface they give the library."""
+
+import dataclasses
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from errstat import (
+    AlternativeSpec,
+    ClaimDirection,
+    CostParams,
+    GaussianTestModel,
+    ObservedResult,
+    PriorOdds,
+    ScreeningParams,
+    SeverityClaim,
+    SimConfig,
+    SummaryStats,
+    Tail,
+    normal_cdf,
+    student_t_cdf,
+    type2_error,
+)
+from errstat import errors
+from errstat.errors import DomainError, ErrstatError
+
+
+@pytest.mark.parametrize("check, value, message", [
+    (errors.check_open_unit, 1.0, "alpha must lie strictly inside (0, 1), got 1.0"),
+    (errors.check_unit, -0.5, "alpha must lie in [0, 1], got -0.5"),
+    (errors.check_finite, float("nan"), "alpha must be finite, got nan"),
+    (errors.check_positive, 0.0, "alpha must be positive and finite, got 0.0"),
+    (errors.check_open_unit, None, "alpha must lie strictly inside (0, 1), got None"),
+    (errors.check_finite, "abc", "alpha must be finite, got 'abc'"),
+])
+def test_messages_name_the_requirement_and_the_value(check, value, message):
+    with pytest.raises(DomainError) as info:
+        check(value, "alpha")
+    assert str(info.value) == message
+
+
+def test_range_edges():
+    assert errors.check_open_unit(0.25, "p") == 0.25
+    for bad in (0.0, 1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            errors.check_open_unit(bad, "p")
+    assert errors.check_unit(0.0, "p") == 0.0
+    assert errors.check_unit(1.0, "p") == 1.0
+    with pytest.raises(DomainError):
+        errors.check_unit(float("nan"), "p")
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(DomainError):
+            errors.check_positive(bad, "s")
+        with pytest.raises(DomainError):
+            errors.check_at_least(bad, "s", 0.0)
+    assert errors.check_at_least(0.0, "cost", 0.0) == 0.0
+    with pytest.raises(DomainError) as info:
+        errors.check_at_least(0.5, "n_fold", 1.0)
+    assert str(info.value) == "n_fold must be finite and >= 1.0, got 0.5"
+
+
+def test_real_validators_convert_other_real_types():
+    assert errors.check_finite(np.float32(0.5), "x") == 0.5
+    assert type(errors.check_finite(np.float64(0.5), "x")) is float
+    assert errors.check_open_unit(Fraction(1, 4), "p") == 0.25
+    assert errors.check_finite(3, "x") == 3.0
+    for bad in (None, "0.5", b"0.5", 1j, [0.5], 10 ** 400, Fraction(10 ** 400, 1)):
+        with pytest.raises(DomainError):
+            errors.check_finite(bad, "x")
+
+
+def test_integer_validator():
+    assert errors.check_int(3, "n", 1) == 3
+    assert errors.check_int(0, "tau", 0) == 0
+    value = errors.check_int(np.int64(4), "n", 1)
+    assert value == 4 and type(value) is int
+    for bad in (0, True, False, 2.0, 2.5, "3", None, np.float64(3.0)):
+        with pytest.raises(DomainError):
+            errors.check_int(bad, "n", 1)
+    with pytest.raises(DomainError) as info:
+        errors.check_int(2, "n", 3)
+    assert str(info.value) == "n must be an integer >= 3, got 2"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: type2_error("abc", GaussianTestModel(0.5, 10)),
+    lambda: SimConfig(10, 1, alpha=None),
+    lambda: GaussianTestModel("a"),
+    lambda: CostParams(1, 1, "x"),
+    lambda: normal_cdf(None),
+    lambda: student_t_cdf(1.0, "7"),
+    lambda: ObservedResult.from_statistic(None),
+])
+def test_non_numeric_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_numpy_integers_are_accepted_and_stored_as_int():
+    model = GaussianTestModel(0.5, np.int64(4))
+    assert type(model.n) is int
+    assert model == GaussianTestModel(0.5, 4)
+    assert student_t_cdf(1.0, np.int64(5)) == student_t_cdf(1.0, 5)
+    config = SimConfig(np.int64(1000), np.uint64(2 ** 64 - 1), n_per_study=np.int32(3))
+    assert (type(config.num_trials), type(config.seed), type(config.n_per_study)) == (int, int, int)
+    stats = SummaryStats(1.0, 0.5, n=np.int16(15))
+    assert type(stats.n) is int and stats.effective_df() == 13
+    with pytest.raises(DomainError):
+        GaussianTestModel(0.5, True)
+    with pytest.raises(DomainError):
+        student_t_cdf(1.0, True)
+
+
+_PARAMETER_CLASSES = [
+    GaussianTestModel, ScreeningParams, PriorOdds, CostParams, AlternativeSpec,
+    ObservedResult, SummaryStats, SeverityClaim, SimConfig,
+]
+
+_ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.fractions(),
+    st.complex_numbers(),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.decimals(),
+    st.lists(st.floats(), max_size=2),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from(list(Tail) + list(ClaimDirection)),
+)
+
+
+@pytest.mark.parametrize("cls", _PARAMETER_CLASSES, ids=lambda cls: cls.__name__)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parameter_classes_construct_or_raise_errstat_error(cls, data):
+    args = [data.draw(_ANY_VALUE) for _ in dataclasses.fields(cls)]
+    try:
+        cls(*args)
+    except ErrstatError:
+        pass
