@@ -13,12 +13,19 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import normal_cdf, normal_quantile
-from .errors import DomainError, check_finite, check_int, check_open_unit, check_positive
+from .errors import (DomainError, InfeasibleParameterError, check_finite, check_int, check_member,
+                     check_open_unit, check_positive)
 
 
 class Tail(Enum):
     ONE_SIDED_UPPER = "one_sided_upper"
     TWO_SIDED = "two_sided"
+
+    def critical(self, alpha: float) -> float:
+        """z_{1-alpha}, or z_{1-alpha/2} two-sided, as -quantile: exact, no 1 - alpha rounding."""
+        if self is Tail.ONE_SIDED_UPPER:
+            return -normal_quantile(alpha)
+        return -normal_quantile(0.5 * alpha)
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,7 @@ class GaussianTestModel:
     def __post_init__(self):
         check_finite(self.effect_size, "effect_size")
         object.__setattr__(self, "n", check_int(self.n, "n", 1))
+        object.__setattr__(self, "tail", check_member(self.tail, Tail, "tail"))
 
     @property
     def noncentrality(self) -> float:
@@ -42,12 +50,12 @@ class GaussianTestModel:
 def type2_error(alpha: float, model: GaussianTestModel) -> float:
     """Probability of failing to reject at level alpha when the effect is real."""
     alpha = check_open_unit(alpha, "alpha")
+    if not isinstance(model, GaussianTestModel):
+        raise DomainError(f"model must be a GaussianTestModel, got {model!r}")
     shift = model.noncentrality
-    # z_{1-alpha} as -quantile(alpha): exact by symmetry, no 1 - alpha rounding
+    crit = model.tail.critical(alpha)
     if model.tail is Tail.ONE_SIDED_UPPER:
-        crit = -normal_quantile(alpha)
         return normal_cdf(crit - shift)
-    crit = -normal_quantile(0.5 * alpha)
     return normal_cdf(crit - shift) - normal_cdf(-crit - shift)
 
 
@@ -70,5 +78,10 @@ def required_sample_size(alpha: float, beta: float, mu_star: float, sigma: float
         raise DomainError(f"mu_star must be nonzero, got {mu_star!r}")
     sigma = check_positive(sigma, "sigma")
     z_sum = -(normal_quantile(alpha) + normal_quantile(beta))
-    n_real = (sigma * z_sum / mu_star) ** 2
-    return max(1, math.ceil(n_real))
+    try:
+        n = math.ceil((sigma * z_sum / mu_star) ** 2)
+    except OverflowError:
+        raise InfeasibleParameterError(
+            f"mu_star={mu_star!r} is too small: the required sample size overflows"
+        ) from None
+    return max(1, n)

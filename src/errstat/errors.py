@@ -102,6 +102,25 @@ def check_at_least(value, name: str, minimum: float) -> float:
     raise _fail(name, f"be finite and >= {minimum}", x)
 
 
+def check_sequence(values, name: str) -> tuple:
+    """values as a tuple; anything that cannot be iterated is rejected."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise _fail(name, "be a sequence", values) from None
+
+
+def check_member(value, kind, name: str):
+    """value as a member of the Enum kind; a member's value (e.g. "two_sided") is coerced."""
+    if type(value) is kind:
+        return value
+    try:
+        return kind(value)
+    except (ValueError, TypeError):
+        choices = ", ".join(repr(member.value) for member in kind)
+        raise _fail(name, f"be one of {choices}", value) from None
+
+
 def check_int(value, name: str, minimum: int) -> int:
     """value as a Python int >= minimum; numpy integers pass, bool does not."""
     if not isinstance(value, bool):

@@ -19,9 +19,9 @@ import numpy as np
 
 from .decision_cost import CostParams
 from .error_tradeoff import Tail
-from .distributions import (_erf_small, _erfc_big_ratio, _erfc_mid_ratio, _exp_neg_sq,
-                            normal_quantile)
-from .errors import DomainError, check_finite, check_int, check_open_unit, check_unit
+from .distributions import _erf_small, _erfc_big_ratio, _erfc_mid_ratio, _exp_neg_sq
+from .errors import (DomainError, check_finite, check_int, check_member, check_open_unit,
+                     check_unit)
 
 CHUNK_SIZE = 1 << 16
 RNG_ALGORITHM = "numpy-pcg64/seedseq(entropy=seed, spawn_key=(chunk,))/chunk=65536"
@@ -63,6 +63,7 @@ class SimConfig:
         check_open_unit(self.alpha, "alpha")
         check_finite(self.effect_size, "effect_size")
         object.__setattr__(self, "n_per_study", check_int(self.n_per_study, "n_per_study", 1))
+        object.__setattr__(self, "tail", check_member(self.tail, Tail, "tail"))
 
     @property
     def noncentrality(self) -> float:
@@ -114,23 +115,43 @@ def _chunk_sizes(total: int) -> list[int]:
     return [CHUNK_SIZE] * full + ([rem] if rem else [])
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    )
+def _map_chunks(fn, config: SimConfig, workers: int) -> list:
+    # fn(rng, count) runs one chunk on the generator of its (seed, index) pair.
+    workers = check_int(workers, "workers", 1)
 
+    def run(index: int, count: int):
+        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
+        return fn(np.random.Generator(np.random.PCG64(seq)), count)
 
-def _map_chunks(fn, sizes, workers: int) -> list:
-    if workers <= 1:
-        return [fn(i, m) for i, m in enumerate(sizes)]
+    sizes = _chunk_sizes(config.num_trials)
+    if workers == 1:
+        return [run(i, m) for i, m in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(len(sizes)), sizes))
+        return list(pool.map(run, range(len(sizes)), sizes))
 
 
-def _critical_value(config: SimConfig) -> float:
-    if config.tail is Tail.ONE_SIDED_UPPER:
-        return -normal_quantile(config.alpha)
-    return -normal_quantile(0.5 * config.alpha)
+def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first: float,
+                    mean_second: float, sigma: float, crit: float,
+                    two_sided: bool) -> tuple[int, int, int, int]:
+    # A trial comes from the first component with probability p_first, draws
+    # its statistic from N(mean, sigma^2) and rejects above crit (|stat| if
+    # two-sided). Returns the counts of (first, reject), (first, accept),
+    # (second, reject) and (second, accept).
+
+    def run_chunk(rng: np.random.Generator, count: int) -> tuple[int, int, int]:
+        first = rng.random(count) < p_first
+        stat = rng.standard_normal(count)
+        stat *= sigma
+        stat += np.where(first, mean_first, mean_second)
+        reject = np.abs(stat) > crit if two_sided else stat > crit
+        return (int(np.count_nonzero(first)), int(np.count_nonzero(reject)),
+                int(np.count_nonzero(first & reject)))
+
+    parts = _map_chunks(run_chunk, config, workers)
+    n_first, n_reject, first_reject = (sum(column) for column in zip(*parts))
+    second_reject = n_reject - first_reject
+    return (first_reject, n_first - first_reject, second_reject,
+            config.num_trials - n_first - second_reject)
 
 
 def simulate_studies(config: SimConfig, workers: int = 1) -> SimOutcome:
@@ -140,27 +161,10 @@ def simulate_studies(config: SimConfig, workers: int = 1) -> SimOutcome:
     from N(0, 1) under the null or N(sqrt(n)*delta, 1) under the
     alternative, and rejects against the level-alpha critical value.
     """
-    crit = _critical_value(config)
-    shift = config.noncentrality
-    two_sided = config.tail is Tail.TWO_SIDED
-
-    def run_chunk(index: int, count: int) -> tuple[int, int, int, int]:
-        rng = _chunk_rng(config.seed, index)
-        is_null = rng.random(count) < config.prior_null
-        stat = rng.standard_normal(count)
-        stat = np.where(is_null, stat, stat + shift)
-        reject = np.abs(stat) > crit if two_sided else stat > crit
-        fp = int(np.count_nonzero(is_null & reject))
-        tn = int(np.count_nonzero(is_null & ~reject))
-        tp = int(np.count_nonzero(~is_null & reject))
-        fn = int(np.count_nonzero(~is_null & ~reject))
-        return tp, fp, tn, fn
-
-    parts = _map_chunks(run_chunk, _chunk_sizes(config.num_trials), workers)
-    tp = sum(p[0] for p in parts)
-    fp = sum(p[1] for p in parts)
-    tn = sum(p[2] for p in parts)
-    fn = sum(p[3] for p in parts)
+    fp, tn, tp, fn = _mixture_counts(config, workers, config.prior_null, 0.0,
+                                     config.noncentrality, 1.0,
+                                     config.tail.critical(config.alpha),
+                                     config.tail is Tail.TWO_SIDED)
     return SimOutcome.from_counts(tp, fp, tn, fn)
 
 
@@ -170,8 +174,10 @@ class PValueSimSummary:
 
     deciles: the nine sample deciles of the simulated p-values.
     cdf_at_reference_deciles: empirical CDF evaluated where the reference
-        law puts probability 0.1, ..., 0.9 (each entry is Binomial(N, k/10)/N
-        if the reference is right).
+        law puts probability 0.1, ..., 0.9, read off the probability
+        integral transform: entry k is the share of trials whose reference
+        CDF value (PIT value) is <= k/10, so each entry is
+        Binomial(N, k/10)/N if the reference is right.
     supnorm_vs_reference: Kolmogorov-Smirnov distance between the empirical
         CDF and the reference CDF (uniform when delta = 0).
     """
@@ -192,16 +198,13 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     null-uniformity check); prior_null plays no role here.
     """
     shift = config.noncentrality
-    two_sided = config.tail is Tail.TWO_SIDED
 
-    def run_chunk(index: int, count: int) -> np.ndarray:
-        rng = _chunk_rng(config.seed, index)
+    def run_chunk(rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.standard_normal(count) + shift
 
-    parts = _map_chunks(run_chunk, _chunk_sizes(config.num_trials), workers)
-    stat = np.concatenate(parts)
+    stat = np.concatenate(_map_chunks(run_chunk, config, workers))
     n = stat.size
-    if two_sided:
+    if config.tail is Tail.TWO_SIDED:
         a = np.abs(stat)
         pvals = 2.0 * _normal_cdf_vec(-a)
         ref = _normal_cdf_vec(shift - a) + _normal_cdf_vec(-a - shift)
@@ -219,8 +222,7 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     supnorm = float(np.max(np.maximum(i / n - ref, ref - (i - 1.0) / n)))
 
     deciles = tuple(float(v) for v in np.quantile(pvals, np.arange(1, 10) / 10.0))
-    ref_points = _reference_deciles(shift, two_sided)
-    ecdf = tuple(float(np.searchsorted(pvals, q, side="right")) / n for q in ref_points)
+    ecdf = tuple(int(np.count_nonzero(ref <= k / 10.0)) / n for k in range(1, 10))
     return PValueSimSummary(
         num_trials=n,
         deciles=deciles,
@@ -229,38 +231,6 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
         delta=config.effect_size,
         n_per_study=config.n_per_study,
     )
-
-
-def _reference_deciles(shift: float, two_sided: bool) -> tuple[float, ...]:
-    # p at which the reference CDF puts probability k/10, k = 1..9.
-    out = []
-    for k in range(1, 10):
-        q = k / 10.0
-        if shift == 0.0:
-            out.append(q)
-        elif two_sided:
-            out.append(_two_sided_quantile(q, shift))
-        else:
-            out.append(float(_normal_cdf_vec(np.array([-shift - normal_quantile(1.0 - q)]))[0]))
-    return tuple(out)
-
-
-def _two_sided_quantile(q: float, shift: float) -> float:
-    # Invert G(p) = Phi(shift - z_{p/2}) + Phi(-z_{p/2} - shift) by bisection.
-    lo, hi = 1e-300, 1.0 - 1e-16
-
-    def g(p: float) -> float:
-        z = -normal_quantile(0.5 * p)
-        c = _normal_cdf_vec(np.array([shift - z, -z - shift]))
-        return float(c[0] + c[1])
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -281,19 +251,8 @@ def simulate_expected_cost(c: float, params: CostParams, config: SimConfig,
     from params; config supplies num_trials and the seed.
     """
     c = check_finite(c, "critical value")
-
-    def run_chunk(index: int, count: int) -> tuple[int, int]:
-        rng = _chunk_rng(config.seed, index)
-        is_good = rng.random(count) < params.prior_good
-        stat = rng.standard_normal(count) * params.sigma
-        stat = stat + np.where(is_good, params.mu0, params.mu1)
-        n_false_reject = int(np.count_nonzero(is_good & (stat > c)))
-        n_false_accept = int(np.count_nonzero(~is_good & (stat <= c)))
-        return n_false_reject, n_false_accept
-
-    parts = _map_chunks(run_chunk, _chunk_sizes(config.num_trials), workers)
-    n_fr = sum(p[0] for p in parts)
-    n_fa = sum(p[1] for p in parts)
+    n_fr, _, _, n_fa = _mixture_counts(config, workers, params.prior_good, params.mu0,
+                                       params.mu1, params.sigma, c, False)
     n = config.num_trials
     mean = (params.cost_type1 * n_fr + params.cost_type2 * n_fa) / n
     second_moment = (params.cost_type1 ** 2 * n_fr + params.cost_type2 ** 2 * n_fa) / n

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .distributions import normal_cdf, normal_pdf, normal_quantile
 from .error_tradeoff import Tail
-from .errors import check_finite, check_int, check_open_unit, check_positive
+from .errors import check_finite, check_int, check_member, check_open_unit, check_positive
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,11 @@ def pdf_under_alternative(p: float, spec: AlternativeSpec,
                           tail: Tail = Tail.ONE_SIDED_UPPER) -> float:
     """Density of the p-value at p; constant 1 when delta = 0."""
     p = check_open_unit(p, "p")
+    tail = check_member(tail, Tail, "tail")
     m = spec.noncentrality
-    # z_{1-p} computed as -quantile(p) so tiny p keeps full precision.
+    z = tail.critical(p)
     if tail is Tail.ONE_SIDED_UPPER:
-        z = -normal_quantile(p)
         return normal_pdf(z - m) / normal_pdf(z)
-    z = -normal_quantile(0.5 * p)
     return (normal_pdf(z - m) + normal_pdf(z + m)) / (2.0 * normal_pdf(z))
 
 
@@ -52,11 +51,11 @@ def cdf_under_alternative(p: float, spec: AlternativeSpec,
                           tail: Tail = Tail.ONE_SIDED_UPPER) -> float:
     """Probability of observing a p-value below p when the effect is real."""
     p = check_open_unit(p, "p")
+    tail = check_member(tail, Tail, "tail")
     m = spec.noncentrality
+    z = tail.critical(p)
     if tail is Tail.ONE_SIDED_UPPER:
-        z = -normal_quantile(p)
         return 1.0 - normal_cdf(z - m)
-    z = -normal_quantile(0.5 * p)
     return normal_cdf(m - z) + normal_cdf(-z - m)
 
 
@@ -86,7 +85,7 @@ class ObservedResult:
     @classmethod
     def from_p_value(cls, p_observed: float) -> "ObservedResult":
         p_observed = check_open_unit(p_observed, "p_observed")
-        return cls(-normal_quantile(0.5 * p_observed))
+        return cls(Tail.TWO_SIDED.critical(p_observed))
 
     @classmethod
     def from_summary(cls, estimate: float, stderr: float) -> "ObservedResult":
@@ -107,8 +106,9 @@ def reproducibility_probability(observed: ObservedResult, alpha: float,
     One-sided upper: Phi(d_o - z_{1-alpha}). Equals alpha when d_o = 0.
     """
     alpha = check_open_unit(alpha, "alpha")
+    tail = check_member(tail, Tail, "tail")
     d_o = observed.d_observed
+    crit = tail.critical(alpha)
     if tail is Tail.ONE_SIDED_UPPER:
-        return normal_cdf(d_o + normal_quantile(alpha))
-    crit = -normal_quantile(0.5 * alpha)
+        return normal_cdf(d_o - crit)
     return normal_cdf(d_o - crit) + normal_cdf(-crit - d_o)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import error_tradeoff
 from .errors import (InfeasibleParameterError, check_at_least, check_finite, check_open_unit,
-                     check_positive)
+                     check_positive, check_sequence)
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def combined_fpr_curve(
     prior_null = check_open_unit(prior_null, "prior_null")
     model = error_tradeoff.GaussianTestModel(effect_size=effect_size, n=n)
     out = []
-    for alpha in alphas:
+    for alpha in check_sequence(alphas, "alphas"):
         beta = error_tradeoff.type2_error(alpha, model)
         fpr = false_positive_rate(ScreeningParams(alpha, 1.0 - beta, prior_null))
         out.append((float(alpha), beta, fpr))

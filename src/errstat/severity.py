@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 from .distributions import normal_cdf, normal_quantile, student_t_cdf, student_t_quantile
 from .error_tradeoff import Tail
-from .errors import DomainError, check_finite, check_int, check_open_unit, check_positive
+from .errors import (DomainError, check_finite, check_int, check_member, check_open_unit,
+                     check_positive, check_sequence)
 
 
 class ReferenceDist(Enum):
@@ -77,11 +78,13 @@ class SeverityClaim:
     bound: float
 
     def __post_init__(self):
+        object.__setattr__(self, "direction",
+                           check_member(self.direction, ClaimDirection, "direction"))
         check_finite(self.bound, "claim bound")
 
 
 def _reference_cdf(z: float, stats: SummaryStats, reference: ReferenceDist) -> float:
-    if reference is ReferenceDist.NORMAL:
+    if check_member(reference, ReferenceDist, "reference") is ReferenceDist.NORMAL:
         return normal_cdf(z)
     return student_t_cdf(z, stats.effective_df())
 
@@ -101,7 +104,8 @@ def severity_curve(stats: SummaryStats, bounds: Sequence[float],
                    direction: ClaimDirection = ClaimDirection.GREATER_THAN,
                    ) -> list[tuple[float, float]]:
     """Severity at each bound, for probing which parameter values are warranted."""
-    claims = [SeverityClaim(direction, check_finite(b, "claim bound")) for b in bounds]
+    claims = [SeverityClaim(direction, check_finite(b, "claim bound"))
+              for b in check_sequence(bounds, "bounds")]
     return [(claim.bound, severity(stats, claim, reference)) for claim in claims]
 
 
@@ -109,7 +113,7 @@ def confidence_lower_limit(stats: SummaryStats, level: float,
                            reference: ReferenceDist = ReferenceDist.NORMAL) -> float:
     """One-sided lower confidence limit; severity of 'parameter > limit' equals level."""
     level = check_open_unit(level, "level")
-    if reference is ReferenceDist.NORMAL:
+    if check_member(reference, ReferenceDist, "reference") is ReferenceDist.NORMAL:
         q = normal_quantile(level)
     else:
         q = student_t_quantile(level, stats.effective_df())
@@ -119,6 +123,7 @@ def confidence_lower_limit(stats: SummaryStats, level: float,
 def p_value_from_summary(stats: SummaryStats, tail: Tail = Tail.ONE_SIDED_UPPER,
                          reference: ReferenceDist = ReferenceDist.NORMAL) -> float:
     """p-value for the point null 'parameter = 0' from the summary statistics."""
+    tail = check_member(tail, Tail, "tail")
     d = stats.standardized
     if tail is Tail.ONE_SIDED_UPPER:
         # Symmetric reference, so the upper tail beyond d is the cdf at -d;

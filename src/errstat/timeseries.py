@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .distributions import student_t_cdf
-from .errors import CsvFormatError, DegenerateDataError, DomainError, check_finite, check_int
+from .errors import (CsvFormatError, DegenerateDataError, DomainError, check_finite, check_int,
+                     check_sequence)
 from .severity import SummaryStats
 
 # Relative residual variance below which a fit is reported as exact
@@ -34,6 +35,7 @@ class Series:
     start_label: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "values", check_sequence(self.values, "values"))
         if len(self.values) < 3:
             raise DomainError(f"series needs at least 3 values, got {len(self.values)}")
         for i, v in enumerate(self.values):

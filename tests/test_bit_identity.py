@@ -1,8 +1,11 @@
-"""Pinned bits of the array Gaussian kernel and of simulate_pvalues.
+"""Pinned bits of the array Gaussian kernel and of the three simulators.
 
-The expected values were recorded from the implementation before the
-scalar and array Cody erfc shared one set of rational pieces; any change to
-how the array kernel is evaluated must leave these outputs bit for bit.
+The kernel and simulate_pvalues values were recorded before the scalar and
+array Cody erfc shared one set of rational pieces; the simulate_studies,
+simulate_expected_cost and null two-sided simulate_pvalues values were
+recorded before the two count simulators shared one chunk kernel and the
+p-value ECDF was read off the reference-CDF values. Any change to how the
+kernels or the simulators are evaluated must leave these outputs bit for bit.
 """
 
 import hashlib
@@ -11,8 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from errstat import SimConfig, Tail, simulate_pvalues
-from errstat.montecarlo import _normal_cdf_vec
+from errstat import (CostParams, SimConfig, Tail, simulate_expected_cost, simulate_pvalues,
+                     simulate_studies)
+from errstat.montecarlo import CHUNK_SIZE, CostSimEstimate, SimOutcome, _normal_cdf_vec
 
 
 def _grid() -> np.ndarray:
@@ -68,3 +72,54 @@ def test_simulate_pvalues_fields_are_pinned(tail):
     assert summary.supnorm_vs_reference == supnorm
     assert summary.delta == 0.3
     assert summary.n_per_study == 4
+
+
+def test_two_sided_null_pvalues_are_pinned():
+    config = SimConfig(num_trials=150_000, seed=20261, effect_size=0.0, n_per_study=4,
+                       tail=Tail.TWO_SIDED)
+    summary = simulate_pvalues(config)
+    assert summary.deciles == (
+        0.09966710131959805, 0.19934812335309762, 0.2985658839059094,
+        0.39948648171713735, 0.49995452618129693, 0.5990452666498363,
+        0.699800896530753, 0.7995856961325449, 0.8986029308659659)
+    assert summary.cdf_at_reference_deciles == (
+        0.10032666666666666, 0.20069333333333333, 0.30144666666666664,
+        0.40042666666666665, 0.50004, 0.6008666666666667, 0.7002266666666667,
+        0.8004266666666666, 0.9013266666666667)
+    assert summary.supnorm_vs_reference == 0.001963176030092495
+    fields = summary.deciles + summary.cdf_at_reference_deciles + (summary.supnorm_vs_reference,)
+    assert {type(v) for v in fields} == {float}
+
+
+# Two full chunks and a partial one.
+_TRIALS = 2 * CHUNK_SIZE + 12345
+
+
+@pytest.mark.parametrize("tail, prior_null, expected", [
+    (Tail.ONE_SIDED_UPPER, 0.0,
+     SimOutcome(24300, 0, 0, 119117, 0.0, 0.16943598039284047, 0.0)),
+    (Tail.ONE_SIDED_UPPER, 0.37,
+     SimOutcome(15360, 2659, 50188, 75210, 0.14756645762805928, 0.1695925803246108,
+                0.0026421577803649524)),
+    (Tail.ONE_SIDED_UPPER, 1.0, SimOutcome(0, 7256, 136161, 0, 1.0, None, 0.0)),
+    (Tail.TWO_SIDED, 0.0,
+     SimOutcome(15343, 0, 0, 128074, 0.0, 0.10698173856655765, 0.0)),
+    (Tail.TWO_SIDED, 0.37,
+     SimOutcome(9707, 2586, 50261, 80863, 0.21036362157325308, 0.10717676934967428,
+                0.003675953022893828)),
+    (Tail.TWO_SIDED, 1.0, SimOutcome(0, 7196, 136221, 0, 1.0, None, 0.0)),
+])
+def test_simulate_studies_outcome_is_pinned(tail, prior_null, expected):
+    config = SimConfig(_TRIALS, 8675309, prior_null=prior_null, alpha=0.05,
+                       effect_size=0.4, n_per_study=3, tail=tail)
+    assert simulate_studies(config) == expected
+
+
+@pytest.mark.parametrize("prior_good, expected", [
+    (0.3, CostSimEstimate(0.8871054338049186, 0.0038087475400249656, _TRIALS)),
+    (0.0, CostSimEstimate(1.0393816632616775, 0.0042229005192486995, _TRIALS)),
+    (1.0, CostSimEstimate(0.5227832125898604, 0.0023205136696211946, _TRIALS)),
+])
+def test_simulate_expected_cost_is_pinned(prior_good, expected):
+    params = CostParams(2.0, 3.5, prior_good, mu0=-0.7, mu1=1.3, sigma=1.7)
+    assert simulate_expected_cost(0.4, params, SimConfig(_TRIALS, 4242)) == expected

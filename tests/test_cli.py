@@ -340,6 +340,10 @@ def test_usage_errors_exit_two():
     run_cli("tradeoff", "--alphas", "", expect_code=2)
 
 
+def test_workers_below_one_exit_two():
+    run_cli("simulate", "--trials", "1000", "--workers", "0", expect_code=2)
+
+
 def test_output_file_writing(tmp_path):
     out = tmp_path / "curve.csv"
     run_cli("tradeoff", "--effect-sizes", "0.5", "--alphas", "0.01,0.05",

@@ -4,7 +4,7 @@ import pytest
 
 from errstat import GaussianTestModel, Tail, power, required_sample_size, type2_error
 from errstat.distributions import normal_cdf, normal_quantile
-from errstat.errors import DomainError
+from errstat.errors import DomainError, InfeasibleParameterError
 
 
 def test_beta_equals_one_minus_alpha_under_null():
@@ -99,3 +99,10 @@ def test_input_validation():
         required_sample_size(0.05, 0.2, mu_star=0.0, sigma=1.0)
     with pytest.raises(DomainError):
         required_sample_size(0.05, 0.2, mu_star=0.5, sigma=0.0)
+
+
+def test_required_sample_size_overflow_is_infeasible():
+    with pytest.raises(InfeasibleParameterError):
+        required_sample_size(0.05, 0.2, 1e-200, 1.0)
+    with pytest.raises(InfeasibleParameterError):
+        required_sample_size(0.05, 0.2, 1e-300, 1e300)

@@ -15,17 +15,27 @@ from errstat import (
     GaussianTestModel,
     ObservedResult,
     PriorOdds,
+    ReferenceDist,
     ScreeningParams,
     SeverityClaim,
     SimConfig,
     SummaryStats,
     Tail,
+    combined_fpr_curve,
     normal_cdf,
+    p_value_from_summary,
+    pdf_under_alternative,
+    severity,
+    severity_curve,
+    simulate_expected_cost,
+    simulate_pvalues,
+    simulate_studies,
     student_t_cdf,
     type2_error,
 )
 from errstat import errors
 from errstat.errors import DomainError, ErrstatError
+from errstat.timeseries import Series
 
 
 @pytest.mark.parametrize("check, value, message", [
@@ -93,10 +103,51 @@ def test_integer_validator():
     lambda: normal_cdf(None),
     lambda: student_t_cdf(1.0, "7"),
     lambda: ObservedResult.from_statistic(None),
+    lambda: combined_fpr_curve(0.5, 10, 0.5, None),
+    lambda: severity_curve(SummaryStats(0.5, 0.1), None),
+    lambda: type2_error(0.05, None),
+    lambda: Series(None),
+    lambda: simulate_studies(SimConfig(10, 1), workers=None),
+    lambda: simulate_pvalues(SimConfig(10, 1), workers="2"),
+    lambda: simulate_expected_cost(0.0, CostParams(1, 1, 0.5), SimConfig(10, 1), workers=0),
+    lambda: SimConfig(1000, 1, tail="sideways"),
+    lambda: GaussianTestModel(0.5, tail="sideways"),
+    lambda: SeverityClaim("sideways", 0.3),
+    lambda: pdf_under_alternative(0.05, AlternativeSpec(0.5), tail="sideways"),
+    lambda: severity(SummaryStats(0.5, 0.1, n=15), SeverityClaim(ClaimDirection.LESS_THAN, 0.3),
+                     reference="sideways"),
+    lambda: p_value_from_summary(SummaryStats(0.5, 0.1), tail="TWO_SIDED"),
 ])
 def test_non_numeric_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_member_validator():
+    assert errors.check_member(Tail.TWO_SIDED, Tail, "tail") is Tail.TWO_SIDED
+    assert errors.check_member("two_sided", Tail, "tail") is Tail.TWO_SIDED
+    for bad in ("sideways", None, 1, ClaimDirection.GREATER_THAN, [0.5]):
+        with pytest.raises(DomainError):
+            errors.check_member(bad, Tail, "tail")
+    with pytest.raises(DomainError) as info:
+        errors.check_member("sideways", Tail, "tail")
+    assert str(info.value) == "tail must be one of 'one_sided_upper', 'two_sided', got 'sideways'"
+
+
+def test_enum_value_strings_are_coerced_to_members():
+    stats = SummaryStats(0.5782, 0.1654, n=15)
+    claim = SeverityClaim("greater_than", 0.3)
+    assert claim.direction is ClaimDirection.GREATER_THAN
+    assert severity(stats, claim) == severity(stats, SeverityClaim(ClaimDirection.GREATER_THAN, 0.3))
+    assert severity(stats, claim) == pytest.approx(0.9537, abs=1e-4)
+    assert GaussianTestModel(0.5, 4, "two_sided").tail is Tail.TWO_SIDED
+    assert severity_curve(stats, [0.3], "student_t", "less_than") == severity_curve(
+        stats, [0.3], ReferenceDist.STUDENT_T, ClaimDirection.LESS_THAN)
+    assert p_value_from_summary(stats, "two_sided", "normal") == p_value_from_summary(
+        stats, Tail.TWO_SIDED, ReferenceDist.NORMAL)
+    outcome = simulate_studies(SimConfig(1000, 1, tail="one_sided_upper"))
+    assert outcome == simulate_studies(SimConfig(1000, 1, tail=Tail.ONE_SIDED_UPPER))
+    assert outcome.false_pos == 25
 
 
 def test_numpy_integers_are_accepted_and_stored_as_int():
