@@ -14,6 +14,7 @@ sigma^2/(mu0 - mu1) * log[(1-prior)*cost_type2 / (prior*cost_type1)]
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -23,6 +24,7 @@ from .errors import (DomainError, check_at_least, check_finite, check_open_unit,
                      check_unit)
 
 Cdf = Callable[[float], float]
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -176,10 +178,14 @@ def cost_monotonicity_region(c: float, params: CostParams, tol: float = 1e-9) ->
     c = check_finite(c, "critical value")
     phi = check_open_unit(params.prior_good, "prior_good")
     lhs = params.cost_ratio * (1.0 - phi) / phi
-    # Density ratio computed in log space so deep-tail thresholds stay finite.
-    log_ratio = ((c - params.mu1) ** 2 - (c - params.mu0) ** 2) / (2.0 * params.sigma ** 2)
-    rhs = math.exp(log_ratio)
-    gap = lhs - rhs
+    # log f0(c)/f1(c) = (mu0 - mu1)(c - mu0/2 - mu1/2)/sigma^2, a difference of squares that
+    # stays finite where the squares of c or sigma would not; a ratio beyond the largest
+    # float exceeds every lhs.
+    log_ratio = ((params.mu0 - params.mu1) * (c - 0.5 * params.mu0 - 0.5 * params.mu1)
+                 / params.sigma / params.sigma)
+    if log_ratio > _LOG_FLOAT_MAX:
+        return CostTrend.INCREASING_IN_ALPHA
+    gap = lhs - math.exp(log_ratio)
     if abs(gap) <= tol:
         return CostTrend.STATIONARY
     return CostTrend.INCREASING_IN_ALPHA if gap < 0.0 else CostTrend.DECREASING_IN_ALPHA

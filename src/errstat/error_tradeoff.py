@@ -12,12 +12,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import normal_cdf, normal_quantile
+from .distributions import normal_cdf, normal_pdf, normal_quantile
 from .errors import (DomainError, InfeasibleParameterError, check_finite, check_int, check_member,
                      check_open_unit, check_positive)
 
 
 class Tail(Enum):
+    """Rejection above z or beyond +-z, and the laws that follow; none is a 1 - cdf complement."""
+
     ONE_SIDED_UPPER = "one_sided_upper"
     TWO_SIDED = "two_sided"
 
@@ -26,6 +28,34 @@ class Tail(Enum):
         if self is Tail.ONE_SIDED_UPPER:
             return -normal_quantile(alpha)
         return -normal_quantile(0.5 * alpha)
+
+    def rejects(self, stat, z):
+        """Whether the statistic lies in the rejection region beyond z."""
+        return (stat if self is Tail.ONE_SIDED_UPPER else abs(stat)) > z
+
+    def p_value(self, x, cdf=normal_cdf):
+        """Null probability of a statistic at least as extreme as x."""
+        return cdf(-x) if self is Tail.ONE_SIDED_UPPER else 2.0 * cdf(-abs(x))
+
+    def rejection(self, z, mean, cdf=normal_cdf):
+        """Probability that a unit-scale statistic centred at mean lands beyond z."""
+        if self is Tail.ONE_SIDED_UPPER:
+            return cdf(mean - z)
+        a = abs(z)
+        return cdf(mean - a) + cdf(-a - mean)
+
+    def acceptance(self, z, mean, cdf=normal_cdf):
+        """Probability that a unit-scale statistic centred at mean stays inside z."""
+        if self is Tail.ONE_SIDED_UPPER:
+            return cdf(z - mean)
+        b = abs(mean)  # the law is even in mean; -z - |mean| keeps both terms off 1
+        return cdf(z - b) - cdf(-z - b)
+
+    def p_value_density(self, z, mean):
+        """Density at p = p_value(z) of the p-value of a N(mean, 1) statistic."""
+        if self is Tail.ONE_SIDED_UPPER:
+            return normal_pdf(z - mean) / normal_pdf(z)
+        return (normal_pdf(z - mean) + normal_pdf(z + mean)) / (2.0 * normal_pdf(z))
 
 
 @dataclass(frozen=True)
@@ -47,21 +77,21 @@ class GaussianTestModel:
         return math.sqrt(self.n) * self.effect_size
 
 
-def type2_error(alpha: float, model: GaussianTestModel) -> float:
-    """Probability of failing to reject at level alpha when the effect is real."""
+def _at_level(law, alpha: float, model: GaussianTestModel) -> float:
     alpha = check_open_unit(alpha, "alpha")
     if not isinstance(model, GaussianTestModel):
         raise DomainError(f"model must be a GaussianTestModel, got {model!r}")
-    shift = model.noncentrality
-    crit = model.tail.critical(alpha)
-    if model.tail is Tail.ONE_SIDED_UPPER:
-        return normal_cdf(crit - shift)
-    return normal_cdf(crit - shift) - normal_cdf(-crit - shift)
+    return law(model.tail, model.tail.critical(alpha), model.noncentrality)
+
+
+def type2_error(alpha: float, model: GaussianTestModel) -> float:
+    """Probability of failing to reject at level alpha when the effect is real."""
+    return _at_level(Tail.acceptance, alpha, model)
 
 
 def power(alpha: float, model: GaussianTestModel) -> float:
-    """1 - type2_error: probability the test detects the modeled effect."""
-    return 1.0 - type2_error(alpha, model)
+    """Probability the test detects the modeled effect, from the rejection law itself."""
+    return _at_level(Tail.rejection, alpha, model)
 
 
 def required_sample_size(alpha: float, beta: float, mu_star: float, sigma: float) -> int:

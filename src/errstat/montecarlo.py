@@ -132,18 +132,17 @@ def _map_chunks(fn, config: SimConfig, workers: int) -> list:
 
 def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first: float,
                     mean_second: float, sigma: float, crit: float,
-                    two_sided: bool) -> tuple[int, int, int, int]:
-    # A trial comes from the first component with probability p_first, draws
-    # its statistic from N(mean, sigma^2) and rejects above crit (|stat| if
-    # two-sided). Returns the counts of (first, reject), (first, accept),
-    # (second, reject) and (second, accept).
+                    tail: Tail) -> tuple[int, int, int, int]:
+    # A trial comes from the first component with probability p_first, draws its
+    # statistic from N(mean, sigma^2) and rejects where tail.rejects(stat, crit).
+    # Returns the counts of (first, reject), (first, accept), (second, reject), (second, accept).
 
     def run_chunk(rng: np.random.Generator, count: int) -> tuple[int, int, int]:
         first = rng.random(count) < p_first
         stat = rng.standard_normal(count)
         stat *= sigma
         stat += np.where(first, mean_first, mean_second)
-        reject = np.abs(stat) > crit if two_sided else stat > crit
+        reject = tail.rejects(stat, crit)
         return (int(np.count_nonzero(first)), int(np.count_nonzero(reject)),
                 int(np.count_nonzero(first & reject)))
 
@@ -161,10 +160,8 @@ def simulate_studies(config: SimConfig, workers: int = 1) -> SimOutcome:
     from N(0, 1) under the null or N(sqrt(n)*delta, 1) under the
     alternative, and rejects against the level-alpha critical value.
     """
-    fp, tn, tp, fn = _mixture_counts(config, workers, config.prior_null, 0.0,
-                                     config.noncentrality, 1.0,
-                                     config.tail.critical(config.alpha),
-                                     config.tail is Tail.TWO_SIDED)
+    fp, tn, tp, fn = _mixture_counts(config, workers, config.prior_null, 0.0, config.noncentrality,
+                                     1.0, config.tail.critical(config.alpha), config.tail)
     return SimOutcome.from_counts(tp, fp, tn, fn)
 
 
@@ -204,13 +201,8 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
 
     stat = np.concatenate(_map_chunks(run_chunk, config, workers))
     n = stat.size
-    if config.tail is Tail.TWO_SIDED:
-        a = np.abs(stat)
-        pvals = 2.0 * _normal_cdf_vec(-a)
-        ref = _normal_cdf_vec(shift - a) + _normal_cdf_vec(-a - shift)
-    else:
-        pvals = _normal_cdf_vec(-stat)
-        ref = 1.0 - _normal_cdf_vec(stat - shift)
+    pvals = config.tail.p_value(stat, _normal_cdf_vec)
+    ref = config.tail.rejection(stat, shift, _normal_cdf_vec)
     # The reference CDF value is computed from the statistic, not by
     # re-inverting the p-value, so p and its reference stay paired exactly;
     # a stable sort keeps the pairing deterministic across runs.
@@ -252,7 +244,7 @@ def simulate_expected_cost(c: float, params: CostParams, config: SimConfig,
     """
     c = check_finite(c, "critical value")
     n_fr, _, _, n_fa = _mixture_counts(config, workers, params.prior_good, params.mu0,
-                                       params.mu1, params.sigma, c, False)
+                                       params.mu1, params.sigma, c, Tail.ONE_SIDED_UPPER)
     n = config.num_trials
     mean = (params.cost_type1 * n_fr + params.cost_type2 * n_fa) / n
     second_moment = (params.cost_type1 ** 2 * n_fr + params.cost_type2 ** 2 * n_fa) / n

@@ -3,7 +3,7 @@
 Under the null the p-value is uniform on (0, 1). Under a standardized
 effect delta with n observations the one-sided-upper law has density
 pdf(p) = phi(z_{1-p} - sqrt(n)*delta) / phi(z_{1-p}) and distribution
-cdf(p) = 1 - Phi(z_{1-p} - sqrt(n)*delta); the value of the cdf at the
+cdf(p) = Phi(sqrt(n)*delta - z_{1-p}); the value of the cdf at the
 significance level is exactly the power of the test. The replication
 probability evaluates that same cdf at the observed effect size, by
 default under the two-sided convention.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import normal_cdf, normal_pdf, normal_quantile
+from .distributions import normal_cdf, normal_quantile
 from .error_tradeoff import Tail
 from .errors import check_finite, check_int, check_member, check_open_unit, check_positive
 
@@ -40,23 +40,15 @@ def pdf_under_alternative(p: float, spec: AlternativeSpec,
     """Density of the p-value at p; constant 1 when delta = 0."""
     p = check_open_unit(p, "p")
     tail = check_member(tail, Tail, "tail")
-    m = spec.noncentrality
-    z = tail.critical(p)
-    if tail is Tail.ONE_SIDED_UPPER:
-        return normal_pdf(z - m) / normal_pdf(z)
-    return (normal_pdf(z - m) + normal_pdf(z + m)) / (2.0 * normal_pdf(z))
+    return tail.p_value_density(tail.critical(p), spec.noncentrality)
 
 
 def cdf_under_alternative(p: float, spec: AlternativeSpec,
                           tail: Tail = Tail.ONE_SIDED_UPPER) -> float:
-    """Probability of observing a p-value below p when the effect is real."""
+    """Probability of a p-value below p when the effect is real: the level-p test's power."""
     p = check_open_unit(p, "p")
     tail = check_member(tail, Tail, "tail")
-    m = spec.noncentrality
-    z = tail.critical(p)
-    if tail is Tail.ONE_SIDED_UPPER:
-        return 1.0 - normal_cdf(z - m)
-    return normal_cdf(m - z) + normal_cdf(-z - m)
+    return tail.rejection(tail.critical(p), spec.noncentrality)
 
 
 def quantile_under_alternative(q: float, spec: AlternativeSpec) -> float:
@@ -95,20 +87,12 @@ class ObservedResult:
     @property
     def p_observed(self) -> float:
         """Two-sided p-value implied by the statistic."""
-        return 2.0 * normal_cdf(-abs(self.d_observed))
+        return Tail.TWO_SIDED.p_value(self.d_observed)
 
 
 def reproducibility_probability(observed: ObservedResult, alpha: float,
                                 tail: Tail = Tail.TWO_SIDED) -> float:
-    """Chance a fresh study at level alpha rejects, taking the observed effect as real.
-
-    Two-sided (default): Phi(d_o - z_{1-alpha/2}) + Phi(-z_{1-alpha/2} - d_o).
-    One-sided upper: Phi(d_o - z_{1-alpha}). Equals alpha when d_o = 0.
-    """
+    """Chance a fresh level-alpha study rejects when the observed effect is real (alpha at 0)."""
     alpha = check_open_unit(alpha, "alpha")
     tail = check_member(tail, Tail, "tail")
-    d_o = observed.d_observed
-    crit = tail.critical(alpha)
-    if tail is Tail.ONE_SIDED_UPPER:
-        return normal_cdf(d_o - crit)
-    return normal_cdf(d_o - crit) + normal_cdf(-crit - d_o)
+    return tail.rejection(tail.critical(alpha), observed.d_observed)

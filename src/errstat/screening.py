@@ -96,18 +96,17 @@ def combined_fpr_curve(
 ) -> list[tuple[float, float, float]]:
     """False positive rate along alphas with beta coupled to the trade-off.
 
-    Unlike the plain screening formula (where beta is a free scalar), each
-    point recomputes beta = type2_error(alpha) for the given effect size
-    and sample count before applying the rate. Returns
-    [(alpha, beta, fpr), ...] in input order.
+    Unlike the plain screening formula (where beta is a free scalar), each point
+    recomputes beta = type2_error(alpha) and power(alpha), never as 1 - beta, for the
+    given effect size and sample count. Returns [(alpha, beta, fpr), ...] in input order.
     """
     prior_null = check_open_unit(prior_null, "prior_null")
     model = error_tradeoff.GaussianTestModel(effect_size=effect_size, n=n)
     out = []
     for alpha in check_sequence(alphas, "alphas"):
-        beta = error_tradeoff.type2_error(alpha, model)
-        fpr = false_positive_rate(ScreeningParams(alpha, 1.0 - beta, prior_null))
-        out.append((float(alpha), beta, fpr))
+        fpr = false_positive_rate(
+            ScreeningParams(alpha, error_tradeoff.power(alpha, model), prior_null))
+        out.append((float(alpha), error_tradeoff.type2_error(alpha, model), fpr))
     return out
 
 

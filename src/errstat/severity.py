@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .distributions import normal_cdf, normal_quantile, student_t_cdf, student_t_quantile
 from .error_tradeoff import Tail
@@ -83,17 +83,17 @@ class SeverityClaim:
         check_finite(self.bound, "claim bound")
 
 
-def _reference_cdf(z: float, stats: SummaryStats, reference: ReferenceDist) -> float:
+def _reference_cdf(stats: SummaryStats, reference: ReferenceDist) -> Callable[[float], float]:
     if check_member(reference, ReferenceDist, "reference") is ReferenceDist.NORMAL:
-        return normal_cdf(z)
-    return student_t_cdf(z, stats.effective_df())
+        return normal_cdf
+    return lambda z: student_t_cdf(z, stats.effective_df())
 
 
 def severity(stats: SummaryStats, claim: SeverityClaim,
              reference: ReferenceDist = ReferenceDist.NORMAL) -> float:
     """Probability the data would have fit the claim worse were it false."""
     z = (stats.estimate - claim.bound) / stats.stderr
-    sev = _reference_cdf(z, stats, reference)
+    sev = _reference_cdf(stats, reference)(z)
     if claim.direction is ClaimDirection.GREATER_THAN:
         return sev
     return 1.0 - sev
@@ -124,9 +124,4 @@ def p_value_from_summary(stats: SummaryStats, tail: Tail = Tail.ONE_SIDED_UPPER,
                          reference: ReferenceDist = ReferenceDist.NORMAL) -> float:
     """p-value for the point null 'parameter = 0' from the summary statistics."""
     tail = check_member(tail, Tail, "tail")
-    d = stats.standardized
-    if tail is Tail.ONE_SIDED_UPPER:
-        # Symmetric reference, so the upper tail beyond d is the cdf at -d;
-        # this form stays accurate when d is large.
-        return _reference_cdf(-d, stats, reference)
-    return 2.0 * _reference_cdf(-abs(d), stats, reference)
+    return tail.p_value(stats.standardized, _reference_cdf(stats, reference))

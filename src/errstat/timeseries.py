@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .distributions import student_t_cdf
+from .error_tradeoff import Tail
 from .errors import (CsvFormatError, DegenerateDataError, DomainError, check_finite, check_int,
                      check_sequence)
 from .severity import SummaryStats
@@ -123,15 +124,22 @@ def _lag_pairs(series: Series, tau: int) -> tuple[list[float], list[float]]:
     return list(vals[: len(vals) - tau]), list(vals[tau:])
 
 
-def _window_moments(x: list[float], y: list[float]) -> tuple[float, float, float, float, float]:
-    # Each window gets its own mean: (mean_x, mean_y, sxx, syy, sxy).
+def _window_moments(x: list[float],
+                    y: list[float]) -> tuple[int, float, float, float, float, float]:
+    # (e, mean_x, mean_y, sxx, syy, sxy), each window with its own mean, of both
+    # windows scaled by 2**-e, e the binary exponent of the largest |value|, so that
+    # no product overflows or underflows to 0. The scaling is exact (d * d, unlike
+    # d ** 2, is correctly rounded), so ratios of moments equal those of the raw values.
+    e = math.frexp(max(map(abs, x + y)))[1]
+    x = [math.ldexp(v, -e) for v in x]
+    y = [math.ldexp(v, -e) for v in y]
     k = len(x)
     mean_x = math.fsum(x) / k
     mean_y = math.fsum(y) / k
-    sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
-    syy = math.fsum((yi - mean_y) ** 2 for yi in y)
+    sxx = math.fsum((xi - mean_x) * (xi - mean_x) for xi in x)
+    syy = math.fsum((yi - mean_y) * (yi - mean_y) for yi in y)
     sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
-    return mean_x, mean_y, sxx, syy, sxy
+    return e, mean_x, mean_y, sxx, syy, sxy
 
 
 def lag_regression(series: Series, tau: int) -> LagFit:
@@ -143,13 +151,16 @@ def lag_regression(series: Series, tau: int) -> LagFit:
         )
     x, y = _lag_pairs(series, tau)
     k = len(x)
-    mean_x, mean_y, sxx, syy, sxy = _window_moments(x, y)
+    e, mean_x, mean_y, sxx, syy, sxy = _window_moments(x, y)
     if sxx == 0.0:
         raise DegenerateDataError("predictor window has zero variance (constant series)")
     if syy == 0.0:
         raise DegenerateDataError("response window has zero variance (constant series)")
     beta1 = sxy / sxx
-    beta0 = mean_y - beta1 * mean_x
+    try:
+        beta0 = math.ldexp(mean_y - beta1 * mean_x, e)
+    except OverflowError:
+        raise DomainError("the intercept of the fit overflows a float") from None
     rss = syy - beta1 * sxy
     if rss <= _PERFECT_FIT_RTOL * syy:
         raise DegenerateDataError(
@@ -160,7 +171,7 @@ def lag_regression(series: Series, tau: int) -> LagFit:
     stderr = math.sqrt((rss / df) / sxx)
     r = sxy / math.sqrt(sxx * syy)
     t_stat = beta1 / stderr
-    p = 2.0 * student_t_cdf(-abs(t_stat), df)
+    p = Tail.TWO_SIDED.p_value(t_stat, lambda x: student_t_cdf(x, df))
     return LagFit(
         beta0=beta0,
         beta1=beta1,
@@ -178,7 +189,7 @@ def autocorrelation(series: Series, tau: int) -> float:
     if tau >= len(series) - 1:
         raise DomainError(f"tau = {tau} leaves fewer than 2 pairs from {len(series)} values")
     x, y = _lag_pairs(series, tau) if tau > 0 else (list(series.values), list(series.values))
-    _, _, sxx, syy, sxy = _window_moments(x, y)
+    _, _, _, sxx, syy, sxy = _window_moments(x, y)
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateDataError("zero variance in a lag window; correlation undefined")
     if tau == 0:
@@ -195,5 +206,4 @@ def t_from_correlation(r: float, n: int) -> tuple[float, float]:
     if abs(r) == 1.0:
         raise DegenerateDataError("correlation of +/-1 gives an infinite t statistic")
     t = r * math.sqrt(n - 2) / math.sqrt(1.0 - r * r)
-    p = 2.0 * student_t_cdf(-abs(t), n - 2)
-    return t, p
+    return t, Tail.TWO_SIDED.p_value(t, lambda x: student_t_cdf(x, n - 2))

@@ -1,0 +1,52 @@
+"""The byte-stable CLI contract: every recorded command of perfbench/goldens.json, in process.
+
+Each entry runs through cli.main with the benchmark's own check: ordinary
+entries must reproduce the recorded exit code and stdout byte for byte;
+`edge.*` entries (inputs at or past the edge of the domain) must exit with
+0, 2, 3 or 4, print no traceback and, for --minimize, close the minimizer
+gap. The analyze inputs are written by the benchmark's own series generator
+into a scratch directory laid out like the benchmark's, because analyze
+echoes the CSV path in its report.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import cli_batch  # noqa: E402  (perfbench is a script directory, not a package)
+
+from errstat import cli  # noqa: E402
+
+GOLDENS = cli_batch.load_goldens()
+# Open defects that a golden entry shows, each with its ROADMAP item.
+KNOWN_DEFECTS = {
+    "edge.cost_phi_1e-12_minimize": (
+        "ROADMAP 'Tail-accurate kernels and a crash-free error surface': the golden-section "
+        "bracket of numeric_minimizer is fixed at +-10 sigma (gap 17.1 at phi = 1e-12)"),
+}
+
+
+def _entry(name):
+    if name in KNOWN_DEFECTS:
+        return pytest.param(name, marks=pytest.mark.xfail(reason=KNOWN_DEFECTS[name], strict=True))
+    return name
+
+
+@pytest.fixture
+def benchmark_cwd(tmp_path, monkeypatch):
+    csv_dir = tmp_path / cli_batch.CSV_DIR
+    csv_dir.mkdir(parents=True)
+    for k in range(cli_batch.VARIANTS):
+        (csv_dir / f"series_{k}.csv").write_text(cli_batch._series_csv(k))
+    (csv_dir / "series_1e200.csv").write_text(cli_batch._series_csv(-1))
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("name", [_entry(name) for name in sorted(GOLDENS)])
+def test_cli_matches_golden(name, benchmark_cwd):
+    code, out, err = cli_batch.run_inprocess(cli.main, GOLDENS[name]["argv"])
+    ok, reason = cli_batch.check(name, code, out, err, GOLDENS)
+    assert ok, f"{reason}\n{err}"

@@ -145,6 +145,21 @@ def test_monotonicity_matches_derivative_sign_scan():
             assert deriv > 0.0
 
 
+def test_monotonicity_far_from_the_means():
+    # The squares of c overflow from |c| ~ 1.3e154 and the density ratio's exp
+    # long before; far below the means f0/f1 is beyond every float, far above it is 0.
+    for c in (-1e200, -1e160, -1.7e308):
+        assert cost_monotonicity_region(c, SYMMETRIC) is CostTrend.INCREASING_IN_ALPHA
+    for c in (1e160, 1e200, 1.7e308):
+        assert cost_monotonicity_region(c, SYMMETRIC) is CostTrend.DECREASING_IN_ALPHA
+    equal_means = CostParams(1.0, 1.0, 0.5, mu0=0.5, mu1=0.5)
+    assert cost_monotonicity_region(1.7e308, equal_means) is CostTrend.STATIONARY
+    # sigma^2 underflows to 0 here; the ratio is still 0 or beyond every float off the midpoint
+    narrow = CostParams(1.0, 1.0, 0.5, sigma=1e-170)
+    assert [cost_monotonicity_region(c, narrow) for c in (0.4, 0.5, 0.6)] == [
+        CostTrend.INCREASING_IN_ALPHA, CostTrend.STATIONARY, CostTrend.DECREASING_IN_ALPHA]
+
+
 def test_alpha_critical_round_trip():
     params = CostParams(1.0, 1.0, 0.5)
     assert alpha_from_critical(0.0, params) == pytest.approx(0.5, abs=1e-12)

@@ -1,11 +1,13 @@
-"""Guards against the kernel, the range check and the critical value being written twice again.
+"""Guards against the kernel, the range check and the test laws being written twice again.
 
 The Cody erfc coefficients live in distributions.py only (the Monte Carlo
 array kernel evaluates the same rational pieces), the open-unit-interval
 requirement is spelled out only in the validator in errors.py, and the
-two-sided critical value -quantile(alpha/2) only in Tail.critical.
+two-sided critical value -quantile(alpha/2), the two-sided p-value and the
+one-/two-sided choice itself only in Tail. Power is never a complement.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "errstat"
 
 
 @pytest.mark.parametrize("text", ["3.16112374387056560", "strictly inside (0, 1)",
-                                  "-normal_quantile(0.5 *"])
+                                  "-normal_quantile(0.5 *", "2.0 * cdf(-abs("])
 def test_text_appears_once_in_the_package(text):
     hits = {path.name: path.read_text(encoding="utf-8").count(text)
             for path in sorted(SRC.rglob("*.py"))}
@@ -24,3 +26,24 @@ def test_text_appears_once_in_the_package(text):
 def test_montecarlo_takes_its_critical_values_from_tail():
     source = (SRC / "montecarlo.py").read_text(encoding="utf-8")
     assert "normal_quantile" not in source
+
+
+def test_tail_members_are_compared_only_inside_tail():
+    comparison = re.compile(r"is(?: not)? Tail\.(?:ONE_SIDED_UPPER|TWO_SIDED)")
+    hits = {}
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if path.name == "error_tradeoff.py":
+            # the body of class Tail: its header and every following indented or blank line
+            body = re.search(r"^class Tail\(Enum\):\n(?:(?:    .*)?\n)*", source, re.M).group(0)
+            assert comparison.search(body)
+            source = source.replace(body, "")
+        hits[path.name] = comparison.findall(source)
+    assert not any(hits.values()), {name: found for name, found in hits.items() if found}
+
+
+@pytest.mark.parametrize("text", ["1.0 - type2_error", "1.0 - beta"])
+def test_power_is_never_a_complement(text):
+    hits = [path.name for path in sorted(SRC.rglob("*.py"))
+            if text in path.read_text(encoding="utf-8")]
+    assert not hits, hits

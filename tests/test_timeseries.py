@@ -104,6 +104,31 @@ def test_lag_regression_shift_scale_equivariance():
         assert other.p_two_sided_t == pytest.approx(base.p_two_sided_t, abs=1e-12)
 
 
+@pytest.mark.parametrize("power", [-1000, -600, -300, 300, 600, 1000])
+def test_lag_regression_is_exact_under_power_of_two_scaling(power):
+    # Values from ~1e-301 to ~1e301: the moments of the raw values would
+    # underflow to zero or overflow; the scaled fit differs only in beta0.
+    series = _ar1_series(40, coef=0.4, noise=0.8, seed=5)
+    base = lag_regression(series, tau=2)
+    scaled_series = Series.from_values([math.ldexp(v, power) for v in series.values])
+    scaled = lag_regression(scaled_series, tau=2)
+    assert scaled.beta0 == math.ldexp(base.beta0, power)
+    assert (scaled.beta1, scaled.stderr_beta1, scaled.r, scaled.t_stat, scaled.p_two_sided_t) == (
+        base.beta1, base.stderr_beta1, base.r, base.t_stat, base.p_two_sided_t)
+    assert autocorrelation(scaled_series, 3) == autocorrelation(series, 3)
+
+
+def test_intercept_beyond_the_largest_float_is_a_domain_error():
+    # An anticorrelated series near 1.5e308 has an intercept near 3e308.
+    rng = random.Random(1)
+    values, prev = [], 0.0
+    for _ in range(40):
+        prev = -0.9 * prev + rng.gauss(0.0, 1.0)
+        values.append(1.5e308 + 1e306 * prev)
+    with pytest.raises(DomainError, match="intercept"):
+        lag_regression(Series.from_values(values), tau=1)
+
+
 def test_perfect_fit_is_degenerate():
     values = [1.0]
     for _ in range(14):
