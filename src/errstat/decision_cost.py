@@ -110,7 +110,9 @@ def closed_form_minimizer(params: CostParams) -> float:
     cost1 = check_positive(params.cost_type1, "cost_type1")
     cost2 = check_positive(params.cost_type2, "cost_type2")
     log_term = math.log((1.0 - phi) * cost2 / (phi * cost1))
-    return (params.sigma ** 2 / (params.mu0 - params.mu1) * log_term
+    # In units of sigma: sigma^2 overflows or underflows long before the product does,
+    # and a zero log term keeps the midpoint exact at any sigma.
+    return (params.sigma * (params.sigma / (params.mu0 - params.mu1) * log_term)
             + 0.5 * (params.mu0 + params.mu1))
 
 
@@ -157,9 +159,11 @@ def numeric_minimizer(params: CostParams) -> float:
 
 
 def _cost_second_derivative(c: float, params: CostParams) -> float:
-    var = params.sigma ** 2
-    return (params.prior_good * params.cost_type1 * (c - params.mu0) / var * params.null_pdf(c)
-            - (1.0 - params.prior_good) * params.cost_type2 * (c - params.mu1) / var * params.alt_pdf(c))
+    sigma = params.sigma  # divided out twice: sigma^2 may overflow or underflow
+    return (params.prior_good * params.cost_type1 * ((c - params.mu0) / sigma / sigma)
+            * params.null_pdf(c)
+            - (1.0 - params.prior_good) * params.cost_type2 * ((c - params.mu1) / sigma / sigma)
+            * params.alt_pdf(c))
 
 
 class CostTrend(Enum):

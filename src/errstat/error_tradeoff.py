@@ -29,9 +29,13 @@ class Tail(Enum):
             return -normal_quantile(alpha)
         return -normal_quantile(0.5 * alpha)
 
+    def extremity(self, stat):
+        """The statistic itself, or |stat| two-sided: the p-value falls as this grows."""
+        return stat if self is Tail.ONE_SIDED_UPPER else abs(stat)
+
     def rejects(self, stat, z):
         """Whether the statistic lies in the rejection region beyond z."""
-        return (stat if self is Tail.ONE_SIDED_UPPER else abs(stat)) > z
+        return self.extremity(stat) > z
 
     def p_value(self, x, cdf=normal_cdf):
         """Null probability of a statistic at least as extreme as x."""

@@ -2,15 +2,19 @@
 
 Determinism contract: trials are split into fixed chunks of 65536; chunk i
 draws from a PCG64 generator seeded with SeedSequence(entropy=seed,
-spawn_key=(i,)). Results merge by summation (or concatenation) in chunk
-order, so serial and parallel runs are identical bit for bit and the only
-state is the (seed, chunk_index) pair. The generator family is recorded in
-every result so outputs are self-describing.
+spawn_key=(i,)). The count simulators sum their per-chunk counts in chunk
+order; simulate_pvalues draws every chunk into its own slice of one float64
+buffer of num_trials entries, sorts it in place and reduces it in blocks
+with exact integer sums and a max. Serial and parallel runs are therefore
+identical bit for bit and the only state is the (seed, chunk_index) pair.
+The generator family is recorded in every result so outputs are
+self-describing.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -115,19 +119,18 @@ def _chunk_sizes(total: int) -> list[int]:
     return [CHUNK_SIZE] * full + ([rem] if rem else [])
 
 
-def _map_chunks(fn, config: SimConfig, workers: int) -> list:
-    # fn(rng, count) runs one chunk on the generator of its (seed, index) pair.
-    workers = check_int(workers, "workers", 1)
+def _chunk_rng(seed: int, index: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed,
+                                                                      spawn_key=(index,))))
 
-    def run(index: int, count: int):
-        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-        return fn(np.random.Generator(np.random.PCG64(seq)), count)
 
-    sizes = _chunk_sizes(config.num_trials)
+def _map_chunks(fn, sizes: list[int], workers: int) -> list:
+    # fn(index, count) for each chunk in order, on at most min(workers, chunks, CPUs) threads.
+    workers = min(check_int(workers, "workers", 1), len(sizes), os.cpu_count() or 1)
     if workers == 1:
-        return [run(i, m) for i, m in enumerate(sizes)]
+        return [fn(i, m) for i, m in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(len(sizes)), sizes))
+        return list(pool.map(fn, range(len(sizes)), sizes))
 
 
 def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first: float,
@@ -137,7 +140,8 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
     # statistic from N(mean, sigma^2) and rejects where tail.rejects(stat, crit).
     # Returns the counts of (first, reject), (first, accept), (second, reject), (second, accept).
 
-    def run_chunk(rng: np.random.Generator, count: int) -> tuple[int, int, int]:
+    def run_chunk(index: int, count: int) -> tuple[int, int, int]:
+        rng = _chunk_rng(config.seed, index)
         first = rng.random(count) < p_first
         stat = rng.standard_normal(count)
         stat *= sigma
@@ -146,7 +150,7 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
         return (int(np.count_nonzero(first)), int(np.count_nonzero(reject)),
                 int(np.count_nonzero(first & reject)))
 
-    parts = _map_chunks(run_chunk, config, workers)
+    parts = _map_chunks(run_chunk, _chunk_sizes(config.num_trials), workers)
     n_first, n_reject, first_reject = (sum(column) for column in zip(*parts))
     second_reject = n_reject - first_reject
     return (first_reject, n_first - first_reject, second_reject,
@@ -177,6 +181,12 @@ class PValueSimSummary:
         Binomial(N, k/10)/N if the reference is right.
     supnorm_vs_reference: Kolmogorov-Smirnov distance between the empirical
         CDF and the reference CDF (uniform when delta = 0).
+
+    The only per-trial memory is one float64 buffer of num_trials entries:
+    the chunks draw into it, it is sorted in place into p-value order, and
+    one pass over it in CHUNK_SIZE blocks reads each statistic's PIT value
+    (for the ECDF counts and the KS distance) and then overwrites the
+    statistic with its p-value, whose deciles np.quantile takes in place.
     """
 
     num_trials: int
@@ -194,32 +204,43 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     All trials use effect_size/n_per_study (set effect_size = 0 for the
     null-uniformity check); prior_null plays no role here.
     """
-    shift = config.noncentrality
+    n, shift, tail = config.num_trials, config.noncentrality, config.tail
+    sizes = _chunk_sizes(n)
+    # The one per-trial allocation: each chunk draws into its own slice, then
+    # negates how extreme each statistic is, so the ascending sort below puts
+    # the p-values in ascending order, and the PIT values too where p-values tie.
+    buf = np.empty(n)
 
-    def run_chunk(rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.standard_normal(count) + shift
+    def draw(index: int, count: int) -> None:
+        part = buf[index * CHUNK_SIZE:index * CHUNK_SIZE + count]
+        _chunk_rng(config.seed, index).standard_normal(out=part)
+        part += shift
+        np.negative(tail.extremity(part), out=part)
 
-    stat = np.concatenate(_map_chunks(run_chunk, config, workers))
-    n = stat.size
-    pvals = config.tail.p_value(stat, _normal_cdf_vec)
-    ref = config.tail.rejection(stat, shift, _normal_cdf_vec)
-    # The reference CDF value is computed from the statistic, not by
-    # re-inverting the p-value, so p and its reference stay paired exactly;
-    # a stable sort keeps the pairing deterministic across runs.
-    order = np.argsort(pvals, kind="stable")
-    pvals = pvals[order]
-    ref = ref[order]
+    _map_chunks(draw, sizes, workers)
+    buf.sort()
 
-    i = np.arange(1, n + 1, dtype=np.float64)
-    supnorm = float(np.max(np.maximum(i / n - ref, ref - (i - 1.0) / n)))
+    def reduce(index: int, count: int) -> tuple[float, list[int]]:
+        # The block of p-value ranks start + 1 .. start + count. The reference CDF
+        # value (PIT value) comes from the statistic, never from re-inverting the
+        # p-value; then the p-value replaces the statistic in place.
+        start = index * CHUNK_SIZE
+        part = buf[start:start + count]
+        stat = -part  # |statistic| two-sided, where both laws are even in it
+        ref = tail.rejection(stat, shift, _normal_cdf_vec)
+        i = np.arange(start + 1, start + count + 1, dtype=np.float64)
+        ks = float(np.max(np.maximum(i / n - ref, ref - (i - 1.0) / n)))
+        at_deciles = [int(np.count_nonzero(ref <= k / 10.0)) for k in range(1, 10)]
+        part[...] = tail.p_value(stat, _normal_cdf_vec)
+        return ks, at_deciles
 
-    deciles = tuple(float(v) for v in np.quantile(pvals, np.arange(1, 10) / 10.0))
-    ecdf = tuple(int(np.count_nonzero(ref <= k / 10.0)) / n for k in range(1, 10))
+    ks, at_deciles = zip(*_map_chunks(reduce, sizes, workers))
+    deciles = np.quantile(buf, np.arange(1, 10) / 10.0, overwrite_input=True)
     return PValueSimSummary(
         num_trials=n,
-        deciles=deciles,
-        cdf_at_reference_deciles=ecdf,
-        supnorm_vs_reference=supnorm,
+        deciles=tuple(float(v) for v in deciles),
+        cdf_at_reference_deciles=tuple(sum(counts) / n for counts in zip(*at_deciles)),
+        supnorm_vs_reference=max(ks),
         delta=config.effect_size,
         n_per_study=config.n_per_study,
     )

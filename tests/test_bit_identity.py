@@ -4,8 +4,11 @@ The kernel and simulate_pvalues values were recorded before the scalar and
 array Cody erfc shared one set of rational pieces; the simulate_studies,
 simulate_expected_cost and null two-sided simulate_pvalues values were
 recorded before the two count simulators shared one chunk kernel and the
-p-value ECDF was read off the reference-CDF values. Any change to how the
-kernels or the simulators are evaluated must leave these outputs bit for bit.
+p-value ECDF was read off the reference-CDF values; the simulate_pvalues
+values at 1, 2 and 2 * CHUNK_SIZE + 12345 trials were recorded while the
+p-values were still gathered by concatenation and a stable argsort. Any
+change to how the kernels or the simulators are evaluated must leave these
+outputs bit for bit.
 """
 
 import hashlib
@@ -123,3 +126,61 @@ def test_simulate_studies_outcome_is_pinned(tail, prior_null, expected):
 def test_simulate_expected_cost_is_pinned(prior_good, expected):
     params = CostParams(2.0, 3.5, prior_good, mu0=-0.7, mu1=1.3, sigma=1.7)
     assert simulate_expected_cost(0.4, params, SimConfig(_TRIALS, 4242)) == expected
+
+
+_EDGE_PVALUE_SUMMARIES = {
+    (1, Tail.ONE_SIDED_UPPER): (
+        (0.3629846769589359,) * 9,
+        (0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+        0.8381512968623728,
+    ),
+    (1, Tail.TWO_SIDED): (
+        (0.7259693539178718,) * 9,
+        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0),
+        0.7743728466407427,
+    ),
+    (2, Tail.ONE_SIDED_UPPER): (
+        (0.37575006584503723, 0.3885154547311386, 0.40128084361724, 0.4140462325033413,
+         0.4268116213894427, 0.439577010275544, 0.45234239916164537, 0.4651077880477468,
+         0.4778731769338481),
+        (0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+        0.7453294114271847,
+    ),
+    (2, Tail.TWO_SIDED): (
+        (0.7515001316900745, 0.7770309094622772, 0.80256168723448, 0.8280924650066827,
+         0.8536232427788853, 0.879154020551088, 0.9046847983232907, 0.9302155760954935,
+         0.9557463538676962),
+        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5),
+        0.7743728466407427,
+    ),
+    (_TRIALS, Tail.ONE_SIDED_UPPER): (
+        (0.2594573611324583, 0.41880088827371403, 0.5450178061356727, 0.6492306276546396,
+         0.7383131863528205, 0.8131156750289024, 0.8772052507182474, 0.9301614390315176,
+         0.9721715252721131),
+        (0.09998814645404659, 0.19995537488582246, 0.2995530515908156, 0.3999246951198254,
+         0.49920162881666746, 0.6001241135988062, 0.6998891344819652, 0.8002398599887043,
+         0.9007509569995189),
+        0.001243100744518666,
+    ),
+    (_TRIALS, Tail.TWO_SIDED): (
+        (0.05218139179289256, 0.12562818160000583, 0.21226082163867713, 0.30831657965917014,
+         0.4128723036496071, 0.5219776503606223, 0.6377509479198208, 0.756944389824608,
+         0.8771248254732971),
+        (0.09922115230412015, 0.1995997685072202, 0.2996576417021692, 0.3999595584902766,
+         0.4996339346102624, 0.600667982177845, 0.7001819867937553, 0.7998214995432898,
+         0.90049296805818),
+        0.001172228248258883,
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("num_trials, tail", list(_EDGE_PVALUE_SUMMARIES))
+def test_simulate_pvalues_edges_are_pinned(num_trials, tail, workers):
+    # one and two trials, and two full chunks plus a partial one, under a negative effect
+    config = SimConfig(num_trials=num_trials, seed=31337, effect_size=-0.45, n_per_study=2,
+                       tail=tail)
+    summary = simulate_pvalues(config, workers)
+    assert (summary.deciles, summary.cdf_at_reference_deciles,
+            summary.supnorm_vs_reference) == _EDGE_PVALUE_SUMMARIES[num_trials, tail]
+    assert summary.num_trials == num_trials

@@ -156,6 +156,12 @@ def test_cost_minimize_symmetric_and_ratio_two():
     assert abs(payload["closed_form_minimizer"] - payload["numeric_minimizer"]) < 1e-6
 
 
+def test_cost_minimize_at_a_huge_sigma():
+    proc = run_cli("cost", "--sigma", "1e200", "--minimize")
+    assert json.loads(proc.stdout)["closed_form_minimizer"] == 0.5
+    assert "Traceback" not in proc.stderr
+
+
 def test_cost_minimizer_sweep_decreases_with_ratio():
     minimizers = []
     for psi in ("0.5", "1", "2", "5", "10"):

@@ -112,6 +112,19 @@ def test_second_derivative_positive_at_minimizer():
         assert second > 0.0
 
 
+def test_minimizers_work_in_units_of_sigma():
+    # sigma^2 overflows from sigma ~ 1.3e154 and is 0 below ~ 1e-162; sigma itself is fine
+    for sigma in (1e-170, 1e200, 1.7e308):
+        assert closed_form_minimizer(CostParams(1.0, 1.0, 0.5, sigma=sigma)) == 0.5
+    wide = CostParams(1.0, 2.0, 0.5, mu0=0.0, mu1=1e200, sigma=1e200)
+    c_star = closed_form_minimizer(wide)
+    assert c_star == pytest.approx((0.5 - math.log(2.0)) * 1e200, rel=1e-15)
+    # golden section alone: the Newton polish needs the second derivative, ~1/sigma^2 = 0 here
+    assert numeric_minimizer(wide) == pytest.approx(c_star, rel=1e-7)
+    assert cost_derivative(c_star, wide) == pytest.approx(0.0, abs=1e-212)
+    assert math.isfinite(numeric_minimizer(CostParams(1.0, 1.0, 0.5, sigma=1e-170)))
+
+
 def test_closed_form_rejects_bad_orderings():
     with pytest.raises(DomainError):
         closed_form_minimizer(CostParams(1.0, 1.0, 0.5, mu0=1.0, mu1=0.0))

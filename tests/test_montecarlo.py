@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from errstat import (
     simulate_pvalues,
     simulate_studies,
 )
+from errstat import montecarlo
 from errstat.distributions import normal_cdf, normal_quantile
 from errstat.errors import DomainError
 from errstat.montecarlo import _normal_cdf_vec
@@ -210,3 +213,47 @@ def test_rng_contract_is_recorded():
     outcome = simulate_studies(SimConfig(num_trials=100, seed=0))
     assert "pcg64" in outcome.rng
     assert "chunk" in outcome.rng
+
+
+@pytest.mark.parametrize("cpus, expected", [(8, 3), (2, 2), (None, 1)])
+def test_workers_are_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected):
+    # workers=64 on three chunks starts min(64, 3 chunks, CPUs) threads, or none
+    # (a serial run) when that is one; the results do not depend on it.
+    pools = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    config = SimConfig(num_trials=2 * CHUNK_SIZE + 7, seed=5, prior_null=0.3, effect_size=0.4)
+    studies = simulate_studies(config, workers=64)
+    pvalues = simulate_pvalues(config, workers=64)
+    assert pools == ([expected] * 3 if expected > 1 else [])
+    assert studies == simulate_studies(config, workers=1)
+    assert pvalues == simulate_pvalues(config, workers=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("trials", [1 << 19, 1 << 21])
+def test_simulate_pvalues_holds_one_float_per_trial(trials, workers):
+    # the only per-trial allocation is the float64 buffer; the rest is per block
+    config = SimConfig(num_trials=trials, seed=9, effect_size=0.3, tail=Tail.TWO_SIDED)
+    tracemalloc.start()
+    try:
+        simulate_pvalues(config, workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * trials + (16 << 20)
+
+
+def test_ks_distance_holds_where_pvalues_tie():
+    # At shift -10 over 90% of the one-sided p-values round to 1.0; their PIT values
+    # still differ, and the KS distance pairs them in order, not in the order drawn.
+    config = SimConfig(num_trials=20_000, seed=61, effect_size=-5.0, n_per_study=4)
+    summary = simulate_pvalues(config)
+    assert summary.deciles[0] == 1.0
+    assert summary.supnorm_vs_reference * math.sqrt(config.num_trials) < 2.0

@@ -4,7 +4,8 @@ The Cody erfc coefficients live in distributions.py only (the Monte Carlo
 array kernel evaluates the same rational pieces), the open-unit-interval
 requirement is spelled out only in the validator in errors.py, and the
 two-sided critical value -quantile(alpha/2), the two-sided p-value and the
-one-/two-sided choice itself only in Tail. Power is never a complement.
+one-/two-sided choice itself only in Tail. Power is never a complement, and
+simulate_pvalues sorts its one buffer in place instead of gathering copies.
 """
 
 import re
@@ -26,6 +27,11 @@ def test_text_appears_once_in_the_package(text):
 def test_montecarlo_takes_its_critical_values_from_tail():
     source = (SRC / "montecarlo.py").read_text(encoding="utf-8")
     assert "normal_quantile" not in source
+
+
+@pytest.mark.parametrize("text", ["argsort", "concatenate"])
+def test_pvalues_are_sorted_in_place_not_gathered(text):
+    assert text not in (SRC / "montecarlo.py").read_text(encoding="utf-8")
 
 
 def test_tail_members_are_compared_only_inside_tail():
