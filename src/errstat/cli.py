@@ -276,9 +276,8 @@ def _cmd_analyze(args) -> str:
         series = timeseries.read_series_csv(args.csv)
         fit = timeseries.lag_regression(series, args.tau)
         stats = fit.summary_stats()
-        corr = timeseries.autocorrelation(series, args.tau)
-        t_pairs, p_pairs = timeseries.t_from_correlation(corr, fit.n_pairs)
-        t_series, p_series = timeseries.t_from_correlation(corr, len(series))
+        t_pairs, p_pairs = timeseries.t_from_correlation(fit.r, fit.n_pairs)
+        t_series, p_series = timeseries.t_from_correlation(fit.r, len(series))
         payload["source"] = {"csv": str(args.csv), "tau": args.tau, "length": len(series)}
         payload["fit"] = {
             "beta0": fit.beta0,
@@ -290,7 +289,7 @@ def _cmd_analyze(args) -> str:
             "p_two_sided_t": fit.p_two_sided_t,
         }
         payload["lag_correlation"] = {
-            "r": corr,
+            "r": fit.r,
             "pair_count_convention": {"n": fit.n_pairs, "t": t_pairs, "p_two_sided_t": p_pairs},
             "series_length_convention": {"n": len(series), "t": t_series, "p_two_sided_t": p_series},
         }
@@ -367,8 +366,7 @@ def _cmd_simulate(args) -> str:
         n_per_study=args.n,
     )
     outcome = montecarlo.simulate_studies(config, workers=args.workers)
-    model = error_tradeoff.GaussianTestModel(effect_size=args.delta, n=args.n)
-    analytic_power = error_tradeoff.power(args.alpha, model)
+    analytic_power = error_tradeoff.power(args.alpha, config.design)
     if 0.0 < args.phi < 1.0:
         analytic_fpr = screening.false_positive_rate(
             screening.ScreeningParams(args.alpha, analytic_power, args.phi)

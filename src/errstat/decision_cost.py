@@ -20,8 +20,8 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .distributions import normal_cdf, normal_pdf, normal_quantile
-from .errors import (DomainError, check_at_least, check_finite, check_open_unit, check_positive,
-                     check_unit)
+from .errors import (DomainError, check_at_least, check_finite, check_instance, check_open_unit,
+                     check_positive, check_unit)
 
 Cdf = Callable[[float], float]
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -87,6 +87,7 @@ def expected_cost(
     explicit cdfs is the extension seam for non-Gaussian statistics.
     """
     c = check_finite(c, "critical value")
+    check_instance(params, CostParams, "params")
     f0 = null_cdf if null_cdf is not None else params.null_cdf
     f1 = alt_cdf if alt_cdf is not None else params.alt_cdf
     return (params.prior_good * (1.0 - f0(c)) * params.cost_type1
@@ -96,12 +97,14 @@ def expected_cost(
 def cost_derivative(c: float, params: CostParams) -> float:
     """d/dc of expected_cost for the Gaussian pair."""
     c = check_finite(c, "critical value")
+    check_instance(params, CostParams, "params")
     return (-params.prior_good * params.cost_type1 * params.null_pdf(c)
             + (1.0 - params.prior_good) * params.cost_type2 * params.alt_pdf(c))
 
 
 def closed_form_minimizer(params: CostParams) -> float:
     """Cost-minimizing critical value for Gaussian statistics with mu0 < mu1."""
+    check_instance(params, CostParams, "params")
     if not (params.mu0 < params.mu1):
         raise DomainError(
             f"closed-form minimizer requires mu0 < mu1, got mu0={params.mu0}, mu1={params.mu1}"
@@ -124,6 +127,7 @@ def numeric_minimizer(params: CostParams) -> float:
 
     Independent of the closed form; the CLI prints both and their gap.
     """
+    check_instance(params, CostParams, "params")
     lo = min(params.mu0, params.mu1) - 10.0 * params.sigma
     hi = max(params.mu0, params.mu1) + 10.0 * params.sigma
     a, b = lo, hi
@@ -180,6 +184,7 @@ def cost_monotonicity_region(c: float, params: CostParams, tol: float = 1e-9) ->
     against tol, and |gap| <= tol reports the stationary point.
     """
     c = check_finite(c, "critical value")
+    check_instance(params, CostParams, "params")
     phi = check_open_unit(params.prior_good, "prior_good")
     lhs = params.cost_ratio * (1.0 - phi) / phi
     # log f0(c)/f1(c) = (mu0 - mu1)(c - mu0/2 - mu1/2)/sigma^2, a difference of squares that
@@ -198,10 +203,12 @@ def cost_monotonicity_region(c: float, params: CostParams, tol: float = 1e-9) ->
 def alpha_from_critical(c: float, params: CostParams) -> float:
     """Type I error probability implied by the threshold: 1 - F0(c)."""
     c = check_finite(c, "critical value")
+    check_instance(params, CostParams, "params")
     return 1.0 - params.null_cdf(c)
 
 
 def critical_from_alpha(alpha: float, params: CostParams) -> float:
     """Threshold whose type I error equals alpha (inverse of alpha_from_critical)."""
     alpha = check_open_unit(alpha, "alpha")
+    check_instance(params, CostParams, "params")
     return params.mu0 - params.sigma * normal_quantile(alpha)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import normal_cdf, normal_pdf, normal_quantile
-from .errors import (DomainError, InfeasibleParameterError, check_finite, check_int, check_member,
-                     check_open_unit, check_positive)
+from .errors import (DomainError, InfeasibleParameterError, check_finite, check_instance, check_int,
+                     check_member, check_open_unit, check_positive)
 
 
 class Tail(Enum):
@@ -61,6 +61,12 @@ class Tail(Enum):
             return normal_pdf(z - mean) / normal_pdf(z)
         return (normal_pdf(z - mean) + normal_pdf(z + mean)) / (2.0 * normal_pdf(z))
 
+    def p_value_quantile(self, q, mean):
+        """q-quantile of the p-value of a N(mean, 1) statistic; closed-form one-sided only."""
+        if self is Tail.TWO_SIDED:
+            raise DomainError("the two-sided p-value law has no closed-form quantile")
+        return normal_cdf(normal_quantile(q) - mean)
+
 
 @dataclass(frozen=True)
 class GaussianTestModel:
@@ -81,11 +87,12 @@ class GaussianTestModel:
         return math.sqrt(self.n) * self.effect_size
 
 
-def _at_level(law, alpha: float, model: GaussianTestModel) -> float:
-    alpha = check_open_unit(alpha, "alpha")
-    if not isinstance(model, GaussianTestModel):
-        raise DomainError(f"model must be a GaussianTestModel, got {model!r}")
-    return law(model.tail, model.tail.critical(alpha), model.noncentrality)
+def _at_level(law, level: float, model: GaussianTestModel, tail=None, name: str = "alpha"):
+    # law(tail, z, mean) for the level's critical value z; tail None is the design's own.
+    level = check_open_unit(level, name)
+    check_instance(model, GaussianTestModel, "model")
+    tail = model.tail if tail is None else check_member(tail, Tail, "tail")
+    return law(tail, tail.critical(level), model.noncentrality)
 
 
 def type2_error(alpha: float, model: GaussianTestModel) -> float:

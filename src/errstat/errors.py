@@ -36,10 +36,10 @@ class CsvFormatError(ErrstatError, ValueError):
 
 # --- precondition validators ---------------------------------------------
 #
-# One validator per kind of precondition. Each accepts any real number
-# (numpy scalars included), returns it as a float (or an int), and raises
-# DomainError with the message "{name} must ..., got {value!r}" for values
-# out of range and for non-numbers alike.
+# One validator per kind of precondition. Each numeric one accepts any real
+# number (numpy scalars included), returns it as a float (or an int), and
+# raises DomainError with the message "{name} must ..., got {value!r}" for
+# values out of range and for non-numbers alike.
 
 _OPEN_UNIT = "lie strictly inside (0, 1)"
 _UNIT = "lie in [0, 1]"
@@ -119,6 +119,13 @@ def check_member(value, kind, name: str):
     except (ValueError, TypeError):
         choices = ", ".join(repr(member.value) for member in kind)
         raise _fail(name, f"be one of {choices}", value) from None
+
+
+def check_instance(value, kind: type, name: str):
+    """value itself if it is a kind (a parameter object such as a GaussianTestModel)."""
+    if isinstance(value, kind):
+        return value
+    raise _fail(name, f"be a {kind.__name__}", value)
 
 
 def check_int(value, name: str, minimum: int) -> int:

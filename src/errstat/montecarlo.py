@@ -22,10 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .decision_cost import CostParams
-from .error_tradeoff import Tail
+from .error_tradeoff import GaussianTestModel, Tail
 from .distributions import _erf_small, _erfc_big_ratio, _erfc_mid_ratio, _exp_neg_sq
-from .errors import (DomainError, check_finite, check_int, check_member, check_open_unit,
-                     check_unit)
+from .errors import DomainError, check_finite, check_instance, check_int, check_open_unit, check_unit
 
 CHUNK_SIZE = 1 << 16
 RNG_ALGORITHM = "numpy-pcg64/seedseq(entropy=seed, spawn_key=(chunk,))/chunk=65536"
@@ -65,13 +64,13 @@ class SimConfig:
         object.__setattr__(self, "seed", seed)
         check_unit(self.prior_null, "prior_null")
         check_open_unit(self.alpha, "alpha")
-        check_finite(self.effect_size, "effect_size")
         object.__setattr__(self, "n_per_study", check_int(self.n_per_study, "n_per_study", 1))
-        object.__setattr__(self, "tail", check_member(self.tail, Tail, "tail"))
+        object.__setattr__(self, "tail", self.design.tail)  # the design validates effect_size too
 
     @property
-    def noncentrality(self) -> float:
-        return math.sqrt(self.n_per_study) * self.effect_size
+    def design(self) -> GaussianTestModel:
+        """The test every study runs: effect_size, n_per_study and tail as one design."""
+        return GaussianTestModel(self.effect_size, self.n_per_study, self.tail)
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,10 @@ def simulate_studies(config: SimConfig, workers: int = 1) -> SimOutcome:
     from N(0, 1) under the null or N(sqrt(n)*delta, 1) under the
     alternative, and rejects against the level-alpha critical value.
     """
-    fp, tn, tp, fn = _mixture_counts(config, workers, config.prior_null, 0.0, config.noncentrality,
-                                     1.0, config.tail.critical(config.alpha), config.tail)
+    check_instance(config, SimConfig, "config")
+    design = config.design
+    fp, tn, tp, fn = _mixture_counts(config, workers, config.prior_null, 0.0, design.noncentrality,
+                                     1.0, design.tail.critical(config.alpha), design.tail)
     return SimOutcome.from_counts(tp, fp, tn, fn)
 
 
@@ -204,7 +205,9 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     All trials use effect_size/n_per_study (set effect_size = 0 for the
     null-uniformity check); prior_null plays no role here.
     """
-    n, shift, tail = config.num_trials, config.noncentrality, config.tail
+    check_instance(config, SimConfig, "config")
+    design = config.design
+    n, shift, tail = config.num_trials, design.noncentrality, design.tail
     sizes = _chunk_sizes(n)
     # The one per-trial allocation: each chunk draws into its own slice, then
     # negates how extreme each statistic is, so the ascending sort below puts
@@ -264,6 +267,8 @@ def simulate_expected_cost(c: float, params: CostParams, config: SimConfig,
     from params; config supplies num_trials and the seed.
     """
     c = check_finite(c, "critical value")
+    check_instance(params, CostParams, "params")
+    check_instance(config, SimConfig, "config")
     n_fr, _, _, n_fa = _mixture_counts(config, workers, params.prior_good, params.mu0,
                                        params.mu1, params.sigma, c, Tail.ONE_SIDED_UPPER)
     n = config.num_trials

@@ -11,50 +11,34 @@ default under the two-sided convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .distributions import normal_cdf, normal_quantile
-from .error_tradeoff import Tail
-from .errors import check_finite, check_int, check_member, check_open_unit, check_positive
+from .error_tradeoff import GaussianTestModel, Tail, _at_level
+from .errors import check_finite, check_instance, check_member, check_open_unit, check_positive
 
 
-@dataclass(frozen=True)
-class AlternativeSpec:
-    """Effect size delta = mu/sigma and sample count defining the alternative."""
+class AlternativeSpec(GaussianTestModel):
+    """The Gaussian test design named by its effect size delta = mu/sigma."""
 
-    delta: float
-    n: int = 1
-
-    def __post_init__(self):
-        check_finite(self.delta, "delta")
-        object.__setattr__(self, "n", check_int(self.n, "n", 1))
-
-    @property
-    def noncentrality(self) -> float:
-        return math.sqrt(self.n) * self.delta
+    def __init__(self, delta: float, n: int = 1, tail: Tail = Tail.ONE_SIDED_UPPER):
+        super().__init__(delta, n, tail)
 
 
-def pdf_under_alternative(p: float, spec: AlternativeSpec,
-                          tail: Tail = Tail.ONE_SIDED_UPPER) -> float:
-    """Density of the p-value at p; constant 1 when delta = 0."""
-    p = check_open_unit(p, "p")
-    tail = check_member(tail, Tail, "tail")
-    return tail.p_value_density(tail.critical(p), spec.noncentrality)
+def pdf_under_alternative(p: float, spec: GaussianTestModel, tail: Tail | None = None) -> float:
+    """Density of the p-value at p (tail None: the design's own); constant 1 when delta = 0."""
+    return _at_level(Tail.p_value_density, p, spec, tail, "p")
 
 
-def cdf_under_alternative(p: float, spec: AlternativeSpec,
-                          tail: Tail = Tail.ONE_SIDED_UPPER) -> float:
+def cdf_under_alternative(p: float, spec: GaussianTestModel, tail: Tail | None = None) -> float:
     """Probability of a p-value below p when the effect is real: the level-p test's power."""
-    p = check_open_unit(p, "p")
-    tail = check_member(tail, Tail, "tail")
-    return tail.rejection(tail.critical(p), spec.noncentrality)
+    return _at_level(Tail.rejection, p, spec, tail, "p")
 
 
-def quantile_under_alternative(q: float, spec: AlternativeSpec) -> float:
-    """Inverse of the one-sided cdf: the p-value below which a fraction q falls."""
+def quantile_under_alternative(q: float, spec: GaussianTestModel) -> float:
+    """Inverse of the cdf of a one-sided design: the p-value below which a fraction q falls."""
     q = check_open_unit(q, "q")
-    return normal_cdf(normal_quantile(q) - spec.noncentrality)
+    check_instance(spec, GaussianTestModel, "model")
+    return spec.tail.p_value_quantile(q, spec.noncentrality)
 
 
 @dataclass(frozen=True)
@@ -95,4 +79,5 @@ def reproducibility_probability(observed: ObservedResult, alpha: float,
     """Chance a fresh level-alpha study rejects when the observed effect is real (alpha at 0)."""
     alpha = check_open_unit(alpha, "alpha")
     tail = check_member(tail, Tail, "tail")
+    check_instance(observed, ObservedResult, "observed")
     return tail.rejection(tail.critical(alpha), observed.d_observed)

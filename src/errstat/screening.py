@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import error_tradeoff
-from .errors import (InfeasibleParameterError, check_at_least, check_finite, check_open_unit,
-                     check_positive, check_sequence)
+from .errors import (InfeasibleParameterError, check_at_least, check_finite, check_instance,
+                     check_open_unit, check_positive, check_sequence)
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ScreeningParams:
 
     @property
     def prior_odds(self) -> "PriorOdds":
-        return PriorOdds((1.0 - self.prior_null) / self.prior_null)
+        return PriorOdds.from_prior_null(self.prior_null)
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,7 @@ class PriorOdds:
 
 def false_positive_rate(params: ScreeningParams) -> float:
     """Posterior probability the null is true given a rejection."""
+    check_instance(params, ScreeningParams, "params")
     num = params.alpha * params.prior_null
     return num / (num + params.power * (1.0 - params.prior_null))
 
@@ -70,6 +71,7 @@ def false_positive_rate_odds(alpha: float, power: float, odds: PriorOdds) -> flo
     """Prior-odds form alpha / (alpha + power * R); exactly 1/2 on the boundary R = alpha/power."""
     alpha = check_open_unit(alpha, "alpha")
     power = check_open_unit(power, "power")
+    check_instance(odds, PriorOdds, "odds")
     return alpha / (alpha + power * odds.ratio)
 
 
@@ -80,6 +82,7 @@ def fpr_gradient(params: ScreeningParams) -> tuple[float, float]:
     makes "lower alpha, lower false positive rate" unconditional in this
     model. Returns (d/d_alpha, d/d_beta).
     """
+    check_instance(params, ScreeningParams, "params")
     phi = params.prior_null
     denom = params.alpha * phi + params.power * (1.0 - phi)
     denom_sq = denom * denom

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence
 
 from .distributions import normal_cdf, normal_quantile, student_t_cdf, student_t_quantile
 from .error_tradeoff import Tail
-from .errors import (DomainError, check_finite, check_int, check_member, check_open_unit,
-                     check_positive, check_sequence)
+from .errors import (DomainError, check_finite, check_instance, check_int, check_member,
+                     check_open_unit, check_positive, check_sequence)
 
 
 class ReferenceDist(Enum):
@@ -92,6 +92,8 @@ def _reference_cdf(stats: SummaryStats, reference: ReferenceDist) -> Callable[[f
 def severity(stats: SummaryStats, claim: SeverityClaim,
              reference: ReferenceDist = ReferenceDist.NORMAL) -> float:
     """Probability the data would have fit the claim worse were it false."""
+    check_instance(stats, SummaryStats, "stats")
+    check_instance(claim, SeverityClaim, "claim")
     z = (stats.estimate - claim.bound) / stats.stderr
     sev = _reference_cdf(stats, reference)(z)
     if claim.direction is ClaimDirection.GREATER_THAN:
@@ -104,6 +106,7 @@ def severity_curve(stats: SummaryStats, bounds: Sequence[float],
                    direction: ClaimDirection = ClaimDirection.GREATER_THAN,
                    ) -> list[tuple[float, float]]:
     """Severity at each bound, for probing which parameter values are warranted."""
+    check_instance(stats, SummaryStats, "stats")
     claims = [SeverityClaim(direction, check_finite(b, "claim bound"))
               for b in check_sequence(bounds, "bounds")]
     return [(claim.bound, severity(stats, claim, reference)) for claim in claims]
@@ -113,6 +116,7 @@ def confidence_lower_limit(stats: SummaryStats, level: float,
                            reference: ReferenceDist = ReferenceDist.NORMAL) -> float:
     """One-sided lower confidence limit; severity of 'parameter > limit' equals level."""
     level = check_open_unit(level, "level")
+    check_instance(stats, SummaryStats, "stats")
     if check_member(reference, ReferenceDist, "reference") is ReferenceDist.NORMAL:
         q = normal_quantile(level)
     else:
@@ -124,4 +128,5 @@ def p_value_from_summary(stats: SummaryStats, tail: Tail = Tail.ONE_SIDED_UPPER,
                          reference: ReferenceDist = ReferenceDist.NORMAL) -> float:
     """p-value for the point null 'parameter = 0' from the summary statistics."""
     tail = check_member(tail, Tail, "tail")
+    check_instance(stats, SummaryStats, "stats")
     return tail.p_value(stats.standardized, _reference_cdf(stats, reference))

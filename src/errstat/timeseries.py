@@ -19,8 +19,8 @@ from typing import Sequence, Union
 
 from .distributions import student_t_cdf
 from .error_tradeoff import Tail
-from .errors import (CsvFormatError, DegenerateDataError, DomainError, check_finite, check_int,
-                     check_sequence)
+from .errors import (CsvFormatError, DegenerateDataError, DomainError, check_finite, check_instance,
+                     check_int, check_sequence)
 from .severity import SummaryStats
 
 # Relative residual variance below which a fit is reported as exact
@@ -145,6 +145,7 @@ def _window_moments(x: list[float],
 def lag_regression(series: Series, tau: int) -> LagFit:
     """Least-squares fit of each value on its tau-steps-earlier predecessor."""
     tau = check_int(tau, "tau", 1)
+    check_instance(series, Series, "series")
     if tau >= len(series) - 2:
         raise DomainError(
             f"tau = {tau} leaves fewer than 3 pairs from {len(series)} values"
@@ -186,6 +187,7 @@ def lag_regression(series: Series, tau: int) -> LagFit:
 def autocorrelation(series: Series, tau: int) -> float:
     """Sample correlation of the lag-tau pairs (tau = 0 returns 1 by convention)."""
     tau = check_int(tau, "tau", 0)
+    check_instance(series, Series, "series")
     if tau >= len(series) - 1:
         raise DomainError(f"tau = {tau} leaves fewer than 2 pairs from {len(series)} values")
     x, y = _lag_pairs(series, tau) if tau > 0 else (list(series.values), list(series.values))

@@ -4,6 +4,7 @@ from errstat import (
     AlternativeSpec,
     GaussianTestModel,
     ObservedResult,
+    SimConfig,
     Tail,
     cdf_under_alternative,
     pdf_under_alternative,
@@ -153,3 +154,28 @@ def test_reproducibility_rejects_bad_alpha():
     for alpha in (0.0, 1.0, -0.1):
         with pytest.raises(DomainError):
             reproducibility_probability(observed, alpha)
+
+
+@pytest.mark.parametrize("tail", list(Tail))
+def test_alternative_spec_is_the_one_gaussian_design(tail):
+    # The p-value cdf at level p is the power at p (Hung, O'Neill, Bauer & Koehne 1997):
+    # one design and one law, read through the same entry.
+    for d, n in ((0.5, 10), (-0.3, 4), (0.0, 1), (2.5, 1000)):
+        m = AlternativeSpec(d, n, tail)
+        assert m == AlternativeSpec(d, n, tail.value) and m.tail is tail
+        for p in (1e-300, 1e-6, 0.05, 0.5, 0.999):
+            assert power(p, m) == cdf_under_alternative(p, m)
+        config = SimConfig(1000, 7, effect_size=d, n_per_study=n, tail=tail)
+        assert config.design == GaussianTestModel(d, n, tail)
+    assert isinstance(AlternativeSpec(0.5, 10), GaussianTestModel)
+
+
+def test_pvalue_laws_default_to_the_designs_tail():
+    spec = AlternativeSpec(0.6, 4, Tail.TWO_SIDED)
+    for p in (0.01, 0.05, 0.4):
+        assert cdf_under_alternative(p, spec) == cdf_under_alternative(p, spec, Tail.TWO_SIDED)
+        assert pdf_under_alternative(p, spec) == pdf_under_alternative(p, spec, "two_sided")
+    assert cdf_under_alternative(0.05, spec, Tail.ONE_SIDED_UPPER) == \
+        cdf_under_alternative(0.05, AlternativeSpec(0.6, 4))
+    with pytest.raises(DomainError):
+        quantile_under_alternative(0.5, spec)

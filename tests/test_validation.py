@@ -21,10 +21,18 @@ from errstat import (
     SimConfig,
     SummaryStats,
     Tail,
+    cdf_under_alternative,
     combined_fpr_curve,
+    expected_cost,
+    false_positive_rate,
+    false_positive_rate_odds,
+    fpr_gradient,
+    lag_regression,
     normal_cdf,
     p_value_from_summary,
     pdf_under_alternative,
+    quantile_under_alternative,
+    reproducibility_probability,
     severity,
     severity_curve,
     simulate_expected_cost,
@@ -117,6 +125,18 @@ def test_integer_validator():
     lambda: severity(SummaryStats(0.5, 0.1, n=15), SeverityClaim(ClaimDirection.LESS_THAN, 0.3),
                      reference="sideways"),
     lambda: p_value_from_summary(SummaryStats(0.5, 0.1), tail="TWO_SIDED"),
+    lambda: pdf_under_alternative(0.05, None),
+    lambda: cdf_under_alternative(0.05, None),
+    lambda: quantile_under_alternative(0.5, None),
+    lambda: reproducibility_probability(None, 0.05),
+    lambda: simulate_studies(None),
+    lambda: simulate_pvalues(None),
+    lambda: false_positive_rate(None),
+    lambda: fpr_gradient(None),
+    lambda: false_positive_rate_odds(0.05, 0.8, None),
+    lambda: expected_cost(0.0, None),
+    lambda: severity(None, SeverityClaim(ClaimDirection.GREATER_THAN, 0.3)),
+    lambda: lag_regression(None, 1),
 ])
 def test_non_numeric_input_raises_domain_error(call):
     with pytest.raises(DomainError):
