@@ -1,14 +1,17 @@
 """Command-line interface: figure data as CSV, reports and simulations as JSON.
 
-Exit codes: 0 success, 2 usage/domain error, 3 infeasible parameters,
-4 I/O or input-file format error. All numeric CSV output uses 10
-significant digits; JSON reports carry schema_version 1. There is no
-plotting here: the emitted columns are the figures.
+Each handler returns data, a report dict or a (columns, rows) table, and
+main alone renders it: CSV at 10 significant digits for a table, or
+indented key-sorted JSON, which always carries schema_version 1. Each error
+type carries its exit status (errors.py): 2 usage/domain error, 3
+infeasible parameters, 4 input-file format error, and 4 for any I/O error;
+0 is success. There is no plotting here: the emitted columns are the figures.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -28,16 +31,11 @@ from .severity import (
 )
 from .severity import severity as severity_value
 from .error_tradeoff import Tail
-from .errors import (CsvFormatError, DegenerateDataError, DomainError, InfeasibleParameterError,
-                     check_int)
+from .errors import DomainError, ErrstatError, check_int
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "ERRSTAT_SEED"
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".10g")
 
 
 def _parse_float_list(text: str, name: str) -> list[float]:
@@ -68,43 +66,26 @@ def _parse_grid(text: str, name: str) -> list[float]:
     return _parse_float_list(text, name)
 
 
-def _csv_table(columns: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _render(result, fmt: str) -> str:
+    """A (columns, rows) table as CSV at 10 significant digits, or else as JSON; a report as JSON.
+
+    Every JSON document is indented, key-sorted and carries schema_version.
+    """
+    if isinstance(result, tuple):
+        columns, rows = result
+        if fmt == "csv":
+            lines = [",".join(columns)]
+            lines.extend(",".join(format(float(v), ".10g") for v in row) for row in rows)
+            return "\n".join(lines) + "\n"
+        result = {"columns": list(columns), "rows": [[float(v) for v in row] for row in rows]}
+    report = {"schema_version": SCHEMA_VERSION, **result}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _json_table(columns: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "columns": list(columns),
-        "rows": [[float(v) for v in row] for row in rows],
-    }
-    return _json_text(payload)
+# --- subcommand handlers: each returns a report dict or a (columns, rows) table
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _emit_table(args, columns, rows) -> str:
-    if args.format == "json":
-        return _json_table(columns, rows)
-    return _csv_table(columns, rows)
-
-
-def _write_output(text: str, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-# --- subcommand handlers -------------------------------------------------
-
-
-def _cmd_tradeoff(args) -> str:
+def _cmd_tradeoff(args) -> tuple:
     effect_sizes = _parse_float_list(args.effect_sizes, "--effect-sizes")
     alphas = _parse_grid(args.alphas, "--alphas")
     rows = []
@@ -112,10 +93,10 @@ def _cmd_tradeoff(args) -> str:
         model = error_tradeoff.GaussianTestModel(effect_size=delta, n=args.n)
         for alpha in alphas:
             rows.append((alpha, delta, error_tradeoff.type2_error(alpha, model)))
-    return _emit_table(args, ("alpha", "effect_size", "beta"), rows)
+    return ("alpha", "effect_size", "beta"), rows
 
 
-def _cmd_screening(args) -> str:
+def _cmd_screening(args) -> tuple:
     if args.phi is not None:
         phis = _parse_float_list(args.phi, "--phi")
     else:
@@ -138,64 +119,33 @@ def _cmd_screening(args) -> str:
                     screening.ScreeningParams(alpha, args.power, phi)
                 )
                 rows.append((alpha, beta, phi, fpr))
-    return _emit_table(args, ("alpha", "beta", "phi", "fpr"), rows)
+    return ("alpha", "beta", "phi", "fpr"), rows
 
 
-def _cmd_replication(args) -> str:
+def _cmd_replication(args) -> dict:
     if args.self_test:
         gamma = 4.0 / 9.0
         factor = screening.replication_threshold_factor(gamma, 2.0)
         back = screening.gamma_for_factor(factor, 2.0)
         ok = abs(factor - 10.0) < 1e-12 and abs(back - gamma) < 1e-12
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "self_test",
-            "gamma": gamma,
-            "n_fold": 2.0,
-            "factor": factor,
-            "gamma_round_trip": back,
-            "ok": ok,
-        }
-        return _json_text(payload)
+        return {"mode": "self_test", "gamma": gamma, "n_fold": 2.0, "factor": factor,
+                "gamma_round_trip": back, "ok": ok}
     if args.gamma is not None:
         factor = screening.replication_threshold_factor(args.gamma, args.n_fold)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "factor_from_gamma",
-            "gamma": args.gamma,
-            "n_fold": args.n_fold,
-            "threshold_factor": factor,
-        }
-    else:
-        gamma = screening.gamma_for_factor(args.factor, args.n_fold)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "gamma_from_factor",
-            "threshold_factor": args.factor,
-            "n_fold": args.n_fold,
-            "gamma": gamma,
-        }
-    return _json_text(payload)
+        return {"mode": "factor_from_gamma", "gamma": args.gamma, "n_fold": args.n_fold,
+                "threshold_factor": factor}
+    gamma = screening.gamma_for_factor(args.factor, args.n_fold)
+    return {"mode": "gamma_from_factor", "threshold_factor": args.factor, "n_fold": args.n_fold,
+            "gamma": gamma}
 
 
-def _cost_params(args) -> decision_cost.CostParams:
-    return decision_cost.CostParams(
-        cost_type1=args.p0,
-        cost_type2=args.p1,
-        prior_good=args.phi,
-        mu0=args.mu0,
-        mu1=args.mu1,
-        sigma=args.sigma,
-    )
-
-
-def _cmd_cost(args) -> str:
-    params = _cost_params(args)
+def _cmd_cost(args) -> dict | tuple:
+    params = decision_cost.CostParams(cost_type1=args.p0, cost_type2=args.p1, prior_good=args.phi,
+                                      mu0=args.mu0, mu1=args.mu1, sigma=args.sigma)
     if args.minimize:
         closed = decision_cost.closed_form_minimizer(params)
         numeric = decision_cost.numeric_minimizer(params)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
+        return {
             "closed_form_minimizer": closed,
             "numeric_minimizer": numeric,
             "gap": abs(closed - numeric),
@@ -203,11 +153,10 @@ def _cmd_cost(args) -> str:
             "alpha_at_minimizer": decision_cost.alpha_from_critical(closed, params),
             "cost_ratio": params.cost_ratio,
         }
-        return _json_text(payload)
     if args.alpha_map:
         alphas = _parse_grid(args.alphas, "--alphas")
         rows = [(a, decision_cost.critical_from_alpha(a, params)) for a in alphas]
-        return _emit_table(args, ("alpha", "critical_value"), rows)
+        return ("alpha", "critical_value"), rows
     # default: cost curve over the critical value
     if args.c_grid is not None:
         grid = _parse_grid(args.c_grid, "--c-grid")
@@ -216,10 +165,10 @@ def _cmd_cost(args) -> str:
         hi = max(args.mu0, args.mu1) + 4.0 * args.sigma
         grid = [lo + i * (hi - lo) / 100.0 for i in range(101)]
     rows = [(c, decision_cost.expected_cost(c, params)) for c in grid]
-    return _emit_table(args, ("critical_value", "expected_cost"), rows)
+    return ("critical_value", "expected_cost"), rows
 
 
-def _cmd_pdist(args) -> str:
+def _cmd_pdist(args) -> dict | tuple:
     if args.reproducibility:
         if (args.p_obs is None) == (args.d_obs is None):
             raise DomainError("--reproducibility needs exactly one of --p-obs / --d-obs")
@@ -228,15 +177,13 @@ def _cmd_pdist(args) -> str:
         else:
             observed = pvalue_dist.ObservedResult.from_statistic(args.d_obs)
         prob = pvalue_dist.reproducibility_probability(observed, args.alpha)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
+        return {
             "d_observed": observed.d_observed,
             "p_observed_two_sided": observed.p_observed,
             "alpha": args.alpha,
             "reproducibility_probability": prob,
             "convention": "one_sample_two_sided_normal",
         }
-        return _json_text(payload)
     spec = pvalue_dist.AlternativeSpec(delta=args.delta, n=args.n)
     grid = _parse_grid(args.grid, "--grid")
     kept = [p for p in grid if 0.0 < p < 1.0]
@@ -252,22 +199,12 @@ def _cmd_pdist(args) -> str:
         (p, pvalue_dist.pdf_under_alternative(p, spec), pvalue_dist.cdf_under_alternative(p, spec))
         for p in kept
     ]
-    return _emit_table(args, ("p", "density", "cdf"), rows)
+    return ("p", "density", "cdf"), rows
 
 
-def _claim_payload(stats, bound, reference) -> dict:
-    claim = SeverityClaim(ClaimDirection.GREATER_THAN, bound)
-    return {
-        "direction": "greater_than",
-        "bound": bound,
-        "severity": severity_value(stats, claim, reference),
-        "reference": reference.value,
-    }
-
-
-def _cmd_analyze(args) -> str:
+def _cmd_analyze(args) -> dict:
     reference = ReferenceDist(args.reference)
-    payload: dict = {"schema_version": SCHEMA_VERSION}
+    payload: dict = {}
     if args.csv is not None and args.estimate is not None:
         raise DomainError("--csv and --estimate are alternative input modes; give one")
     if args.csv is not None:
@@ -279,15 +216,7 @@ def _cmd_analyze(args) -> str:
         t_pairs, p_pairs = timeseries.t_from_correlation(fit.r, fit.n_pairs)
         t_series, p_series = timeseries.t_from_correlation(fit.r, len(series))
         payload["source"] = {"csv": str(args.csv), "tau": args.tau, "length": len(series)}
-        payload["fit"] = {
-            "beta0": fit.beta0,
-            "beta1": fit.beta1,
-            "stderr_beta1": fit.stderr_beta1,
-            "r": fit.r,
-            "n_pairs": fit.n_pairs,
-            "t_stat": fit.t_stat,
-            "p_two_sided_t": fit.p_two_sided_t,
-        }
+        payload["fit"] = dataclasses.asdict(fit)
         payload["lag_correlation"] = {
             "r": fit.r,
             "pair_count_convention": {"n": fit.n_pairs, "t": t_pairs, "p_two_sided_t": p_pairs},
@@ -325,7 +254,13 @@ def _cmd_analyze(args) -> str:
         "reference": reference.value,
     }
     if args.claim is not None:
-        payload["claim"] = _claim_payload(stats, args.claim, reference)
+        claim = SeverityClaim(ClaimDirection.GREATER_THAN, args.claim)
+        payload["claim"] = {
+            "direction": "greater_than",
+            "bound": args.claim,
+            "severity": severity_value(stats, claim, reference),
+            "reference": reference.value,
+        }
     if args.claim_grid is not None:
         bounds = _parse_grid(args.claim_grid, "--claim-grid")
         curve = severity_curve(stats, bounds, reference)
@@ -340,7 +275,7 @@ def _cmd_analyze(args) -> str:
         "probability": pvalue_dist.reproducibility_probability(observed, args.alpha),
         "convention": "one_sample_two_sided_normal",
     }
-    return _json_text(payload)
+    return payload
 
 
 def _resolve_seed(args) -> int:
@@ -355,7 +290,7 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> dict:
     seed = _resolve_seed(args)
     config = montecarlo.SimConfig(
         num_trials=args.trials,
@@ -383,8 +318,7 @@ def _cmd_simulate(args) -> str:
             return None
         return (emp - ref) / stderr
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return {
         "config": {
             "trials": args.trials,
             "seed": seed,
@@ -414,7 +348,6 @@ def _cmd_simulate(args) -> str:
             "type1_rate": z(empirical_size, args.alpha, size_stderr),
         },
     }
-    return _json_text(payload)
 
 
 # --- parser --------------------------------------------------------------
@@ -478,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-fold", type=float, default=2.0,
                    help="requested replication-rate multiple (default 2)")
     _add_output_flag(p)
-    p.set_defaults(handler=_cmd_replication, format="json")
+    p.set_defaults(handler=_cmd_replication)
 
     p = subs.add_parser("cost", help="expected-cost analysis of the rejection threshold")
     p.add_argument("--p0", type=float, default=1.0, help="cost of a type I error")
@@ -531,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", choices=("normal", "student_t"), default="normal",
                    help="reference distribution for severity and the limit")
     _add_output_flag(p)
-    p.set_defaults(handler=_cmd_analyze, format="json")
+    p.set_defaults(handler=_cmd_analyze)
 
     p = subs.add_parser("simulate", help="simulate studies and compare with the formulas")
     p.add_argument("--trials", type=int, default=100000)
@@ -544,27 +477,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="chunk workers; results are identical for any value")
     _add_output_flag(p)
-    p.set_defaults(handler=_cmd_simulate, format="json")
+    p.set_defaults(handler=_cmd_simulate)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text = args.handler(args)
-        _write_output(text, args.output)
-    except (DomainError, DegenerateDataError) as exc:
+        # the report commands have no --format: they always print JSON
+        text = _render(args.handler(args), getattr(args, "format", "json"))
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except (ErrstatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CsvFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 4)
     return 0

@@ -17,13 +17,12 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
 
 from .distributions import normal_cdf, normal_pdf, normal_quantile
+from .error_tradeoff import Tail
 from .errors import (DomainError, check_at_least, check_finite, check_instance, check_open_unit,
                      check_positive, check_unit)
 
-Cdf = Callable[[float], float]
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -49,12 +48,12 @@ class CostParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        check_at_least(self.cost_type1, "cost_type1", 0.0)
-        check_at_least(self.cost_type2, "cost_type2", 0.0)
-        check_unit(self.prior_good, "prior_good")
-        check_positive(self.sigma, "sigma")
-        check_finite(self.mu0, "mu0")
-        check_finite(self.mu1, "mu1")
+        object.__setattr__(self, "cost_type1", check_at_least(self.cost_type1, "cost_type1", 0.0))
+        object.__setattr__(self, "cost_type2", check_at_least(self.cost_type2, "cost_type2", 0.0))
+        object.__setattr__(self, "prior_good", check_unit(self.prior_good, "prior_good"))
+        object.__setattr__(self, "sigma", check_positive(self.sigma, "sigma"))
+        object.__setattr__(self, "mu0", check_finite(self.mu0, "mu0"))
+        object.__setattr__(self, "mu1", check_finite(self.mu1, "mu1"))
 
     @property
     def cost_ratio(self) -> float:
@@ -62,44 +61,37 @@ class CostParams:
         cost1 = check_positive(self.cost_type1, "cost_type1")
         return check_positive(self.cost_type2, "cost_type2") / cost1
 
-    def null_cdf(self, c: float) -> float:
-        return normal_cdf((c - self.mu0) / self.sigma)
 
-    def alt_cdf(self, c: float) -> float:
-        return normal_cdf((c - self.mu1) / self.sigma)
-
-    def null_pdf(self, c: float) -> float:
-        return normal_pdf((c - self.mu0) / self.sigma) / self.sigma
-
-    def alt_pdf(self, c: float) -> float:
-        return normal_pdf((c - self.mu1) / self.sigma) / self.sigma
+def _standardized(c: float, params: CostParams) -> tuple[float, float]:
+    # c in units of sigma from each mean, the only form in which c enters the Gaussian laws
+    return (c - params.mu0) / params.sigma, (c - params.mu1) / params.sigma
 
 
-def expected_cost(
-    c: float,
-    params: CostParams,
-    null_cdf: Optional[Cdf] = None,
-    alt_cdf: Optional[Cdf] = None,
-) -> float:
-    """Expected cost of thresholding at c.
-
-    The two distribution handles default to the Gaussians in params; passing
-    explicit cdfs is the extension seam for non-Gaussian statistics.
-    """
+def expected_cost(c: float, params: CostParams) -> float:
+    """Expected cost of thresholding at c."""
     c = check_finite(c, "critical value")
     check_instance(params, CostParams, "params")
-    f0 = null_cdf if null_cdf is not None else params.null_cdf
-    f1 = alt_cdf if alt_cdf is not None else params.alt_cdf
-    return (params.prior_good * (1.0 - f0(c)) * params.cost_type1
-            + (1.0 - params.prior_good) * f1(c) * params.cost_type2)
+    z0, z1 = _standardized(c, params)
+    return (params.prior_good * (1.0 - normal_cdf(z0)) * params.cost_type1
+            + (1.0 - params.prior_good) * normal_cdf(z1) * params.cost_type2)
+
+
+def _cost_slopes(c: float, params: CostParams) -> tuple[float, float]:
+    # sigma * C'(c) and sigma^2 * C''(c), free of sigma so that neither overflows or underflows
+    # with it: each law's density at c is normal_pdf(z) / sigma and its slope
+    # -z normal_pdf(z) / sigma^2.
+    z0, z1 = _standardized(c, params)
+    w0 = params.prior_good * params.cost_type1
+    w1 = (1.0 - params.prior_good) * params.cost_type2
+    f0, f1 = normal_pdf(z0), normal_pdf(z1)
+    return -w0 * f0 + w1 * f1, w0 * z0 * f0 - w1 * z1 * f1
 
 
 def cost_derivative(c: float, params: CostParams) -> float:
     """d/dc of expected_cost for the Gaussian pair."""
     c = check_finite(c, "critical value")
     check_instance(params, CostParams, "params")
-    return (-params.prior_good * params.cost_type1 * params.null_pdf(c)
-            + (1.0 - params.prior_good) * params.cost_type2 * params.alt_pdf(c))
+    return _cost_slopes(c, params)[0] / params.sigma
 
 
 def closed_form_minimizer(params: CostParams) -> float:
@@ -128,14 +120,15 @@ def numeric_minimizer(params: CostParams) -> float:
     Independent of the closed form; the CLI prints both and their gap.
     """
     check_instance(params, CostParams, "params")
-    lo = min(params.mu0, params.mu1) - 10.0 * params.sigma
-    hi = max(params.mu0, params.mu1) + 10.0 * params.sigma
+    sigma = params.sigma
+    lo = min(params.mu0, params.mu1) - 10.0 * sigma
+    hi = max(params.mu0, params.mu1) + 10.0 * sigma
     a, b = lo, hi
     c1 = b - _GOLDEN * (b - a)
     c2 = a + _GOLDEN * (b - a)
     f1, f2 = expected_cost(c1, params), expected_cost(c2, params)
     for _ in range(200):
-        if b - a < 1e-10:
+        if b - a < 1e-10 * sigma:
             break
         if f1 <= f2:
             b, c2, f2 = c2, c1, f1
@@ -146,28 +139,19 @@ def numeric_minimizer(params: CostParams) -> float:
             c2 = a + _GOLDEN * (b - a)
             f2 = expected_cost(c2, params)
     x = 0.5 * (a + b)
-    # Newton polish on the derivative; the second derivative at an interior
-    # minimum is positive, so a couple of steps suffice.
+    # Newton polish on the derivative, C'/C'' = sigma * (sigma C')/(sigma^2 C''); the second
+    # derivative at an interior minimum is positive, so a couple of steps suffice.
     for _ in range(8):
-        d1 = cost_derivative(x, params)
-        d2 = _cost_second_derivative(x, params)
-        if d2 <= 0.0 or not math.isfinite(d2):
+        g1, g2 = _cost_slopes(x, params)
+        if g2 <= 0.0 or not math.isfinite(g2):
             break
-        step = d1 / d2
+        step = sigma * (g1 / g2)
         if not math.isfinite(step) or abs(step) > (hi - lo):
             break
         x -= step
-        if abs(step) < 1e-13 * max(1.0, abs(x)):
+        if abs(step) < 1e-13 * max(sigma, abs(x)):
             break
     return min(max(x, lo), hi)
-
-
-def _cost_second_derivative(c: float, params: CostParams) -> float:
-    sigma = params.sigma  # divided out twice: sigma^2 may overflow or underflow
-    return (params.prior_good * params.cost_type1 * ((c - params.mu0) / sigma / sigma)
-            * params.null_pdf(c)
-            - (1.0 - params.prior_good) * params.cost_type2 * ((c - params.mu1) / sigma / sigma)
-            * params.alt_pdf(c))
 
 
 class CostTrend(Enum):
@@ -201,10 +185,10 @@ def cost_monotonicity_region(c: float, params: CostParams, tol: float = 1e-9) ->
 
 
 def alpha_from_critical(c: float, params: CostParams) -> float:
-    """Type I error probability implied by the threshold: 1 - F0(c)."""
+    """Type I error probability implied by the threshold: the null law beyond c, not 1 - F0(c)."""
     c = check_finite(c, "critical value")
     check_instance(params, CostParams, "params")
-    return 1.0 - params.null_cdf(c)
+    return Tail.ONE_SIDED_UPPER.rejection(_standardized(c, params)[0], 0.0)
 
 
 def critical_from_alpha(alpha: float, params: CostParams) -> float:

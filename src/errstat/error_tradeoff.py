@@ -77,7 +77,7 @@ class GaussianTestModel:
     tail: Tail = Tail.ONE_SIDED_UPPER
 
     def __post_init__(self):
-        check_finite(self.effect_size, "effect_size")
+        object.__setattr__(self, "effect_size", check_finite(self.effect_size, "effect_size"))
         object.__setattr__(self, "n", check_int(self.n, "n", 1))
         object.__setattr__(self, "tail", check_member(self.tail, Tail, "tail"))
 

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the validators that raise them.
 
-The CLI maps these onto process exit codes, so keep the hierarchy flat and
-the meanings distinct: bad parameter values, mathematically infeasible
-requests, degenerate data, and malformed input files.
+Each type carries the CLI's process exit status as exit_code, so keep the
+hierarchy flat and the meanings distinct: bad parameter values,
+mathematically infeasible requests, degenerate data, and malformed input files.
 """
 
 import math
@@ -13,6 +13,8 @@ import operator
 class ErrstatError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2  # a usage or domain error; DomainError and DegenerateDataError keep it
+
 
 class DomainError(ErrstatError, ValueError):
     """An argument violates a precondition (wrong range, non-finite, ...)."""
@@ -21,6 +23,8 @@ class DomainError(ErrstatError, ValueError):
 class InfeasibleParameterError(ErrstatError, ValueError):
     """Parameters are individually valid but the requested quantity does not exist."""
 
+    exit_code = 3
+
 
 class DegenerateDataError(ErrstatError, ValueError):
     """Data admits no answer: zero variance, perfect fit, undefined statistic."""
@@ -28,6 +32,8 @@ class DegenerateDataError(ErrstatError, ValueError):
 
 class CsvFormatError(ErrstatError, ValueError):
     """A CSV input file is malformed; message carries the 1-based line number."""
+
+    exit_code = 4
 
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number

@@ -62,10 +62,12 @@ class SimConfig:
         if seed >= 2 ** 64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         object.__setattr__(self, "seed", seed)
-        check_unit(self.prior_null, "prior_null")
-        check_open_unit(self.alpha, "alpha")
+        object.__setattr__(self, "prior_null", check_unit(self.prior_null, "prior_null"))
+        object.__setattr__(self, "alpha", check_open_unit(self.alpha, "alpha"))
         object.__setattr__(self, "n_per_study", check_int(self.n_per_study, "n_per_study", 1))
-        object.__setattr__(self, "tail", self.design.tail)  # the design validates effect_size too
+        design = self.design  # validates effect_size and tail
+        object.__setattr__(self, "effect_size", design.effect_size)
+        object.__setattr__(self, "tail", design.tail)
 
     @property
     def design(self) -> GaussianTestModel:

@@ -52,7 +52,7 @@ class ObservedResult:
     d_observed: float
 
     def __post_init__(self):
-        check_finite(self.d_observed, "d_observed")
+        object.__setattr__(self, "d_observed", check_finite(self.d_observed, "d_observed"))
 
     @classmethod
     def from_statistic(cls, d_observed: float) -> "ObservedResult":

@@ -30,11 +30,11 @@ class ScreeningParams:
     prior_null: float
 
     def __post_init__(self):
-        check_open_unit(self.alpha, "alpha")
-        check_open_unit(self.power, "power")
+        object.__setattr__(self, "alpha", check_open_unit(self.alpha, "alpha"))
+        object.__setattr__(self, "power", check_open_unit(self.power, "power"))
         # Degenerate priors are rejected: at 0 or 1 the rate is identically
         # 0 or 1 and the derivative formulas lose their sign guarantees.
-        check_open_unit(self.prior_null, "prior_null")
+        object.__setattr__(self, "prior_null", check_open_unit(self.prior_null, "prior_null"))
 
     @property
     def prior_odds(self) -> "PriorOdds":
@@ -48,7 +48,7 @@ class PriorOdds:
     ratio: float
 
     def __post_init__(self):
-        check_positive(self.ratio, "odds ratio")
+        object.__setattr__(self, "ratio", check_positive(self.ratio, "odds ratio"))
 
     @classmethod
     def from_prior_null(cls, prior_null: float) -> "PriorOdds":

@@ -48,8 +48,8 @@ class SummaryStats:
     df: Optional[int] = None
 
     def __post_init__(self):
-        check_finite(self.estimate, "estimate")
-        check_positive(self.stderr, "stderr")
+        object.__setattr__(self, "estimate", check_finite(self.estimate, "estimate"))
+        object.__setattr__(self, "stderr", check_positive(self.stderr, "stderr"))
         for name in ("n", "df"):
             v = getattr(self, name)
             if v is not None:
@@ -80,7 +80,7 @@ class SeverityClaim:
     def __post_init__(self):
         object.__setattr__(self, "direction",
                            check_member(self.direction, ClaimDirection, "direction"))
-        check_finite(self.bound, "claim bound")
+        object.__setattr__(self, "bound", check_finite(self.bound, "claim bound"))
 
 
 def _reference_cdf(stats: SummaryStats, reference: ReferenceDist) -> Callable[[float], float]:
@@ -95,10 +95,9 @@ def severity(stats: SummaryStats, claim: SeverityClaim,
     check_instance(stats, SummaryStats, "stats")
     check_instance(claim, SeverityClaim, "claim")
     z = (stats.estimate - claim.bound) / stats.stderr
-    sev = _reference_cdf(stats, reference)(z)
-    if claim.direction is ClaimDirection.GREATER_THAN:
-        return sev
-    return 1.0 - sev
+    if claim.direction is ClaimDirection.LESS_THAN:
+        z = -z  # the lower tail of the reference law itself, never 1 - cdf(z)
+    return _reference_cdf(stats, reference)(z)
 
 
 def severity_curve(stats: SummaryStats, bounds: Sequence[float],

@@ -57,8 +57,14 @@ def read_series_csv(path: Union[str, Path]) -> Series:
     rejected rather than imputed. All parse errors carry the 1-based line
     number.
     """
-    # utf-8-sig so a leading BOM from spreadsheet exports is tolerated
-    text = Path(path).read_text(encoding="utf-8-sig")
+    # a leading BOM from spreadsheet exports is tolerated
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as text.splitlines() below numbers it; the bytes before the bad one decode
+        line = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        raise CsvFormatError(line, f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
     lines = text.splitlines()
     if not lines:
         raise CsvFormatError(1, "empty file; expected a 'label,value' header")

@@ -20,6 +20,8 @@ from errstat import (
     lag_regression,
     type2_error,
 )
+from errstat import cli
+from errstat.errors import ErrstatError
 
 REPO_ROOT = Path(__file__).parent.parent
 SRC = REPO_ROOT / "src"
@@ -286,6 +288,32 @@ def test_analyze_bad_csv_reports_line_number(tmp_path):
     path.write_text("label,value\n2001,0.1\n2002,oops\n2003,0.3\n", encoding="utf-8")
     proc = run_cli("analyze", "--csv", str(path), "--tau", "1", expect_code=4)
     assert "line 3" in proc.stderr
+
+
+def test_analyze_non_utf8_csv_is_a_format_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"label,value\n2001,0.1\n2002,\xff0.2\n2003,0.3\n")
+    proc = run_cli("analyze", "--csv", str(path), "--tau", "1", expect_code=4)
+    assert "line 3" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_bare_errstat_error_exits_2(monkeypatch, capsys):
+    def fail(args):
+        raise ErrstatError("no subtype")
+
+    monkeypatch.setattr(cli, "_cmd_replication", fail)
+    assert cli.main(["replication", "--self-test"]) == 2
+    assert capsys.readouterr().err == "error: no subtype\n"
+
+
+def test_every_error_type_carries_an_exit_status():
+    kinds, pending = [], [ErrstatError]
+    while pending:
+        kinds.append(pending.pop())
+        pending.extend(kinds[-1].__subclasses__())
+    assert len(kinds) >= 5
+    assert all(kind.exit_code in (2, 3, 4) for kind in kinds), kinds
 
 
 def test_analyze_degenerate_series_surfaces_error(tmp_path):

@@ -3,6 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.stats import norm
 
 from errstat import (
     CostParams,
@@ -119,8 +120,7 @@ def test_minimizers_work_in_units_of_sigma():
     wide = CostParams(1.0, 2.0, 0.5, mu0=0.0, mu1=1e200, sigma=1e200)
     c_star = closed_form_minimizer(wide)
     assert c_star == pytest.approx((0.5 - math.log(2.0)) * 1e200, rel=1e-15)
-    # golden section alone: the Newton polish needs the second derivative, ~1/sigma^2 = 0 here
-    assert numeric_minimizer(wide) == pytest.approx(c_star, rel=1e-7)
+    assert numeric_minimizer(wide) == pytest.approx(c_star, rel=1e-14)
     assert cost_derivative(c_star, wide) == pytest.approx(0.0, abs=1e-212)
     assert math.isfinite(numeric_minimizer(CostParams(1.0, 1.0, 0.5, sigma=1e-170)))
 
@@ -182,10 +182,17 @@ def test_alpha_critical_round_trip():
         assert alpha_from_critical(c, params) == pytest.approx(alpha, abs=1e-10)
 
 
-def test_custom_cdf_seam_matches_gaussian_default():
-    params = CostParams(1.0, 2.0, 0.4, mu0=0.0, mu1=1.0, sigma=1.0)
-    got = expected_cost(0.3, params, null_cdf=params.null_cdf, alt_cdf=params.alt_cdf)
-    assert got == expected_cost(0.3, params)
+@pytest.mark.parametrize("s", [1e-300, 1e-100, 1e-10, 1e162, 1e165, 1e300])
+def test_numeric_minimizer_is_scale_free(s):
+    # the means and the dispersion scale together, so only units of sigma may matter
+    params = CostParams(1.0, 2.0, 0.5, mu0=0.0, mu1=s, sigma=s)
+    c_star = closed_form_minimizer(params)
+    assert abs(numeric_minimizer(params) - c_star) <= 1e-14 * abs(c_star)
+
+
+@pytest.mark.parametrize("c", [8.0, 10.0])
+def test_alpha_from_critical_is_the_upper_tail_not_a_complement(c):
+    assert alpha_from_critical(c, SYMMETRIC) == pytest.approx(norm.sf(c), rel=1e-13, abs=0.0)
 
 
 def test_params_validation():

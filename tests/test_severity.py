@@ -1,4 +1,5 @@
 import pytest
+from scipy.stats import norm
 
 from errstat import (
     ClaimDirection,
@@ -44,6 +45,11 @@ def test_directions_are_complementary():
         gt = severity(SLOPE, SeverityClaim(ClaimDirection.GREATER_THAN, bound))
         lt = severity(SLOPE, SeverityClaim(ClaimDirection.LESS_THAN, bound))
         assert gt + lt == 1.0
+
+
+def test_less_than_severity_is_the_lower_tail_not_a_complement():
+    lt = severity(SummaryStats(0.0, 1.0), SeverityClaim(ClaimDirection.LESS_THAN, -10.0))
+    assert lt == pytest.approx(norm.sf(10.0), rel=1e-13, abs=0.0)
 
 
 def test_severity_strictly_decreasing_in_bound():

@@ -51,10 +51,13 @@ def test_csv_round_trip(tmp_path):
     ("label,value\n2001,0.1,9\n2002,0.2\n2003,0.3\n", 2),
     ("label,value\nfoo,0.1\n2002,0.2\n2003,0.3\n", 2),
     ("label,value\n2001,0.1\n2002,0.2\n", 3),
+    # not UTF-8 (Latin-1 e-acute), numbered as the parser numbers lines, after a BOM too
+    (b"label,value\r\n2001,0.1\r\n2002,\xe90.2\r\n2003,0.3\r\n", 3),
+    (b"\xef\xbb\xbflabel,value\r2001,0.1\r2002,0.2\r\xe9\r", 4),
 ])
 def test_csv_errors_carry_line_numbers(tmp_path, content, lineno):
     path = tmp_path / "bad.csv"
-    path.write_text(content, encoding="utf-8")
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     with pytest.raises(CsvFormatError) as excinfo:
         read_series_csv(path)
     assert excinfo.value.line_number == lineno

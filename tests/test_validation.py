@@ -31,6 +31,7 @@ from errstat import (
     normal_cdf,
     p_value_from_summary,
     pdf_under_alternative,
+    power,
     quantile_under_alternative,
     reproducibility_probability,
     severity,
@@ -183,6 +184,20 @@ def test_numpy_integers_are_accepted_and_stored_as_int():
         GaussianTestModel(0.5, True)
     with pytest.raises(DomainError):
         student_t_cdf(1.0, True)
+
+
+def test_real_fields_are_stored_as_float():
+    x = np.float32(0.25)
+    objects = [GaussianTestModel(x), ScreeningParams(x, x, x), PriorOdds(x),
+               CostParams(x, x, x, x, x + 1, x), SummaryStats(x, x), SeverityClaim("less_than", x),
+               ObservedResult(x), SimConfig(10, 1, x, x, x)]
+    for obj in objects:
+        types = {type(getattr(obj, field.name)) for field in dataclasses.fields(obj)}
+        assert float in types and np.float32 not in types, obj
+    assert type(false_positive_rate(ScreeningParams(np.float32(0.05), 0.8, 0.5))) is float
+    # the formulas run in double precision, at the float the float32 stands for
+    assert power(0.05, GaussianTestModel(np.float32(0.1), 10)) == power(
+        0.05, GaussianTestModel(float(np.float32(0.1)), 10))
 
 
 _PARAMETER_CLASSES = [
