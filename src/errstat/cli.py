@@ -1,7 +1,9 @@
 """Command-line interface: figure data as CSV, reports and simulations as JSON.
 
-Each handler returns data, a report dict or a (columns, rows) table, and
-main alone renders it: CSV at 10 significant digits for a table, or
+argparse alone turns command-line text into values, lists and grids
+included, so malformed text is a usage error (exit 2). Each handler takes
+those values and returns data, a report dict or a (columns, rows) table,
+and main alone renders it: CSV at 10 significant digits for a table, or
 indented key-sorted JSON, which always carries schema_version 1. Each error
 type carries its exit status (errors.py): 2 usage/domain error, 3
 infeasible parameters, 4 input-file format error, and 4 for any I/O error;
@@ -31,39 +33,33 @@ from .severity import (
 )
 from .severity import severity as severity_value
 from .error_tradeoff import Tail
-from .errors import DomainError, ErrstatError, check_int
+from .errors import DomainError, ErrstatError
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "ERRSTAT_SEED"
 
 
-def _parse_float_list(text: str, name: str) -> list[float]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise DomainError(f"{name}: empty list")
-    try:
-        return [float(part) for part in items]
-    except ValueError as exc:
-        raise DomainError(f"{name}: {exc}") from None
+def _float_list(text: str) -> list[float]:
+    """argparse type for 'a,b,c'; argparse reports the ValueError of bad text as a usage error."""
+    values = [float(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
-def _parse_grid(text: str, name: str) -> list[float]:
-    """Either 'a,b,c' explicit values or 'lo:hi:count' for an inclusive grid."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"{name}: grid spec must be lo:hi:count, got {text!r}")
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-            count = int(parts[2])
-        except ValueError as exc:
-            raise DomainError(f"{name}: {exc}") from None
-        if check_int(count, f"{name} grid count", 1) == 1:
-            return [lo]
-        step = (hi - lo) / (count - 1)
-        return [lo + i * step for i in range(count)]
-    return _parse_float_list(text, name)
+def _grid(text: str) -> list[float]:
+    """argparse type for 'a,b,c' explicit values or 'lo:hi:count' for an inclusive grid."""
+    if ":" not in text:
+        return _float_list(text)
+    lo, hi, count = text.split(":")
+    lo, hi, count = float(lo), float(hi), int(count)
+    if count < 1:
+        raise ValueError("grid count below 1")
+    if count == 1:
+        return [lo]
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count)]
 
 
 def _render(result, fmt: str) -> str:
@@ -86,23 +82,18 @@ def _render(result, fmt: str) -> str:
 
 
 def _cmd_tradeoff(args) -> tuple:
-    effect_sizes = _parse_float_list(args.effect_sizes, "--effect-sizes")
-    alphas = _parse_grid(args.alphas, "--alphas")
     rows = []
-    for delta in effect_sizes:
+    for delta in args.effect_sizes:
         model = error_tradeoff.GaussianTestModel(effect_size=delta, n=args.n)
-        for alpha in alphas:
+        for alpha in args.alphas:
             rows.append((alpha, delta, error_tradeoff.type2_error(alpha, model)))
     return ("alpha", "effect_size", "beta"), rows
 
 
 def _cmd_screening(args) -> tuple:
-    if args.phi is not None:
-        phis = _parse_float_list(args.phi, "--phi")
-    else:
-        phis = [screening.PriorOdds(args.odds).prior_null]
+    phis = args.phi if args.phi is not None else [screening.PriorOdds(args.odds).prior_null]
     if args.curve:
-        alphas = _parse_grid(args.alphas, "--alphas")
+        alphas = args.alphas
     else:
         if args.alpha is None:
             raise DomainError("either --alpha or --curve with --alphas is required")
@@ -154,13 +145,11 @@ def _cmd_cost(args) -> dict | tuple:
             "cost_ratio": params.cost_ratio,
         }
     if args.alpha_map:
-        alphas = _parse_grid(args.alphas, "--alphas")
-        rows = [(a, decision_cost.critical_from_alpha(a, params)) for a in alphas]
+        rows = [(a, decision_cost.critical_from_alpha(a, params)) for a in args.alphas]
         return ("alpha", "critical_value"), rows
     # default: cost curve over the critical value
-    if args.c_grid is not None:
-        grid = _parse_grid(args.c_grid, "--c-grid")
-    else:
+    grid = args.c_grid
+    if grid is None:
         lo = min(args.mu0, args.mu1) - 4.0 * args.sigma
         hi = max(args.mu0, args.mu1) + 4.0 * args.sigma
         grid = [lo + i * (hi - lo) / 100.0 for i in range(101)]
@@ -185,11 +174,10 @@ def _cmd_pdist(args) -> dict | tuple:
             "convention": "one_sample_two_sided_normal",
         }
     spec = pvalue_dist.AlternativeSpec(delta=args.delta, n=args.n)
-    grid = _parse_grid(args.grid, "--grid")
-    kept = [p for p in grid if 0.0 < p < 1.0]
-    if len(kept) < len(grid):
+    kept = [p for p in args.grid if 0.0 < p < 1.0]
+    if len(kept) < len(args.grid):
         print(
-            f"warning: dropped {len(grid) - len(kept)} grid point(s) at p=0 or p=1 "
+            f"warning: dropped {len(args.grid) - len(kept)} grid point(s) at p=0 or p=1 "
             "(density undefined there)",
             file=sys.stderr,
         )
@@ -205,8 +193,6 @@ def _cmd_pdist(args) -> dict | tuple:
 def _cmd_analyze(args) -> dict:
     reference = ReferenceDist(args.reference)
     payload: dict = {}
-    if args.csv is not None and args.estimate is not None:
-        raise DomainError("--csv and --estimate are alternative input modes; give one")
     if args.csv is not None:
         if args.tau is None:
             raise DomainError("--csv mode requires --tau")
@@ -262,8 +248,7 @@ def _cmd_analyze(args) -> dict:
             "reference": reference.value,
         }
     if args.claim_grid is not None:
-        bounds = _parse_grid(args.claim_grid, "--claim-grid")
-        curve = severity_curve(stats, bounds, reference)
+        curve = severity_curve(stats, args.claim_grid, reference)
         payload["severity_curve"] = {
             "direction": "greater_than",
             "reference": reference.value,
@@ -353,16 +338,6 @@ def _cmd_simulate(args) -> dict:
 # --- parser --------------------------------------------------------------
 
 
-def _add_format_flags(sub) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="output format (default csv)")
-
-
-def _add_output_flag(sub) -> None:
-    sub.add_argument("--output", default=None, metavar="PATH",
-                     help="write to PATH instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="errstat",
@@ -370,38 +345,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "costs, p-value laws, severity reports, and seeded simulations.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    # the shared flags: --output on every command, and --format too on the five table commands
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--output", default=None, metavar="PATH",
+                        help="write to PATH instead of stdout")
+    table = argparse.ArgumentParser(add_help=False, parents=[report])
+    table.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default csv)")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("tradeoff", help="type II error versus type I error curves")
-    p.add_argument("--effect-sizes", default="0.2,0.5,0.8",
+    p = subs.add_parser("tradeoff", parents=[table],
+                        help="type II error versus type I error curves")
+    p.add_argument("--effect-sizes", type=_float_list, default="0.2,0.5,0.8",
                    help="comma-separated standardized effect sizes")
     p.add_argument("--n", type=int, default=1, help="observations per test (default 1)")
-    p.add_argument("--alphas", default="0.001:0.5:100", help="alpha grid (lo:hi:count or list)")
-    _add_format_flags(p)
-    _add_output_flag(p)
+    p.add_argument("--alphas", type=_grid, default="0.001:0.5:100",
+                   help="alpha grid (lo:hi:count or list)")
     p.set_defaults(handler=_cmd_tradeoff)
 
-    p = subs.add_parser("screening", help="false positive rate of the screening model")
+    p = subs.add_parser("screening", parents=[table],
+                        help="false positive rate of the screening model")
     p.add_argument("--alpha", type=float, default=None, help="single significance level")
-    p.add_argument("--alphas", default="0.001:0.5:100", help="alpha grid for --curve")
+    p.add_argument("--alphas", type=_grid, default="0.001:0.5:100", help="alpha grid for --curve")
     p.add_argument("--curve", action="store_true", help="sweep the alpha grid")
     power_group = p.add_mutually_exclusive_group(required=True)
     power_group.add_argument("--power", type=float, help="fixed power 1 - beta")
     power_group.add_argument("--coupled", action="store_true",
                              help="derive beta from the trade-off at each alpha")
     prior_group = p.add_mutually_exclusive_group(required=True)
-    prior_group.add_argument("--phi", default=None,
+    prior_group.add_argument("--phi", type=_float_list, default=None,
                              help="comma-separated prior probabilities of the null")
     prior_group.add_argument("--odds", type=float, default=None,
                              help="prior odds R = (1-phi)/phi of a true alternative")
     p.add_argument("--effect-size", type=float, default=0.5,
                    help="effect size for --coupled (default 0.5)")
     p.add_argument("--n", type=int, default=1, help="observations per test for --coupled")
-    _add_format_flags(p)
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_screening)
 
-    p = subs.add_parser("replication",
+    p = subs.add_parser("replication", parents=[report],
                         help="threshold factor <-> true positive rate arithmetic")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--gamma", type=float, help="current true positive rate")
@@ -410,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run the packaged gamma=4/9, n-fold=2 -> r=10 check")
     p.add_argument("--n-fold", type=float, default=2.0,
                    help="requested replication-rate multiple (default 2)")
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_replication)
 
-    p = subs.add_parser("cost", help="expected-cost analysis of the rejection threshold")
+    p = subs.add_parser("cost", parents=[table],
+                        help="expected-cost analysis of the rejection threshold")
     p.add_argument("--p0", type=float, default=1.0, help="cost of a type I error")
     p.add_argument("--p1", type=float, default=1.0, help="cost of a type II error")
     p.add_argument("--phi", type=float, default=0.5, help="prior fraction of good cases")
@@ -426,36 +407,36 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit closed-form and numeric minimizers with their gap")
     mode.add_argument("--alpha-map", action="store_true",
                       help="emit critical value as a function of alpha")
-    p.add_argument("--c-grid", default=None, help="critical-value grid (lo:hi:count or list)")
-    p.add_argument("--alphas", default="0.001:0.5:100", help="alpha grid for --alpha-map")
-    _add_format_flags(p)
-    _add_output_flag(p)
+    p.add_argument("--c-grid", type=_grid, default=None,
+                   help="critical-value grid (lo:hi:count or list)")
+    p.add_argument("--alphas", type=_grid, default="0.001:0.5:100",
+                   help="alpha grid for --alpha-map")
     p.set_defaults(handler=_cmd_cost)
 
-    p = subs.add_parser("pdist", help="p-value density/CDF under an alternative")
+    p = subs.add_parser("pdist", parents=[table], help="p-value density/CDF under an alternative")
     p.add_argument("--delta", type=float, default=0.5, help="standardized effect size")
     p.add_argument("--n", type=int, default=1, help="observations per test")
-    p.add_argument("--grid", default="0.005:0.995:100", help="p grid (lo:hi:count or list)")
+    p.add_argument("--grid", type=_grid, default="0.005:0.995:100",
+                   help="p grid (lo:hi:count or list)")
     p.add_argument("--reproducibility", action="store_true",
                    help="emit the replication probability instead of a grid")
     p.add_argument("--p-obs", type=float, default=None, help="observed two-sided p-value")
     p.add_argument("--d-obs", type=float, default=None, help="observed test statistic")
     p.add_argument("--alpha", type=float, default=0.05,
                    help="significance level for --reproducibility")
-    _add_format_flags(p)
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_pdist)
 
-    p = subs.add_parser("analyze",
+    p = subs.add_parser("analyze", parents=[report],
                         help="inference report from a series CSV or summary statistics")
-    p.add_argument("--csv", default=None, metavar="PATH", help="label,value series file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--csv", default=None, metavar="PATH", help="label,value series file")
+    source.add_argument("--estimate", type=float, default=None, help="point estimate")
     p.add_argument("--tau", type=int, default=None, help="lag for --csv mode")
-    p.add_argument("--estimate", type=float, default=None, help="point estimate")
     p.add_argument("--stderr", type=float, default=None, help="standard error of the estimate")
     p.add_argument("--n", type=int, default=None, help="observation count behind the summary")
     p.add_argument("--claim", type=float, default=None,
                    help="bound for the claim 'parameter > bound'")
-    p.add_argument("--claim-grid", default=None,
+    p.add_argument("--claim-grid", type=_grid, default=None,
                    help="bounds grid for a severity curve (lo:hi:count or list)")
     p.add_argument("--alpha", type=float, default=0.05,
                    help="level for the replication probability (default 0.05)")
@@ -463,10 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confidence level for the lower limit (default 0.95)")
     p.add_argument("--reference", choices=("normal", "student_t"), default="normal",
                    help="reference distribution for severity and the limit")
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_analyze)
 
-    p = subs.add_parser("simulate", help="simulate studies and compare with the formulas")
+    p = subs.add_parser("simulate", parents=[report],
+                        help="simulate studies and compare with the formulas")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
@@ -476,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="observations per study")
     p.add_argument("--workers", type=int, default=1,
                    help="chunk workers; results are identical for any value")
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_simulate)
 
     return parser

@@ -24,6 +24,7 @@ from .errors import (DomainError, check_at_least, check_finite, check_instance, 
                      check_positive, check_unit)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_STATIONARY_TOL = 1e-9  # |gap| of cost_monotonicity_region read as the stationary point
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,8 @@ class CostParams:
 
 def _standardized(c: float, params: CostParams) -> tuple[float, float]:
     # c in units of sigma from each mean, the only form in which c enters the Gaussian laws
-    return (c - params.mu0) / params.sigma, (c - params.mu1) / params.sigma
+    return (check_finite((c - params.mu0) / params.sigma, "(c - mu0) / sigma"),
+            check_finite((c - params.mu1) / params.sigma, "(c - mu1) / sigma"))
 
 
 def expected_cost(c: float, params: CostParams) -> float:
@@ -123,6 +125,7 @@ def numeric_minimizer(params: CostParams) -> float:
     sigma = params.sigma
     lo = min(params.mu0, params.mu1) - 10.0 * sigma
     hi = max(params.mu0, params.mu1) + 10.0 * sigma
+    width = check_finite(hi - lo, "the search bracket |mu1 - mu0| + 20 sigma")
     a, b = lo, hi
     c1 = b - _GOLDEN * (b - a)
     c2 = a + _GOLDEN * (b - a)
@@ -146,7 +149,7 @@ def numeric_minimizer(params: CostParams) -> float:
         if g2 <= 0.0 or not math.isfinite(g2):
             break
         step = sigma * (g1 / g2)
-        if not math.isfinite(step) or abs(step) > (hi - lo):
+        if not math.isfinite(step) or abs(step) > width:
             break
         x -= step
         if abs(step) < 1e-13 * max(sigma, abs(x)):
@@ -160,12 +163,12 @@ class CostTrend(Enum):
     STATIONARY = "stationary"
 
 
-def cost_monotonicity_region(c: float, params: CostParams, tol: float = 1e-9) -> CostTrend:
+def cost_monotonicity_region(c: float, params: CostParams) -> CostTrend:
     """Classify how the expected cost responds to raising alpha at this threshold.
 
     The cost rises with alpha iff cost_ratio*(1-prior)/prior is below the
-    density ratio f0(c)/f1(c); the gap between those two sides is compared
-    against tol, and |gap| <= tol reports the stationary point.
+    density ratio f0(c)/f1(c); a gap between those two sides of at most
+    _STATIONARY_TOL (1e-9) reports the stationary point.
     """
     c = check_finite(c, "critical value")
     check_instance(params, CostParams, "params")
@@ -179,7 +182,7 @@ def cost_monotonicity_region(c: float, params: CostParams, tol: float = 1e-9) ->
     if log_ratio > _LOG_FLOAT_MAX:
         return CostTrend.INCREASING_IN_ALPHA
     gap = lhs - math.exp(log_ratio)
-    if abs(gap) <= tol:
+    if abs(gap) <= _STATIONARY_TOL:
         return CostTrend.STATIONARY
     return CostTrend.INCREASING_IN_ALPHA if gap < 0.0 else CostTrend.DECREASING_IN_ALPHA
 

@@ -248,7 +248,7 @@ def student_t_quantile(p: float, df: int) -> float:
             lo = x
         step = f / max(_student_t_pdf(x, df), 1e-300)
         x_new = x - step
-        if not (lo < x_new < hi):
+        if not (lo <= x_new <= hi):
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) <= 1e-14 * max(1.0, abs(x)):
             return x_new

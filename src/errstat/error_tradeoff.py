@@ -80,6 +80,7 @@ class GaussianTestModel:
         object.__setattr__(self, "effect_size", check_finite(self.effect_size, "effect_size"))
         object.__setattr__(self, "n", check_int(self.n, "n", 1))
         object.__setattr__(self, "tail", check_member(self.tail, Tail, "tail"))
+        check_finite(self.noncentrality, "sqrt(n) * effect_size")
 
     @property
     def noncentrality(self) -> float:

@@ -54,7 +54,11 @@ _POSITIVE = "be positive and finite"
 
 
 def _fail(name: str, requirement: str, value) -> DomainError:
-    return DomainError(f"{name} must {requirement}, got {value!r}")
+    try:
+        shown = repr(value)
+    except ValueError:  # an int past the interpreter's limit on digits converted to text
+        shown = f"an integer of {value.bit_length()} bits"
+    return DomainError(f"{name} must {requirement}, got {shown}")
 
 
 def _real(value, name: str, requirement: str) -> float:
@@ -134,14 +138,20 @@ def check_instance(value, kind: type, name: str):
     raise _fail(name, f"be a {kind.__name__}", value)
 
 
-def check_int(value, name: str, minimum: int) -> int:
-    """value as a Python int >= minimum; numpy integers pass, bool does not."""
+def check_int(value, name: str, minimum: int, maximum: int = 2 ** 53) -> int:
+    """value as a Python int in [minimum, maximum]; numpy integers pass, bool does not.
+
+    The default maximum is the largest count a float holds exactly: every count
+    here enters float arithmetic, where a larger one overflows or rounds.
+    """
     if not isinstance(value, bool):
         try:
             n = operator.index(value)
         except TypeError:
             pass
         else:
+            if n > maximum:
+                raise _fail(name, f"be an integer <= {maximum}", value)
             if n >= minimum:
                 return n
     raise _fail(name, f"be an integer >= {minimum}", value)

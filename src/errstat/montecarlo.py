@@ -24,7 +24,7 @@ import numpy as np
 from .decision_cost import CostParams
 from .error_tradeoff import GaussianTestModel, Tail
 from .distributions import _erf_small, _erfc_big_ratio, _erfc_mid_ratio, _exp_neg_sq
-from .errors import DomainError, check_finite, check_instance, check_int, check_open_unit, check_unit
+from .errors import check_finite, check_instance, check_int, check_open_unit, check_unit
 
 CHUNK_SIZE = 1 << 16
 RNG_ALGORITHM = "numpy-pcg64/seedseq(entropy=seed, spawn_key=(chunk,))/chunk=65536"
@@ -58,10 +58,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "num_trials", check_int(self.num_trials, "num_trials", 1))
-        seed = check_int(self.seed, "seed", 0)
-        if seed >= 2 ** 64:
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, maximum=2 ** 64 - 1))
         object.__setattr__(self, "prior_null", check_unit(self.prior_null, "prior_null"))
         object.__setattr__(self, "alpha", check_open_unit(self.alpha, "alpha"))
         object.__setattr__(self, "n_per_study", check_int(self.n_per_study, "n_per_study", 1))

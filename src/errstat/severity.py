@@ -54,6 +54,7 @@ class SummaryStats:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, check_int(v, name, 1))
+        check_finite(self.standardized, "estimate / stderr")
 
     @property
     def standardized(self) -> float:

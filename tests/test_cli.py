@@ -390,3 +390,77 @@ def test_output_file_writing(tmp_path):
 def test_output_to_unwritable_path_is_io_error(tmp_path):
     run_cli("tradeoff", "--effect-sizes", "0.5", "--alphas", "0.01",
             "--output", str(tmp_path / "missing_dir" / "x.csv"), expect_code=4)
+
+
+def main_exit(argv, capsys):
+    """(exit status, stderr) of cli.main in this process; argparse's usage errors exit too."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+LIST_AND_GRID_OPTIONS = [
+    ["tradeoff", "--effect-sizes"],
+    ["tradeoff", "--alphas"],
+    ["screening", "--power", "0.8", "--phi", "0.5", "--curve", "--alphas"],
+    ["screening", "--power", "0.8", "--alpha", "0.05", "--phi"],
+    ["cost", "--alpha-map", "--alphas"],
+    ["cost", "--c-grid"],
+    ["pdist", "--grid"],
+    ["analyze", "--estimate", "1", "--stderr", "1", "--claim-grid"],
+]
+
+
+@pytest.mark.parametrize("text", ["", "0:1", "1:2:0", "a,b"])
+@pytest.mark.parametrize("prefix", LIST_AND_GRID_OPTIONS, ids=lambda p: f"{p[0]}{p[-1]}")
+def test_malformed_list_or_grid_is_a_usage_error(prefix, text, capsys):
+    code, err = main_exit([*prefix, text], capsys)
+    assert code == 2
+    assert f"argument {prefix[-1]}: " in err and repr(text) in err, err
+    assert "Traceback" not in err
+
+
+def test_default_grids_reach_handlers_as_values():
+    alphas = cli.build_parser().parse_args(["tradeoff"]).alphas
+    assert type(alphas) is list and len(alphas) == 100
+    assert all(type(a) is float for a in alphas)
+    assert alphas[0] == 0.001 and alphas[-1] == pytest.approx(0.5, rel=1e-15)
+
+
+def test_analyze_csv_and_estimate_are_exclusive(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text("label,value\n1,0.1\n2,0.2\n", encoding="utf-8")
+    code, err = main_exit(["analyze", "--csv", str(path), "--estimate", "1", "--stderr", "1"],
+                          capsys)
+    assert code == 2 and "not allowed with argument" in err, err
+
+
+HUGE = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["tradeoff", "--n", HUGE], "n"),
+    (["simulate", "--trials", "10", "--n", HUGE], "n_per_study"),
+    (["analyze", "--estimate", "1", "--stderr", "1", "--n", HUGE], "n"),
+    (["screening", "--coupled", "--curve", "--alphas", "0.05", "--n", HUGE, "--phi", "0.5"], "n"),
+    (["simulate", "--trials", str(10 ** 17)], "num_trials"),
+    (["simulate", "--trials", str(10 ** 30)], "num_trials"),
+], ids=["tradeoff", "simulate_n", "analyze", "screening", "trials_1e17", "trials_1e30"])
+def test_huge_integers_are_domain_errors(argv, name, capsys):
+    code, err = main_exit(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {name} must be an integer <= 9007199254740992, got "), err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["analyze", "--estimate", "1e308", "--stderr", "5e-324"], "estimate / stderr"),
+    (["cost", "--minimize", "--sigma", "5e-324"], "sigma"),
+    (["cost", "--minimize", "--sigma", "1e308"], "sigma"),
+    (["tradeoff", "--n", "9007199254740992", "--effect-sizes", "1e301"], "effect_size"),
+], ids=["analyze", "cost_tiny_sigma", "cost_huge_sigma", "tradeoff"])
+def test_overflow_messages_name_the_input(argv, name, capsys):
+    code, err = main_exit(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and name in err and "finite" in err, err

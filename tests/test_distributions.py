@@ -1,4 +1,5 @@
 import pytest
+from scipy.stats import t
 
 from errstat import distributions as dist
 from errstat.errors import DomainError
@@ -147,6 +148,13 @@ def test_t_quantile_against_bisection_oracle():
     ref = bisect_inverse(lambda x: oracle_student_t_cdf(x, 13), 0.95, -50.0, 50.0)
     assert dist.student_t_quantile(0.95, 13) == pytest.approx(ref, abs=1e-8)
     assert dist.student_t_quantile(0.95, 13) == pytest.approx(1.7709333959867988, abs=1e-8)
+
+
+@pytest.mark.parametrize("p, df, rel", [(0.975, 5, 1e-15), (0.99999, 3, 1e-12)])
+def test_t_quantile_keeps_the_root_it_finds(p, df, rel):
+    # a Newton step that lands exactly on the root must not be traded for a bisection step
+    ref = t.ppf(p, df)
+    assert abs(dist.student_t_quantile(p, df) - ref) <= rel * ref
 
 
 def test_t_quantile_rejects_bad_inputs():

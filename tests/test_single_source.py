@@ -4,8 +4,9 @@ The Cody erfc coefficients live in distributions.py only (the Monte Carlo
 array kernel evaluates the same rational pieces), the open-unit-interval
 requirement is spelled out only in the validator in errors.py, and the
 two-sided critical value -quantile(alpha/2), the two-sided p-value and the
-one-/two-sided choice itself only in Tail. Power is never a complement, and
-simulate_pvalues sorts its one buffer in place instead of gathering copies.
+one-/two-sided choice itself only in Tail. Power is never a complement,
+simulate_pvalues sorts its one buffer in place instead of gathering copies, and
+the CLI turns list and grid text into values only through argparse.
 """
 
 import re
@@ -54,3 +55,14 @@ def test_power_is_never_a_complement(text):
     hits = [path.name for path in sorted(SRC.rglob("*.py"))
             if text in path.read_text(encoding="utf-8")]
     assert not hits, hits
+
+
+def test_cli_handlers_receive_lists_and_grids_as_values():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    # each converter's definition: its def line and every following indented or blank line
+    defs = re.findall(r"^def (?:_grid|_float_list)\(.*\n(?:(?:    .*)?\n)*", source, re.M)
+    assert len(defs) == 2
+    for body in defs:
+        source = source.replace(body, "")
+    uses = re.findall(r"(\S*)\b(_grid|_float_list)\b", source)
+    assert len(uses) == 8 and all(prefix == "type=" for prefix, _ in uses), uses

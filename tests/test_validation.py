@@ -29,6 +29,7 @@ from errstat import (
     fpr_gradient,
     lag_regression,
     normal_cdf,
+    numeric_minimizer,
     p_value_from_summary,
     pdf_under_alternative,
     power,
@@ -102,6 +103,35 @@ def test_integer_validator():
     with pytest.raises(DomainError) as info:
         errors.check_int(2, "n", 3)
     assert str(info.value) == "n must be an integer >= 3, got 2"
+
+
+def test_counts_stop_where_floats_stop_being_exact():
+    assert errors.check_int(2 ** 53, "n", 1) == 2 ** 53
+    with pytest.raises(DomainError) as info:
+        errors.check_int(2 ** 53 + 1, "n", 1)
+    assert str(info.value) == f"n must be an integer <= 9007199254740992, got {2 ** 53 + 1}"
+    assert errors.check_int(2 ** 64 - 1, "seed", 0, maximum=2 ** 64 - 1) == 2 ** 64 - 1
+    with pytest.raises(DomainError):
+        power(0.05, GaussianTestModel(0.5, 10 ** 400))
+    with pytest.raises(DomainError):
+        SimConfig(10 ** 17, 1)
+    with pytest.raises(DomainError, match="seed must be an integer <= 18446744073709551615"):
+        SimConfig(10, 2 ** 64)
+    # too many digits for repr(): the message gives the size instead of the value
+    for check in (lambda v: errors.check_int(v, "n", 1), lambda v: errors.check_finite(v, "n")):
+        with pytest.raises(DomainError, match="^n must .*, got an integer of 16610 bits$"):
+            check(10 ** 5000)
+
+
+def test_overflowing_derived_values_name_their_inputs():
+    with pytest.raises(DomainError, match=r"^sqrt\(n\) \* effect_size must be finite"):
+        GaussianTestModel(1e301, 2 ** 53)
+    with pytest.raises(DomainError, match="^estimate / stderr must be finite"):
+        SummaryStats(1e308, 5e-324)
+    with pytest.raises(DomainError, match=r"^\(c - mu0\) / sigma must be finite"):
+        expected_cost(0.5, CostParams(1.0, 1.0, 0.5, sigma=5e-324))
+    with pytest.raises(DomainError, match=r"\|mu1 - mu0\| \+ 20 sigma must be finite"):
+        numeric_minimizer(CostParams(1.0, 1.0, 0.5, sigma=1e308))
 
 
 @pytest.mark.parametrize("call", [
