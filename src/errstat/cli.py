@@ -38,6 +38,7 @@ from .errors import DomainError, ErrstatError
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "ERRSTAT_SEED"
+MAX_GRID_COUNT = 1_000_000
 
 
 def _float_list(text: str) -> list[float]:
@@ -54,8 +55,8 @@ def _grid(text: str) -> list[float]:
         return _float_list(text)
     lo, hi, count = text.split(":")
     lo, hi, count = float(lo), float(hi), int(count)
-    if count < 1:
-        raise ValueError("grid count below 1")
+    if not 1 <= count <= MAX_GRID_COUNT:
+        raise ValueError(f"grid count outside 1..{MAX_GRID_COUNT}")
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)
@@ -287,7 +288,7 @@ def _cmd_simulate(args) -> dict:
     )
     outcome = montecarlo.simulate_studies(config, workers=args.workers)
     analytic_power = error_tradeoff.power(args.alpha, config.design)
-    if 0.0 < args.phi < 1.0:
+    if 0.0 < args.phi < 1.0 and 0.0 < analytic_power < 1.0:
         analytic_fpr = screening.false_positive_rate(
             screening.ScreeningParams(args.alpha, analytic_power, args.phi)
         )

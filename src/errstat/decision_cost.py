@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import normal_cdf, normal_pdf, normal_quantile
+from .distributions import normal_cdf, normal_pdf
 from .error_tradeoff import Tail
 from .errors import (DomainError, check_at_least, check_finite, check_instance, check_open_unit,
                      check_positive, check_unit)
@@ -106,11 +106,11 @@ def closed_form_minimizer(params: CostParams) -> float:
     phi = check_open_unit(params.prior_good, "prior_good")
     cost1 = check_positive(params.cost_type1, "cost_type1")
     cost2 = check_positive(params.cost_type2, "cost_type2")
-    log_term = math.log((1.0 - phi) * cost2 / (phi * cost1))
-    # In units of sigma: sigma^2 overflows or underflows long before the product does,
-    # and a zero log term keeps the midpoint exact at any sigma.
-    return (params.sigma * (params.sigma / (params.mu0 - params.mu1) * log_term)
-            + 0.5 * (params.mu0 + params.mu1))
+    # Logs summed, as the ratio (1 - phi) cost2 / (phi cost1) can round to 0 or inf; sigma
+    # factored, as sigma^2 overflows first, and a zero log term keeps the midpoint exact.
+    log_term = math.log1p(-phi) - math.log(phi) + math.log(cost2) - math.log(cost1)
+    return check_finite(params.sigma * (params.sigma / (params.mu0 - params.mu1) * log_term)
+                        + 0.5 * (params.mu0 + params.mu1), "the closed-form minimizer")
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -198,4 +198,4 @@ def critical_from_alpha(alpha: float, params: CostParams) -> float:
     """Threshold whose type I error equals alpha (inverse of alpha_from_critical)."""
     alpha = check_open_unit(alpha, "alpha")
     check_instance(params, CostParams, "params")
-    return params.mu0 - params.sigma * normal_quantile(alpha)
+    return params.mu0 + params.sigma * Tail.ONE_SIDED_UPPER.critical(alpha)

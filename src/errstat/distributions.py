@@ -212,8 +212,6 @@ def student_t_cdf(x: float, df: int) -> float:
     """Student-t distribution function with ``df`` degrees of freedom."""
     x = check_finite(x, "x")
     df = check_int(df, "df", 1)
-    if x == 0.0:
-        return 0.5
     tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x * x))
     return 1.0 - tail if x > 0.0 else tail
 
@@ -228,8 +226,6 @@ def student_t_quantile(p: float, df: int) -> float:
     """Inverse of student_t_cdf; safeguarded Newton inside a bisection bracket."""
     p = check_open_unit(p, "p")
     df = check_int(df, "df", 1)
-    if p == 0.5:
-        return 0.0
     if p < 0.5:
         return -student_t_quantile(1.0 - p, df)
     # p > 0.5: the root is positive. Grow the bracket, then refine.

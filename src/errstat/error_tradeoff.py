@@ -119,7 +119,7 @@ def required_sample_size(alpha: float, beta: float, mu_star: float, sigma: float
     if mu_star == 0.0:
         raise DomainError(f"mu_star must be nonzero, got {mu_star!r}")
     sigma = check_positive(sigma, "sigma")
-    z_sum = -(normal_quantile(alpha) + normal_quantile(beta))
+    z_sum = Tail.ONE_SIDED_UPPER.critical(alpha) + Tail.ONE_SIDED_UPPER.critical(beta)
     try:
         n = math.ceil((sigma * z_sum / mu_star) ** 2)
     except OverflowError:

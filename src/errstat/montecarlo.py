@@ -112,23 +112,19 @@ class SimOutcome:
         return cls(true_pos, false_pos, true_neg, false_neg, fpr, pw, stderr)
 
 
-def _chunk_sizes(total: int) -> list[int]:
-    full, rem = divmod(total, CHUNK_SIZE)
-    return [CHUNK_SIZE] * full + ([rem] if rem else [])
-
-
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed,
                                                                       spawn_key=(index,))))
 
 
-def _map_chunks(fn, sizes: list[int], workers: int) -> list:
-    # fn(index, count) for each chunk in order, on at most min(workers, chunks, CPUs) threads.
-    workers = min(check_int(workers, "workers", 1), len(sizes), os.cpu_count() or 1)
+def _map_chunks(fn, total: int, workers: int) -> list:
+    # fn(start) for each chunk's first trial, in order, on min(workers, chunks, CPUs) threads.
+    starts = range(0, total, CHUNK_SIZE)
+    workers = min(check_int(workers, "workers", 1), len(starts), os.cpu_count() or 1)
     if workers == 1:
-        return [fn(i, m) for i, m in enumerate(sizes)]
+        return [fn(start) for start in starts]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(len(sizes)), sizes))
+        return list(pool.map(fn, starts))
 
 
 def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first: float,
@@ -138,8 +134,9 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
     # statistic from N(mean, sigma^2) and rejects where tail.rejects(stat, crit).
     # Returns the counts of (first, reject), (first, accept), (second, reject), (second, accept).
 
-    def run_chunk(index: int, count: int) -> tuple[int, int, int]:
-        rng = _chunk_rng(config.seed, index)
+    def run_chunk(start: int) -> tuple[int, int, int]:
+        rng = _chunk_rng(config.seed, start // CHUNK_SIZE)
+        count = min(CHUNK_SIZE, config.num_trials - start)
         first = rng.random(count) < p_first
         stat = rng.standard_normal(count)
         stat *= sigma
@@ -148,7 +145,7 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
         return (int(np.count_nonzero(first)), int(np.count_nonzero(reject)),
                 int(np.count_nonzero(first & reject)))
 
-    parts = _map_chunks(run_chunk, _chunk_sizes(config.num_trials), workers)
+    parts = _map_chunks(run_chunk, config.num_trials, workers)
     n_first, n_reject, first_reject = (sum(column) for column in zip(*parts))
     second_reject = n_reject - first_reject
     return (first_reject, n_first - first_reject, second_reject,
@@ -207,36 +204,34 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     check_instance(config, SimConfig, "config")
     design = config.design
     n, shift, tail = config.num_trials, design.noncentrality, design.tail
-    sizes = _chunk_sizes(n)
     # The one per-trial allocation: each chunk draws into its own slice, then
     # negates how extreme each statistic is, so the ascending sort below puts
     # the p-values in ascending order, and the PIT values too where p-values tie.
     buf = np.empty(n)
 
-    def draw(index: int, count: int) -> None:
-        part = buf[index * CHUNK_SIZE:index * CHUNK_SIZE + count]
-        _chunk_rng(config.seed, index).standard_normal(out=part)
+    def draw(start: int) -> None:
+        part = buf[start:start + CHUNK_SIZE]
+        _chunk_rng(config.seed, start // CHUNK_SIZE).standard_normal(out=part)
         part += shift
         np.negative(tail.extremity(part), out=part)
 
-    _map_chunks(draw, sizes, workers)
+    _map_chunks(draw, n, workers)
     buf.sort()
 
-    def reduce(index: int, count: int) -> tuple[float, list[int]]:
-        # The block of p-value ranks start + 1 .. start + count. The reference CDF
+    def reduce(start: int) -> tuple[float, list[int]]:
+        # The block of p-value ranks start + 1 .. start + len(part). The reference CDF
         # value (PIT value) comes from the statistic, never from re-inverting the
         # p-value; then the p-value replaces the statistic in place.
-        start = index * CHUNK_SIZE
-        part = buf[start:start + count]
+        part = buf[start:start + CHUNK_SIZE]
         stat = -part  # |statistic| two-sided, where both laws are even in it
         ref = tail.rejection(stat, shift, _normal_cdf_vec)
-        i = np.arange(start + 1, start + count + 1, dtype=np.float64)
+        i = np.arange(start + 1, start + len(part) + 1, dtype=np.float64)
         ks = float(np.max(np.maximum(i / n - ref, ref - (i - 1.0) / n)))
         at_deciles = [int(np.count_nonzero(ref <= k / 10.0)) for k in range(1, 10)]
         part[...] = tail.p_value(stat, _normal_cdf_vec)
         return ks, at_deciles
 
-    ks, at_deciles = zip(*_map_chunks(reduce, sizes, workers))
+    ks, at_deciles = zip(*_map_chunks(reduce, n, workers))
     deciles = np.quantile(buf, np.arange(1, 10) / 10.0, overwrite_input=True)
     return PValueSimSummary(
         num_trials=n,

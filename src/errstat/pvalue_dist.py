@@ -56,7 +56,7 @@ class ObservedResult:
 
     @classmethod
     def from_statistic(cls, d_observed: float) -> "ObservedResult":
-        return cls(check_finite(d_observed, "d_observed"))
+        return cls(d_observed)
 
     @classmethod
     def from_p_value(cls, p_observed: float) -> "ObservedResult":

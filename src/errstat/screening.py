@@ -13,12 +13,13 @@ behind "cut the threshold by r to multiply the replication rate n-fold".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import error_tradeoff
-from .errors import (InfeasibleParameterError, check_at_least, check_finite, check_instance,
-                     check_open_unit, check_positive, check_sequence)
+from .errors import (DomainError, InfeasibleParameterError, check_at_least, check_finite,
+                     check_instance, check_open_unit, check_positive, check_sequence)
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,6 @@ class ScreeningParams:
         # Degenerate priors are rejected: at 0 or 1 the rate is identically
         # 0 or 1 and the derivative formulas lose their sign guarantees.
         object.__setattr__(self, "prior_null", check_open_unit(self.prior_null, "prior_null"))
-
-    @property
-    def prior_odds(self) -> "PriorOdds":
-        return PriorOdds.from_prior_null(self.prior_null)
 
 
 @dataclass(frozen=True)
@@ -60,11 +57,24 @@ class PriorOdds:
         return 1.0 / (1.0 + self.ratio)
 
 
+def _scaled_terms(params: ScreeningParams) -> tuple:
+    # alpha * prior and power * (1 - prior) as a * 2**k and b * 2**k, the larger in [0.25, 1),
+    # and the frexp parts of alpha, power, prior and 1 - prior. Mantissa products never
+    # underflow, and k <= 0 scales up exactly, so ordinary inputs keep the plain formula's bits.
+    parts = [math.frexp(v) for v in (params.alpha, params.power, params.prior_null,
+                                     1.0 - params.prior_null)]
+    (ma, ea), (mp, ep), (mf, ef), (mg, eg) = parts
+    k = min(0, max(ea + ef, ep + eg))
+    return math.ldexp(ma * mf, ea + ef - k), math.ldexp(mp * mg, ep + eg - k), k, parts
+
+
 def false_positive_rate(params: ScreeningParams) -> float:
     """Posterior probability the null is true given a rejection."""
     check_instance(params, ScreeningParams, "params")
-    num = params.alpha * params.prior_null
-    return num / (num + params.power * (1.0 - params.prior_null))
+    a, b = params.alpha * params.prior_null, params.power * (1.0 - params.prior_null)
+    if a < 2.0 ** -1022 or b < 2.0 ** -1022:  # a subnormal term has lost bits: rescale exactly
+        a, b, _, _ = _scaled_terms(params)
+    return a / (a + b)
 
 
 def false_positive_rate_odds(alpha: float, power: float, odds: PriorOdds) -> float:
@@ -80,15 +90,18 @@ def fpr_gradient(params: ScreeningParams) -> tuple[float, float]:
 
     Both are strictly positive on the open parameter cube, which is what
     makes "lower alpha, lower false positive rate" unconditional in this
-    model. Returns (d/d_alpha, d/d_beta).
+    model. Returns (d/d_alpha, d/d_beta) = (phi power, alpha phi) (1 - phi) / denom**2;
+    raises DomainError where one exceeds the float range (near alpha = power = 5e-324).
     """
     check_instance(params, ScreeningParams, "params")
-    phi = params.prior_null
-    denom = params.alpha * phi + params.power * (1.0 - phi)
-    denom_sq = denom * denom
-    d_alpha = phi * params.power * (1.0 - phi) / denom_sq
-    d_beta = params.alpha * phi * (1.0 - phi) / denom_sq
-    return d_alpha, d_beta
+    a, b, k, ((ma, ea), (mp, ep), (mf, ef), (mg, eg)) = _scaled_terms(params)
+    denom_sq = (a + b) * (a + b)
+    try:
+        return (math.ldexp(mf * mp * mg / denom_sq, ef + ep + eg - 2 * k),
+                math.ldexp(ma * mf * mg / denom_sq, ea + ef + eg - 2 * k))
+    except OverflowError:
+        raise DomainError(f"the gradient of the false positive rate overflows a float at "
+                          f"alpha={params.alpha!r}, power={params.power!r}") from None
 
 
 def combined_fpr_curve(

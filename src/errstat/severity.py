@@ -84,10 +84,12 @@ class SeverityClaim:
         object.__setattr__(self, "bound", check_finite(self.bound, "claim bound"))
 
 
-def _reference_cdf(stats: SummaryStats, reference: ReferenceDist) -> Callable[[float], float]:
+def _reference_law(stats: SummaryStats, reference: ReferenceDist) -> tuple[Callable, Callable]:
+    # (cdf, quantile) of the reference law: the one place that picks normal or Student-t
     if check_member(reference, ReferenceDist, "reference") is ReferenceDist.NORMAL:
-        return normal_cdf
-    return lambda z: student_t_cdf(z, stats.effective_df())
+        return normal_cdf, normal_quantile
+    df = stats.effective_df()
+    return (lambda z: student_t_cdf(z, df)), (lambda p: student_t_quantile(p, df))
 
 
 def severity(stats: SummaryStats, claim: SeverityClaim,
@@ -98,7 +100,7 @@ def severity(stats: SummaryStats, claim: SeverityClaim,
     z = (stats.estimate - claim.bound) / stats.stderr
     if claim.direction is ClaimDirection.LESS_THAN:
         z = -z  # the lower tail of the reference law itself, never 1 - cdf(z)
-    return _reference_cdf(stats, reference)(z)
+    return _reference_law(stats, reference)[0](z)
 
 
 def severity_curve(stats: SummaryStats, bounds: Sequence[float],
@@ -107,8 +109,7 @@ def severity_curve(stats: SummaryStats, bounds: Sequence[float],
                    ) -> list[tuple[float, float]]:
     """Severity at each bound, for probing which parameter values are warranted."""
     check_instance(stats, SummaryStats, "stats")
-    claims = [SeverityClaim(direction, check_finite(b, "claim bound"))
-              for b in check_sequence(bounds, "bounds")]
+    claims = [SeverityClaim(direction, b) for b in check_sequence(bounds, "bounds")]
     return [(claim.bound, severity(stats, claim, reference)) for claim in claims]
 
 
@@ -117,11 +118,7 @@ def confidence_lower_limit(stats: SummaryStats, level: float,
     """One-sided lower confidence limit; severity of 'parameter > limit' equals level."""
     level = check_open_unit(level, "level")
     check_instance(stats, SummaryStats, "stats")
-    if check_member(reference, ReferenceDist, "reference") is ReferenceDist.NORMAL:
-        q = normal_quantile(level)
-    else:
-        q = student_t_quantile(level, stats.effective_df())
-    return stats.estimate - q * stats.stderr
+    return stats.estimate - _reference_law(stats, reference)[1](level) * stats.stderr
 
 
 def p_value_from_summary(stats: SummaryStats, tail: Tail = Tail.ONE_SIDED_UPPER,
@@ -129,4 +126,4 @@ def p_value_from_summary(stats: SummaryStats, tail: Tail = Tail.ONE_SIDED_UPPER,
     """p-value for the point null 'parameter = 0' from the summary statistics."""
     tail = check_member(tail, Tail, "tail")
     check_instance(stats, SummaryStats, "stats")
-    return tail.p_value(stats.standardized, _reference_cdf(stats, reference))
+    return tail.p_value(stats.standardized, _reference_law(stats, reference)[0])

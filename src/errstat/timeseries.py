@@ -191,17 +191,14 @@ def lag_regression(series: Series, tau: int) -> LagFit:
 
 
 def autocorrelation(series: Series, tau: int) -> float:
-    """Sample correlation of the lag-tau pairs (tau = 0 returns 1 by convention)."""
+    """Sample correlation of the lag-tau pairs (tau = 0 gives exactly 1: sqrt(s * s) is s)."""
     tau = check_int(tau, "tau", 0)
     check_instance(series, Series, "series")
     if tau >= len(series) - 1:
         raise DomainError(f"tau = {tau} leaves fewer than 2 pairs from {len(series)} values")
-    x, y = _lag_pairs(series, tau) if tau > 0 else (list(series.values), list(series.values))
-    _, _, _, sxx, syy, sxy = _window_moments(x, y)
+    _, _, _, sxx, syy, sxy = _window_moments(*_lag_pairs(series, tau))
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateDataError("zero variance in a lag window; correlation undefined")
-    if tau == 0:
-        return 1.0
     return sxy / math.sqrt(sxx * syy)
 
 

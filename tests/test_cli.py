@@ -464,3 +464,30 @@ def test_overflow_messages_name_the_input(argv, name, capsys):
     code, err = main_exit(argv, capsys)
     assert code == 2
     assert err.startswith("error: ") and name in err and "finite" in err, err
+
+
+@pytest.mark.parametrize("delta, n, analytic_power", [("10", "1", 1.0), ("5", "10", 1.0),
+                                                      ("-40", "1", 0.0)])
+def test_simulate_has_no_analytic_fpr_where_power_rounds_to_0_or_1(delta, n, analytic_power,
+                                                                  capsys):
+    code = cli.main(["simulate", "--trials", "1000", "--delta", delta, "--n", n])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["analytic"]["power"] == analytic_power
+    assert payload["analytic"]["fpr"] is None and payload["z_scores"]["fpr"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["screening", "--alpha", "5e-324", "--power", "5e-324", "--phi", "0.5"],
+    ["cost", "--p0", "5e-324", "--p1", "5e-324", "--minimize"],
+    ["cost", "--p0", "1e-200", "--p1", "1e-200", "--phi", "1e-200", "--minimize"],
+    ["cost", "--p0", "1e300", "--p1", "1e-300", "--minimize"],
+], ids=["screening_subnormal", "cost_subnormal", "cost_tiny", "cost_ratio_underflow"])
+def test_extreme_accepted_inputs_exit_without_a_traceback(argv, capsys):
+    code, err = main_exit(argv, capsys)
+    assert code in (0, 2) and "Traceback" not in err, err
+
+
+def test_grid_counts_stop_at_a_million(capsys):
+    assert len(cli._grid(f"0:1:{cli.MAX_GRID_COUNT}")) == cli.MAX_GRID_COUNT == 1_000_000
+    code, err = main_exit(["tradeoff", "--alphas", "0:1:1000001"], capsys)
+    assert code == 2 and "argument --alphas: " in err and "0:1:1000001" in err, err

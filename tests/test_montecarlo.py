@@ -257,3 +257,21 @@ def test_ks_distance_holds_where_pvalues_tie():
     summary = simulate_pvalues(config)
     assert summary.deciles[0] == 1.0
     assert summary.supnorm_vs_reference * math.sqrt(config.num_trials) < 2.0
+
+
+def test_chunks_start_without_a_plan_of_all_chunks():
+    # 2**50 trials are 2**34 chunks; the serial run hands out the first trial of each
+    # chunk as it goes instead of first listing every chunk's size
+    class Stop(Exception):
+        pass
+
+    starts = []
+
+    def fn(start):
+        starts.append(start)
+        if len(starts) == 3:
+            raise Stop
+
+    with pytest.raises(Stop):
+        montecarlo._map_chunks(fn, 2 ** 50, 1)
+    assert starts == [0, CHUNK_SIZE, 2 * CHUNK_SIZE]

@@ -6,7 +6,9 @@ requirement is spelled out only in the validator in errors.py, and the
 two-sided critical value -quantile(alpha/2), the two-sided p-value and the
 one-/two-sided choice itself only in Tail. Power is never a complement,
 simulate_pvalues sorts its one buffer in place instead of gathering copies, and
-the CLI turns list and grid text into values only through argparse.
+the CLI turns list and grid text into values only through argparse. The
+normal/Student-t choice of the severity reference law is made in one place,
+and decision_cost, like montecarlo, takes its critical values from Tail.
 """
 
 import re
@@ -29,6 +31,17 @@ def test_text_appears_once_in_the_package(text):
 def test_montecarlo_takes_its_critical_values_from_tail():
     source = (SRC / "montecarlo.py").read_text(encoding="utf-8")
     assert "normal_quantile" not in source
+
+
+def test_decision_cost_takes_its_critical_values_from_tail():
+    source = (SRC / "decision_cost.py").read_text(encoding="utf-8")
+    assert "normal_quantile" not in source
+
+
+def test_reference_law_is_chosen_once():
+    hits = {path.name: path.read_text(encoding="utf-8").count("is ReferenceDist.NORMAL")
+            for path in sorted(SRC.rglob("*.py"))}
+    assert sum(hits.values()) == 1, {name: n for name, n in hits.items() if n}
 
 
 @pytest.mark.parametrize("text", ["argsort", "concatenate"])

@@ -1,6 +1,8 @@
 """The shared precondition validators and the error surface they give the library."""
 
 import dataclasses
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from errstat import (
     SummaryStats,
     Tail,
     cdf_under_alternative,
+    closed_form_minimizer,
     combined_fpr_curve,
     expected_cost,
     false_positive_rate,
@@ -261,3 +264,40 @@ def test_parameter_classes_construct_or_raise_errstat_error(cls, data):
         cls(*args)
     except ErrstatError:
         pass
+
+
+# the validated domains, subnormals included
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(alpha=_OPEN_UNIT, pw=_OPEN_UNIT, phi=_OPEN_UNIT)
+def test_screening_rate_and_gradient_are_floats_or_errstat_errors(alpha, pw, phi):
+    # checked against exact rational arithmetic on the same floats (1 - phi rounded as stored)
+    a, p, f, g = map(Fraction, (alpha, pw, phi, 1.0 - phi))
+    denom = a * f + p * g
+    exact = [a * f / denom, f * p * g / denom ** 2, a * f * g / denom ** 2]
+    params = ScreeningParams(alpha, pw, phi)
+    try:
+        values = [false_positive_rate(params), *fpr_gradient(params)]
+    except ErrstatError:
+        assert max(exact[1:]) > sys.float_info.max
+        return
+    for value, want in zip(values, exact):
+        assert type(value) is float and math.isfinite(value)
+        if want >= sys.float_info.min:
+            assert abs(Fraction(value) - want) <= Fraction(1e-15) * want, (value, float(want))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(cost1=_POSITIVE, cost2=_POSITIVE, phi=_OPEN_UNIT, mu0=_FINITE, mu1=_FINITE,
+       sigma=_POSITIVE)
+def test_closed_form_minimizer_is_a_float_or_an_errstat_error(cost1, cost2, phi, mu0, mu1,
+                                                              sigma):
+    try:
+        c = closed_form_minimizer(CostParams(cost1, cost2, phi, mu0, mu1, sigma))
+    except ErrstatError:
+        return
+    assert type(c) is float and math.isfinite(c)
