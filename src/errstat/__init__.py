@@ -6,94 +6,53 @@ p-value distributions under an alternative, severity and confidence-limit
 duality, lag regression for short series, and seeded simulation of all of
 the above. See the demos/ directory of the repository for worked tours and
 the `errstat` command line for CSV/JSON output.
+
+The simulators are the only numpy users: their module is imported when one
+of its names is first read, so `import errstat` does not load numpy.
 """
 
-from .distributions import (
-    normal_cdf,
-    normal_pdf,
-    normal_quantile,
-    student_t_cdf,
-    student_t_quantile,
-)
-from .error_tradeoff import GaussianTestModel, Tail, power, required_sample_size, type2_error
-from .errors import (
-    CsvFormatError,
-    DegenerateDataError,
-    DomainError,
-    ErrstatError,
-    InfeasibleParameterError,
-)
-from .screening import (
-    PriorOdds,
-    ScreeningParams,
-    combined_fpr_curve,
-    false_positive_rate,
-    false_positive_rate_odds,
-    fpr_gradient,
-    gamma_for_factor,
-    replication_threshold_factor,
-)
-from .decision_cost import (
-    CostParams,
-    CostTrend,
-    alpha_from_critical,
-    closed_form_minimizer,
-    cost_derivative,
-    cost_monotonicity_region,
-    critical_from_alpha,
-    expected_cost,
-    numeric_minimizer,
-)
-from .pvalue_dist import (
-    AlternativeSpec,
-    ObservedResult,
-    cdf_under_alternative,
-    pdf_under_alternative,
-    quantile_under_alternative,
-    reproducibility_probability,
-)
-from .severity import (
-    ClaimDirection,
-    ReferenceDist,
-    SeverityClaim,
-    SummaryStats,
-    confidence_lower_limit,
-    p_value_from_summary,
-    severity,
-    severity_curve,
-)
-from .timeseries import LagFit, Series, autocorrelation, lag_regression, read_series_csv, t_from_correlation
-from .montecarlo import (
-    CHUNK_SIZE,
-    RNG_ALGORITHM,
-    CostSimEstimate,
-    PValueSimSummary,
-    SimConfig,
-    SimOutcome,
-    simulate_expected_cost,
-    simulate_pvalues,
-    simulate_studies,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "normal_pdf", "normal_cdf", "normal_quantile", "student_t_cdf", "student_t_quantile",
-    "Tail", "GaussianTestModel", "type2_error", "power", "required_sample_size",
-    "ScreeningParams", "PriorOdds", "false_positive_rate", "false_positive_rate_odds",
-    "fpr_gradient", "combined_fpr_curve", "replication_threshold_factor", "gamma_for_factor",
-    "CostParams", "CostTrend", "expected_cost", "cost_derivative", "closed_form_minimizer",
-    "numeric_minimizer", "cost_monotonicity_region", "alpha_from_critical", "critical_from_alpha",
-    "AlternativeSpec", "ObservedResult", "pdf_under_alternative", "cdf_under_alternative",
-    "quantile_under_alternative", "reproducibility_probability",
-    "ReferenceDist", "ClaimDirection", "SummaryStats", "SeverityClaim",
-    "severity", "severity_curve", "confidence_lower_limit", "p_value_from_summary",
-    "Series", "LagFit", "read_series_csv", "lag_regression", "autocorrelation",
-    "t_from_correlation",
-    "SimConfig", "SimOutcome", "PValueSimSummary", "CostSimEstimate",
-    "simulate_studies", "simulate_pvalues", "simulate_expected_cost",
-    "CHUNK_SIZE", "RNG_ALGORITHM",
-    "ErrstatError", "DomainError", "InfeasibleParameterError", "DegenerateDataError",
-    "CsvFormatError",
-    "__version__",
-]
+# The public names, by the module that defines them.
+_EXPORTS = {
+    ".distributions": ("normal_pdf", "normal_cdf", "normal_quantile", "student_t_cdf",
+                       "student_t_quantile"),
+    ".error_tradeoff": ("Tail", "GaussianTestModel", "type2_error", "power",
+                        "required_sample_size"),
+    ".screening": ("ScreeningParams", "PriorOdds", "false_positive_rate",
+                   "false_positive_rate_odds", "fpr_gradient", "combined_fpr_curve",
+                   "replication_threshold_factor", "gamma_for_factor"),
+    ".decision_cost": ("CostParams", "CostTrend", "expected_cost", "cost_derivative",
+                       "closed_form_minimizer", "numeric_minimizer", "cost_monotonicity_region",
+                       "alpha_from_critical", "critical_from_alpha"),
+    ".pvalue_dist": ("AlternativeSpec", "ObservedResult", "pdf_under_alternative",
+                     "cdf_under_alternative", "quantile_under_alternative",
+                     "reproducibility_probability"),
+    ".severity": ("ReferenceDist", "ClaimDirection", "SummaryStats", "SeverityClaim", "severity",
+                  "severity_curve", "confidence_lower_limit", "p_value_from_summary"),
+    ".timeseries": ("Series", "LagFit", "read_series_csv", "lag_regression", "autocorrelation",
+                    "t_from_correlation"),
+    ".montecarlo": ("SimConfig", "SimOutcome", "PValueSimSummary", "CostSimEstimate",
+                    "simulate_studies", "simulate_pvalues", "simulate_expected_cost",
+                    "CHUNK_SIZE", "RNG_ALGORITHM"),
+    ".errors": ("ErrstatError", "DomainError", "InfeasibleParameterError", "DegenerateDataError",
+                "CsvFormatError"),
+}
+_LAZY = ".montecarlo"
+
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
+
+# Every module is imported before any name is bound: importing a submodule binds it on
+# the package, and the module errstat.severity would otherwise replace the function.
+globals().update({name: getattr(importlib.import_module(module, __name__), name)
+                  for module, names in _EXPORTS.items() if module != _LAZY for name in names})
+
+
+def __getattr__(name: str):
+    # Not stored in the package globals, so a caller that rebinds a montecarlo name
+    # (a tracer wrapping the simulators) is seen here too.
+    if name in _EXPORTS[_LAZY]:
+        return getattr(importlib.import_module(_LAZY, __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

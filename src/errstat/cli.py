@@ -8,6 +8,7 @@ indented key-sorted JSON, which always carries schema_version 1. Each error
 type carries its exit status (errors.py): 2 usage/domain error, 3
 infeasible parameters, 4 input-file format error, and 4 for any I/O error;
 0 is success. There is no plotting here: the emitted columns are the figures.
+simulate is the only command that loads numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from . import decision_cost, error_tradeoff, montecarlo, pvalue_dist, screening, timeseries
+from . import decision_cost, error_tradeoff, pvalue_dist, screening, timeseries
 from .severity import (
     ClaimDirection,
     ReferenceDist,
@@ -277,6 +278,8 @@ def _resolve_seed(args) -> int:
 
 
 def _cmd_simulate(args) -> dict:
+    from . import montecarlo  # the only command that loads numpy
+
     seed = _resolve_seed(args)
     config = montecarlo.SimConfig(
         num_trials=args.trials,

@@ -93,7 +93,7 @@ def cost_derivative(c: float, params: CostParams) -> float:
     """d/dc of expected_cost for the Gaussian pair."""
     c = check_finite(c, "critical value")
     check_instance(params, CostParams, "params")
-    return _cost_slopes(c, params)[0] / params.sigma
+    return check_finite(_cost_slopes(c, params)[0] / params.sigma, "the cost derivative")
 
 
 def closed_form_minimizer(params: CostParams) -> float:
@@ -198,4 +198,5 @@ def critical_from_alpha(alpha: float, params: CostParams) -> float:
     """Threshold whose type I error equals alpha (inverse of alpha_from_critical)."""
     alpha = check_open_unit(alpha, "alpha")
     check_instance(params, CostParams, "params")
-    return params.mu0 + params.sigma * Tail.ONE_SIDED_UPPER.critical(alpha)
+    return check_finite(params.mu0 + params.sigma * Tail.ONE_SIDED_UPPER.critical(alpha),
+                        "the critical value for alpha")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -119,12 +120,20 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 def _map_chunks(fn, total: int, workers: int) -> list:
     # fn(start) for each chunk's first trial, in order, on min(workers, chunks, CPUs) threads.
+    # At most 2 * workers futures are pending, read in order: memory does not grow with the
+    # chunk count, and a thread that finishes early still takes the next chunk.
     starts = range(0, total, CHUNK_SIZE)
     workers = min(check_int(workers, "workers", 1), len(starts), os.cpu_count() or 1)
     if workers == 1:
         return [fn(start) for start in starts]
+    results, pending = [], deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, starts))
+        for start in starts:
+            if len(pending) == 2 * workers:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(fn, start))
+        results.extend(future.result() for future in pending)
+    return results
 
 
 def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first: float,

@@ -26,7 +26,8 @@ class AlternativeSpec(GaussianTestModel):
 
 def pdf_under_alternative(p: float, spec: GaussianTestModel, tail: Tail | None = None) -> float:
     """Density of the p-value at p (tail None: the design's own); constant 1 when delta = 0."""
-    return _at_level(Tail.p_value_density, p, spec, tail, "p")
+    return check_finite(_at_level(Tail.p_value_density, p, spec, tail, "p"),
+                        "the p-value density")
 
 
 def cdf_under_alternative(p: float, spec: GaussianTestModel, tail: Tail | None = None) -> float:

@@ -118,7 +118,8 @@ def confidence_lower_limit(stats: SummaryStats, level: float,
     """One-sided lower confidence limit; severity of 'parameter > limit' equals level."""
     level = check_open_unit(level, "level")
     check_instance(stats, SummaryStats, "stats")
-    return stats.estimate - _reference_law(stats, reference)[1](level) * stats.stderr
+    return check_finite(stats.estimate - _reference_law(stats, reference)[1](level) * stats.stderr,
+                        "the confidence lower limit")
 
 
 def p_value_from_summary(stats: SummaryStats, tail: Tail = Tail.ONE_SIDED_UPPER,

@@ -487,6 +487,52 @@ def test_extreme_accepted_inputs_exit_without_a_traceback(argv, capsys):
     assert code in (0, 2) and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pdist", "--delta", "38.3", "--grid", "1e-320,0.5", "--format", "json"],
+    ["cost", "--alpha-map", "--sigma", "1e308", "--mu0", "1e308", "--alphas", "0.5,1e-300"],
+    ["analyze", "--estimate", "0", "--stderr", "1.7e308", "--level", "1e-300"],
+], ids=["pdist_density", "cost_critical_value", "analyze_lower_limit"])
+def test_results_beyond_the_float_range_exit_2(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and "must be finite, got inf" in err, err
+    assert "inf" not in out.lower(), out
+
+
+_NUMPY_PROBE = """
+import contextlib, io, sys
+import errstat
+code = 0
+if sys.argv[1:]:
+    from errstat.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    ([], False),
+    (["tradeoff", "--effect-sizes", "0.2,0.5,0.8", "--alphas", "0.001:0.5:100"], False),
+    (["screening", "--alpha", "0.05", "--power", "0.8", "--odds", "0.1"], False),
+    (["replication", "--self-test"], False),
+    (["cost", "--p1", "2", "--minimize"], False),
+    (["pdist", "--delta", "0.5", "--n", "10", "--grid", "0.005:0.995:100"], False),
+    (["analyze", "--estimate", "0.5782", "--stderr", "0.1654", "--n", "15",
+      "--reference", "student_t", "--claim-grid", "0:1:21"], False),
+    (["simulate", "--trials", "1000"], True),
+], ids=["import", "tradeoff", "screening", "replication", "cost", "pdist", "analyze",
+        "simulate"])
+def test_only_simulate_loads_numpy(argv, loads_numpy):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("ERRSTAT_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(loads_numpy)]
+
+
 def test_grid_counts_stop_at_a_million(capsys):
     assert len(cli._grid(f"0:1:{cli.MAX_GRID_COUNT}")) == cli.MAX_GRID_COUNT == 1_000_000
     code, err = main_exit(["tradeoff", "--alphas", "0:1:1000001"], capsys)

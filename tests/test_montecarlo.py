@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -275,3 +276,33 @@ def test_chunks_start_without_a_plan_of_all_chunks():
     with pytest.raises(Stop):
         montecarlo._map_chunks(fn, 2 ** 50, 1)
     assert starts == [0, CHUNK_SIZE, 2 * CHUNK_SIZE]
+
+
+def test_parallel_chunks_are_submitted_a_few_at_a_time(monkeypatch):
+    # With 2 workers at most 4 chunks are submitted and unfinished at any time,
+    # however many chunks the run has, and the results still come in chunk order.
+    lock = threading.Lock()
+    finished = 0
+    in_flight = []
+
+    def fn(start):
+        nonlocal finished
+        with lock:
+            finished += 1
+        return start // CHUNK_SIZE
+
+    class Counting(ThreadPoolExecutor):
+        submitted = 0
+
+        def submit(self, *args):
+            future = super().submit(*args)
+            self.submitted += 1
+            with lock:
+                in_flight.append(self.submitted - finished)
+            return future
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Counting)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    chunks = 5000
+    assert montecarlo._map_chunks(fn, chunks * CHUNK_SIZE, 2) == list(range(chunks))
+    assert len(in_flight) == chunks and max(in_flight) <= 4

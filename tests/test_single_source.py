@@ -9,12 +9,20 @@ simulate_pvalues sorts its one buffer in place instead of gathering copies, and
 the CLI turns list and grid text into values only through argparse. The
 normal/Student-t choice of the severity reference law is made in one place,
 and decision_cost, like montecarlo, takes its critical values from Tail.
+Each public name is listed once in the package's table of exports, and
+numpy is imported by montecarlo alone.
 """
 
+import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import errstat
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "errstat"
 
@@ -79,3 +87,40 @@ def test_cli_handlers_receive_lists_and_grids_as_values():
         source = source.replace(body, "")
     uses = re.findall(r"(\S*)\b(_grid|_float_list)\b", source)
     assert len(uses) == 8 and all(prefix == "type=" for prefix, _ in uses), uses
+
+
+def test_each_public_name_is_listed_once_in_init():
+    # listed = a string constant (the export table, __all__) or a name imported by hand
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    listed = [node.value for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    listed += [alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    twice = {name: listed.count(name) for name in errstat.__all__ if listed.count(name) != 1}
+    assert len(errstat.__all__) == len(set(errstat.__all__)) == 62 and not twice, twice
+
+
+def test_numpy_is_imported_by_montecarlo_alone():
+    hits = [path.name for path in sorted(SRC.rglob("*.py"))
+            if "import numpy" in path.read_text(encoding="utf-8")]
+    assert hits == ["montecarlo.py"], hits
+
+
+def test_public_names_resolve_and_star_import_binds_the_simulators():
+    missing = [name for name in errstat.__all__ if not hasattr(errstat, name)]
+    assert not missing, missing
+    namespace = {}
+    exec("from errstat import *", namespace)
+    assert namespace["simulate_pvalues"] is errstat.montecarlo.simulate_pvalues
+    assert namespace["SimConfig"] is errstat.montecarlo.SimConfig
+    with pytest.raises(AttributeError, match="no attribute 'simulate'"):
+        errstat.simulate
+
+
+def test_severity_stays_the_function_whichever_module_is_imported_first():
+    # importing errstat.severity as a submodule binds it on the package; the function wins
+    code = "import errstat.timeseries, errstat; print(callable(errstat.severity))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.split() == ["True"], proc.stderr

@@ -26,6 +26,9 @@ from errstat import (
     cdf_under_alternative,
     closed_form_minimizer,
     combined_fpr_curve,
+    confidence_lower_limit,
+    cost_derivative,
+    critical_from_alpha,
     expected_cost,
     false_positive_rate,
     false_positive_rate_odds,
@@ -135,6 +138,20 @@ def test_overflowing_derived_values_name_their_inputs():
         expected_cost(0.5, CostParams(1.0, 1.0, 0.5, sigma=5e-324))
     with pytest.raises(DomainError, match=r"\|mu1 - mu0\| \+ 20 sigma must be finite"):
         numeric_minimizer(CostParams(1.0, 1.0, 0.5, sigma=1e308))
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: pdf_under_alternative(1e-320, AlternativeSpec(38.3)), "the p-value density"),
+    (lambda: critical_from_alpha(1e-300, CostParams(1, 1, 0.5, 1e308, 1.0, 1e308)),
+     "the critical value for alpha"),
+    (lambda: cost_derivative(1 - 2 ** -53, CostParams(1, 2, 0.5, 1 - 2 ** -53, 1.0, 5e-324)),
+     "the cost derivative"),
+    (lambda: confidence_lower_limit(SummaryStats(0.0, 1.7e308), 1e-300),
+     "the confidence lower limit"),
+], ids=["pdf", "critical_from_alpha", "cost_derivative", "confidence_lower_limit"])
+def test_results_beyond_the_float_range_raise_domain_error(call, what):
+    with pytest.raises(DomainError, match=f"^{what} must be finite, got -?inf$"):
+        call()
 
 
 @pytest.mark.parametrize("call", [
