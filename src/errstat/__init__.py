@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     ".distributions": ("normal_pdf", "normal_cdf", "normal_quantile", "student_t_cdf",
                        "student_t_quantile"),
-    ".error_tradeoff": ("Tail", "GaussianTestModel", "type2_error", "power",
+    ".error_tradeoff": ("Tail", "GaussianTestModel", "SimConfig", "type2_error", "power",
                         "required_sample_size"),
     ".screening": ("ScreeningParams", "PriorOdds", "false_positive_rate",
                    "false_positive_rate_odds", "fpr_gradient", "combined_fpr_curve",
@@ -34,7 +34,7 @@ _EXPORTS = {
                   "severity_curve", "confidence_lower_limit", "p_value_from_summary"),
     ".timeseries": ("Series", "LagFit", "read_series_csv", "lag_regression", "autocorrelation",
                     "t_from_correlation"),
-    ".montecarlo": ("SimConfig", "SimOutcome", "PValueSimSummary", "CostSimEstimate",
+    ".montecarlo": ("SimOutcome", "PValueSimSummary", "CostSimEstimate",
                     "simulate_studies", "simulate_pvalues", "simulate_expected_cost",
                     "CHUNK_SIZE", "RNG_ALGORITHM"),
     ".errors": ("ErrstatError", "DomainError", "InfeasibleParameterError", "DegenerateDataError",

@@ -278,10 +278,8 @@ def _resolve_seed(args) -> int:
 
 
 def _cmd_simulate(args) -> dict:
-    from . import montecarlo  # the only command that loads numpy
-
     seed = _resolve_seed(args)
-    config = montecarlo.SimConfig(
+    config = error_tradeoff.SimConfig(
         num_trials=args.trials,
         seed=seed,
         prior_null=args.phi,
@@ -289,6 +287,8 @@ def _cmd_simulate(args) -> dict:
         effect_size=args.delta,
         n_per_study=args.n,
     )
+    from . import montecarlo  # the only command that loads numpy, once its inputs are valid
+
     outcome = montecarlo.simulate_studies(config, workers=args.workers)
     analytic_power = error_tradeoff.power(args.alpha, config.design)
     if 0.0 < args.phi < 1.0 and 0.0 < analytic_power < 1.0:

@@ -4,6 +4,8 @@ For a test of level ``alpha`` against a standardized effect ``delta`` with
 ``n`` observations, the one-sided-upper type II error probability is
 ``Phi(z_{1-alpha} - sqrt(n)*delta)``; the two-sided variant splits alpha
 across both tails. The sample-size formula inverts the one-sided relation.
+SimConfig, the inputs of a simulated batch of such tests, is defined here
+too, so a configuration is built and validated without loading numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from enum import Enum
 
 from .distributions import normal_cdf, normal_pdf, normal_quantile
 from .errors import (DomainError, InfeasibleParameterError, check_finite, check_instance, check_int,
-                     check_member, check_open_unit, check_positive)
+                     check_member, check_open_unit, check_positive, check_unit)
 
 
 class Tail(Enum):
@@ -86,6 +88,34 @@ class GaussianTestModel:
     def noncentrality(self) -> float:
         """Mean of the test statistic under the alternative: sqrt(n) * delta."""
         return math.sqrt(self.n) * self.effect_size
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Inputs for a batch of simulated studies; identical config -> identical output."""
+
+    num_trials: int
+    seed: int
+    prior_null: float = 0.5
+    alpha: float = 0.05
+    effect_size: float = 0.5
+    n_per_study: int = 1
+    tail: Tail = Tail.ONE_SIDED_UPPER
+
+    def __post_init__(self):
+        object.__setattr__(self, "num_trials", check_int(self.num_trials, "num_trials", 1))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, maximum=2 ** 64 - 1))
+        object.__setattr__(self, "prior_null", check_unit(self.prior_null, "prior_null"))
+        object.__setattr__(self, "alpha", check_open_unit(self.alpha, "alpha"))
+        object.__setattr__(self, "n_per_study", check_int(self.n_per_study, "n_per_study", 1))
+        design = self.design  # validates effect_size and tail
+        object.__setattr__(self, "effect_size", design.effect_size)
+        object.__setattr__(self, "tail", design.tail)
+
+    @property
+    def design(self) -> GaussianTestModel:
+        """The test every study runs: effect_size, n_per_study and tail as one design."""
+        return GaussianTestModel(self.effect_size, self.n_per_study, self.tail)
 
 
 def _at_level(law, level: float, model: GaussianTestModel, tail=None, name: str = "alpha"):

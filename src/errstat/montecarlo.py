@@ -4,11 +4,13 @@ Determinism contract: trials are split into fixed chunks of 65536; chunk i
 draws from a PCG64 generator seeded with SeedSequence(entropy=seed,
 spawn_key=(i,)). The count simulators sum their per-chunk counts in chunk
 order; simulate_pvalues draws every chunk into its own slice of one float64
-buffer of num_trials entries, sorts it in place and reduces it in blocks
-with exact integer sums and a max. Serial and parallel runs are therefore
-identical bit for bit and the only state is the (seed, chunk_index) pair.
-The generator family is recorded in every result so outputs are
-self-describing.
+buffer of num_trials entries and sorts it in place. Its summary then reads
+the sorted buffer serially, evaluating the Gaussian kernel at the first trial
+of every block of 64 and in full only in the blocks that can change an exact
+integer count, the KS maximum or a decile; every field is the float a pass
+over all trials would give. Serial and parallel runs are therefore identical
+bit for bit and the only state is the (seed, chunk_index) pair. The generator
+family is recorded in every result so outputs are self-describing.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .decision_cost import CostParams
-from .error_tradeoff import GaussianTestModel, Tail
+from .error_tradeoff import SimConfig, Tail
 from .distributions import _erf_small, _erfc_big_ratio, _erfc_mid_ratio, _exp_neg_sq
-from .errors import check_finite, check_instance, check_int, check_open_unit, check_unit
+from .errors import check_finite, check_instance, check_int
 
 CHUNK_SIZE = 1 << 16
 RNG_ALGORITHM = "numpy-pcg64/seedseq(entropy=seed, spawn_key=(chunk,))/chunk=65536"
@@ -43,34 +45,6 @@ def _normal_cdf_vec(x: np.ndarray) -> np.ndarray:
         tr = t[region]
         ec[region] = _exp_neg_sq(tr, np.exp, np.floor) * ratio(tr)
     return np.where(x < 0.0, 0.5 * ec, 1.0 - 0.5 * ec)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Inputs for a batch of simulated studies; identical config -> identical output."""
-
-    num_trials: int
-    seed: int
-    prior_null: float = 0.5
-    alpha: float = 0.05
-    effect_size: float = 0.5
-    n_per_study: int = 1
-    tail: Tail = Tail.ONE_SIDED_UPPER
-
-    def __post_init__(self):
-        object.__setattr__(self, "num_trials", check_int(self.num_trials, "num_trials", 1))
-        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, maximum=2 ** 64 - 1))
-        object.__setattr__(self, "prior_null", check_unit(self.prior_null, "prior_null"))
-        object.__setattr__(self, "alpha", check_open_unit(self.alpha, "alpha"))
-        object.__setattr__(self, "n_per_study", check_int(self.n_per_study, "n_per_study", 1))
-        design = self.design  # validates effect_size and tail
-        object.__setattr__(self, "effect_size", design.effect_size)
-        object.__setattr__(self, "tail", design.tail)
-
-    @property
-    def design(self) -> GaussianTestModel:
-        """The test every study runs: effect_size, n_per_study and tail as one design."""
-        return GaussianTestModel(self.effect_size, self.n_per_study, self.tail)
 
 
 @dataclass(frozen=True)
@@ -142,6 +116,7 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
     # A trial comes from the first component with probability p_first, draws its
     # statistic from N(mean, sigma^2) and rejects where tail.rejects(stat, crit).
     # Returns the counts of (first, reject), (first, accept), (second, reject), (second, accept).
+    means = np.array([mean_second, mean_first])  # indexed by the first-component flag
 
     def run_chunk(start: int) -> tuple[int, int, int]:
         rng = _chunk_rng(config.seed, start // CHUNK_SIZE)
@@ -149,7 +124,7 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
         first = rng.random(count) < p_first
         stat = rng.standard_normal(count)
         stat *= sigma
-        stat += np.where(first, mean_first, mean_second)
+        stat += means.take(first.view(np.uint8))
         reject = tail.rejects(stat, crit)
         return (int(np.count_nonzero(first)), int(np.count_nonzero(reject)),
                 int(np.count_nonzero(first & reject)))
@@ -175,11 +150,146 @@ def simulate_studies(config: SimConfig, workers: int = 1) -> SimOutcome:
     return SimOutcome.from_counts(tp, fp, tn, fn)
 
 
+# The summary cuts the sorted buffer into blocks of _STRIDE positions and reads each
+# block's first value; it reads a whole block only where the block can change a count,
+# the KS maximum or a decile.
+_STRIDE = 64
+_BLOCKS_PER_BATCH = CHUNK_SIZE // _STRIDE
+
+# Relative slack of every bracket. Both summary laws (the reference CDF value and the
+# p-value) are monotone in the sorted key, and each operation between the key and the
+# erfc argument t rounds monotonically, so only the Cody evaluation at t can put two
+# values out of order. It does so at the ulp scale: over 2^17 consecutive doubles,
+# _normal_cdf_vec falls between neighbours 6,947 times at the x = -0.66 cut (by up to
+# 2 ulps) and 5,430 times at x = -1.28 (up to 6 ulps, 3.8 eps relative). Against
+# mpmath's erfc at the same double t (100,000 random x from -37.5 to 8.3 and 32,000
+# next to the cuts) its relative error stays below 4 eps, so two values in the wrong
+# order differ by under 8 eps relative, 9 for the two-sided sum of two laws. 2^-40 is
+# 4096 eps: a wide margin that costs nothing, since sorted neighbours lie about 1/n
+# apart.
+_SLACK = 2.0 ** -40
+
+
+def _blocks(edges: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    # Every position of the given blocks, block b being edges[b] .. edges[b + 1] - 1.
+    starts, sizes = edges[blocks], edges[blocks + 1] - edges[blocks]
+    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
+def _brackets(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Bounds on every value in each block, from the values read at its first position
+    # and at the next block's (at the last position, for the last block).
+    return ends[:-1] * (1.0 - _SLACK), ends[1:] * (1.0 + _SLACK)
+
+
+def _count_at_most(edges, ends, law, thresholds) -> np.ndarray:
+    # #(law(j) <= t) over every position j, exactly, for each threshold t. The brackets,
+    # widened to running extremes, rise with the block: the blocks wholly <= t come
+    # before `below`, those wholly > t from `above` on, and only the blocks between are
+    # read, each once for all thresholds.
+    lo, hi = _brackets(ends)
+    below = np.searchsorted(np.maximum.accumulate(hi), thresholds, side="right")
+    above = np.searchsorted(np.minimum.accumulate(lo[::-1])[::-1], thresholds, side="right")
+    read = np.zeros(lo.size, dtype=bool)
+    for a, b in zip(below, above):
+        read[a:b] = True
+    unread = np.where(read, 0, np.diff(edges))
+    counts = np.append(0, np.cumsum(unread))[below]  # the unread positions before `below`
+    blocks = np.flatnonzero(read)
+    for s in range(0, blocks.size, _BLOCKS_PER_BATCH):
+        values = np.sort(law(_blocks(edges, blocks[s:s + _BLOCKS_PER_BATCH])))
+        counts += np.searchsorted(values, thresholds, side="right")
+    return counts
+
+
+def _ks_distance(edges, ends, law) -> float:
+    # max over the 1-based ranks i of max(i/n - ref, ref - (i-1)/n). A block is read
+    # only if its bound exceeds the largest value found before it.
+    n = edges[-1]
+
+    def distance(j, ref):
+        i = j + 1.0
+        return np.maximum(i / n - ref, ref - (i - 1.0) / n)
+
+    best = distance(np.minimum(edges, n - 1), ends).max()
+    lo, hi = _brackets(ends)
+    bound = np.maximum(edges[1:] / n - lo, hi - edges[:-1] / n)
+    blocks = np.flatnonzero(bound > best)
+    for s in range(0, blocks.size, _BLOCKS_PER_BATCH):
+        batch = blocks[s:s + _BLOCKS_PER_BATCH]
+        batch = batch[bound[batch] > best]
+        if batch.size:
+            j = _blocks(edges, batch)
+            best = max(best, distance(j, law(j)).max())
+    return float(best)
+
+
+def _order_statistics(edges, ends, law, ranks) -> np.ndarray:
+    # The values at the given 0-based ranks of law over all positions, sorted by value.
+    # The rank-r value lies within _SLACK of law(r), and is law(r) unless the exact counts
+    # show a value on the wrong side of it; then a bisection over the doubles between the
+    # brackets finds the least t with #(law <= t) > r.
+    v = law(ranks)
+    counts = _count_at_most(edges, ends, law, np.append(v, np.nextafter(v, -np.inf)))
+    wrong = np.flatnonzero((counts[:v.size] <= ranks) | (counts[v.size:] > ranks))
+    if wrong.size:
+        low = (v[wrong] * (1.0 - _SLACK)).view(np.int64) - 1  # #(law <= low) <= rank
+        high = (v[wrong] * (1.0 + _SLACK)).view(np.int64)  # #(law <= high) > rank
+        while np.any(high - low > 1):
+            mid = (low + high) // 2
+            above = _count_at_most(edges, ends, law, mid.view(np.float64)) > ranks[wrong]
+            low, high = np.where(above, low, mid), np.where(above, mid, high)
+        v[wrong] = high.view(np.float64)
+    return v
+
+
+def _quantiles(n: int, q: np.ndarray, order_statistics) -> np.ndarray:
+    # np.quantile's default (linear, Hyndman & Fan type 7) from the order statistics it
+    # reads, with numpy's _lerp, which takes the form anchored at b from t >= 0.5 on.
+    index = (n - 1) * q
+    below = np.floor(index).astype(np.int64)
+    above = np.minimum(below + 1, n - 1)
+    t = index - below
+    values = order_statistics(np.append(below, above))
+    a, b = values[:q.size], values[q.size:]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
+def _summarize(buf: np.ndarray, shift: float, tail: Tail):
+    # (deciles, ECDF at the reference deciles, KS distance) of the sorted keys in buf,
+    # each the float a pass over every trial gives; buf is only read.
+    n = buf.size
+
+    def reader(law):
+        # law of the statistic at positions j, CHUNK_SIZE at a time (the kernel's
+        # temporaries stay small); -buf is the statistic, |statistic| two-sided.
+        def read(j):
+            out = np.empty(j.size)
+            for s in range(0, j.size, CHUNK_SIZE):
+                out[s:s + CHUNK_SIZE] = law(-buf[j[s:s + CHUNK_SIZE]])
+            return out
+
+        return read
+
+    reference = reader(lambda stat: tail.rejection(stat, shift, _normal_cdf_vec))
+    p_value = reader(lambda stat: tail.p_value(stat, _normal_cdf_vec))
+    tenths = np.arange(1, 10) / 10.0
+    edges = np.append(np.arange(0, n, _STRIDE), n)
+    first = np.minimum(edges, n - 1)  # each block's first position, then the last one
+    ref, p = reference(first), p_value(first)
+    at_deciles = _count_at_most(edges, ref, reference, tenths)
+    deciles = _quantiles(n, tenths, lambda ranks: _order_statistics(edges, p, p_value, ranks))
+    return (tuple(float(v) for v in deciles), tuple(int(k) / n for k in at_deciles),
+            _ks_distance(edges, ref, reference))
+
+
 @dataclass(frozen=True)
 class PValueSimSummary:
     """Empirical p-value distribution against its analytic reference.
 
-    deciles: the nine sample deciles of the simulated p-values.
+    deciles: the nine sample deciles of the simulated p-values, by numpy's
+        default (linear) quantile rule.
     cdf_at_reference_deciles: empirical CDF evaluated where the reference
         law puts probability 0.1, ..., 0.9, read off the probability
         integral transform: entry k is the share of trials whose reference
@@ -189,10 +299,11 @@ class PValueSimSummary:
         CDF and the reference CDF (uniform when delta = 0).
 
     The only per-trial memory is one float64 buffer of num_trials entries:
-    the chunks draw into it, it is sorted in place into p-value order, and
-    one pass over it in CHUNK_SIZE blocks reads each statistic's PIT value
-    (for the ECDF counts and the KS distance) and then overwrites the
-    statistic with its p-value, whose deciles np.quantile takes in place.
+    the chunks draw into it and it is sorted in place into p-value order.
+    Every field is the value a pass over all trials would give, but the
+    Gaussian kernel runs only at the first sorted trial of every block of
+    64, and over the blocks that can change a count, the KS maximum or one
+    of the 18 order statistics the deciles interpolate.
     """
 
     num_trials: int
@@ -226,27 +337,12 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
 
     _map_chunks(draw, n, workers)
     buf.sort()
-
-    def reduce(start: int) -> tuple[float, list[int]]:
-        # The block of p-value ranks start + 1 .. start + len(part). The reference CDF
-        # value (PIT value) comes from the statistic, never from re-inverting the
-        # p-value; then the p-value replaces the statistic in place.
-        part = buf[start:start + CHUNK_SIZE]
-        stat = -part  # |statistic| two-sided, where both laws are even in it
-        ref = tail.rejection(stat, shift, _normal_cdf_vec)
-        i = np.arange(start + 1, start + len(part) + 1, dtype=np.float64)
-        ks = float(np.max(np.maximum(i / n - ref, ref - (i - 1.0) / n)))
-        at_deciles = [int(np.count_nonzero(ref <= k / 10.0)) for k in range(1, 10)]
-        part[...] = tail.p_value(stat, _normal_cdf_vec)
-        return ks, at_deciles
-
-    ks, at_deciles = zip(*_map_chunks(reduce, n, workers))
-    deciles = np.quantile(buf, np.arange(1, 10) / 10.0, overwrite_input=True)
+    deciles, at_deciles, ks = _summarize(buf, shift, tail)
     return PValueSimSummary(
         num_trials=n,
-        deciles=tuple(float(v) for v in deciles),
-        cdf_at_reference_deciles=tuple(sum(counts) / n for counts in zip(*at_deciles)),
-        supnorm_vs_reference=max(ks),
+        deciles=deciles,
+        cdf_at_reference_deciles=at_deciles,
+        supnorm_vs_reference=ks,
         delta=config.effect_size,
         n_per_study=config.n_per_study,
     )

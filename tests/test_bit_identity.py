@@ -8,7 +8,10 @@ p-value ECDF was read off the reference-CDF values; the simulate_pvalues
 values at 1, 2 and 2 * CHUNK_SIZE + 12345 trials were recorded while the
 p-values were still gathered by concatenation and a stable argsort. Any
 change to how the kernels or the simulators are evaluated must leave these
-outputs bit for bit.
+outputs bit for bit. The p-value summary, which evaluates the kernel only
+where its fields can change, is also held to the pass over every trial that
+it replaced, kept here as the reference, on random and on crafted sorted
+buffers whose values fall out of order at the ulp scale.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ import pytest
 
 from errstat import (CostParams, SimConfig, Tail, simulate_expected_cost, simulate_pvalues,
                      simulate_studies)
+from errstat import montecarlo
 from errstat.montecarlo import CHUNK_SIZE, CostSimEstimate, SimOutcome, _normal_cdf_vec
 
 
@@ -184,3 +188,99 @@ def test_simulate_pvalues_edges_are_pinned(num_trials, tail, workers):
     assert (summary.deciles, summary.cdf_at_reference_deciles,
             summary.supnorm_vs_reference) == _EDGE_PVALUE_SUMMARIES[num_trials, tail]
     assert summary.num_trials == num_trials
+
+
+def _dense_summary(buf, shift, tail):
+    # The pass over every trial that simulate_pvalues made before its summary read the
+    # kernel only where it matters: the reference value (PIT) and the p-value of each
+    # sorted key, block by block, then np.quantile of all the p-values.
+    n = buf.size
+    buf = buf.copy()
+    ks, at_deciles = [], []
+    for start in range(0, n, CHUNK_SIZE):
+        part = buf[start:start + CHUNK_SIZE]
+        stat = -part
+        ref = tail.rejection(stat, shift, _normal_cdf_vec)
+        i = np.arange(start + 1, start + len(part) + 1, dtype=np.float64)
+        ks.append(float(np.max(np.maximum(i / n - ref, ref - (i - 1.0) / n))))
+        at_deciles.append([int(np.count_nonzero(ref <= k / 10.0)) for k in range(1, 10)])
+        part[...] = tail.p_value(stat, _normal_cdf_vec)
+    deciles = np.quantile(buf, np.arange(1, 10) / 10.0, overwrite_input=True)
+    return (tuple(float(v) for v in deciles), tuple(sum(c) / n for c in zip(*at_deciles)),
+            max(ks))
+
+
+def test_summary_equals_the_dense_pass_on_random_configs():
+    rng = np.random.default_rng(20261018)
+    configs = [(n, tail, effect) for n in (1, 2, 3, CHUNK_SIZE - 1, CHUNK_SIZE + 1)
+               for tail in Tail for effect in (0.0, 3.5, -3.2)]
+    while len(configs) < 210:
+        n = int(np.exp(rng.uniform(0.0, np.log(1 << 17))))
+        effect = rng.choice([0.0, rng.uniform(-1.5, 1.5), rng.choice([-1, 1]) * rng.uniform(3, 6)])
+        configs.append((n, rng.choice(list(Tail)), effect * math.sqrt(rng.integers(1, 11))))
+    wrong = []
+    for n, tail, shift in configs:
+        buf = np.sort(-tail.extremity(rng.standard_normal(n) + shift))  # as simulate_pvalues sorts
+        if montecarlo._summarize(buf, shift, tail) != _dense_summary(buf, shift, tail):
+            wrong.append((n, tail, shift))
+    assert not wrong
+
+
+def _crafted(rng, block, at, n, high):
+    # n sorted keys with the block of keys at positions at .. at + block.size - 1, and
+    # random keys below it and between it and high
+    return np.concatenate([np.sort(rng.uniform(block[0] - 3.0, block[0], at)), block,
+                           np.sort(rng.uniform(block[-1], high, n - at - block.size))])
+
+
+def _ulps(x, count):
+    # the 2 * count + 1 consecutive doubles centred on x, ascending
+    return np.sort((np.array([x]).view(np.int64) + np.arange(-count, count + 1)).view(np.float64))
+
+
+# Two-sided, shift 0.5275640344203552: the reference values of the doubles a few ulps
+# from -0.1444061317431772 cross 0.9 more than once, in key order.
+_CROSSING_SHIFT = 0.5275640344203552
+_CROSSING = _ulps(-0.1444061317431772, 300)
+
+
+@pytest.mark.parametrize("offset", [0, 1, -1, 31])
+def test_summary_holds_where_reference_values_cross_a_tenth_out_of_order(offset):
+    ref = Tail.TWO_SIDED.rejection(-_CROSSING, _CROSSING_SHIFT, _normal_cdf_vec)
+    above = np.flatnonzero(ref > 0.9)
+    assert above.size and np.any(ref[above[0]:] <= 0.9)
+    # the first value above 0.9 sits at the coarse position 640, or next to it
+    at = 640 + offset - above[0]
+    buf = _crafted(np.random.default_rng(offset + 5), _CROSSING, at, 3001, 0.0)
+    summary = montecarlo._summarize(buf, _CROSSING_SHIFT, Tail.TWO_SIDED)
+    assert summary == _dense_summary(buf, _CROSSING_SHIFT, Tail.TWO_SIDED)
+
+
+# One-sided: near x = -1.28 (p = 0.1) the p-values (cdf of the key) of consecutive
+# doubles fall here and there, by up to 6 ulps.
+_INVERTED = _ulps(-1.2815515655446004, 200)
+
+
+@pytest.mark.parametrize("n, rank", [(1001, 500), (6401, 640), (6401, 1280), (6400, 3839),
+                                     (6400, 3200)])
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+def test_summary_holds_where_pvalues_invert_at_a_decile_rank(n, rank, shift):
+    # a decile reads rank (6400: at 3839.4 and 3199.5); 640 and 1280 are coarse positions
+    below = np.floor((n - 1) * (np.arange(1, 10) / 10.0))
+    assert rank in below or rank in below + 1
+    p = Tail.ONE_SIDED_UPPER.p_value(-_INVERTED, _normal_cdf_vec)
+    first = np.flatnonzero(p[1:] < p[:-1])[0]
+    buf = _crafted(np.random.default_rng(n + rank), _INVERTED, rank - first, n, 4.0)
+    p_all = Tail.ONE_SIDED_UPPER.p_value(-buf, _normal_cdf_vec)
+    assert np.sort(p_all)[rank] != p_all[rank]
+    summary = montecarlo._summarize(buf, shift, Tail.ONE_SIDED_UPPER)
+    assert summary == _dense_summary(buf, shift, Tail.ONE_SIDED_UPPER)
+
+
+def test_quantile_rule_is_numpys():
+    rng = np.random.default_rng(11)
+    q = np.arange(1, 10) / 10.0
+    for n in [*range(1, 2001), *rng.integers(2001, 1 << 22, 4)]:
+        x = np.sort(rng.standard_normal(n))
+        got = montecarlo._quantiles(n, q, lambda ranks: x[ranks])
+        assert got.tobytes() == np.quantile(x, q).tobytes(), n

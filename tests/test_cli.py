@@ -502,6 +502,7 @@ def test_results_beyond_the_float_range_exit_2(argv, capsys):
 _NUMPY_PROBE = """
 import contextlib, io, sys
 import errstat
+errstat.SimConfig(num_trials=10, seed=1)
 code = 0
 if sys.argv[1:]:
     from errstat.cli import main
@@ -511,26 +512,28 @@ print(code, "numpy" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("argv, loads_numpy", [
-    ([], False),
-    (["tradeoff", "--effect-sizes", "0.2,0.5,0.8", "--alphas", "0.001:0.5:100"], False),
-    (["screening", "--alpha", "0.05", "--power", "0.8", "--odds", "0.1"], False),
-    (["replication", "--self-test"], False),
-    (["cost", "--p1", "2", "--minimize"], False),
-    (["pdist", "--delta", "0.5", "--n", "10", "--grid", "0.005:0.995:100"], False),
+@pytest.mark.parametrize("argv, code, loads_numpy", [
+    ([], 0, False),
+    (["tradeoff", "--effect-sizes", "0.2,0.5,0.8", "--alphas", "0.001:0.5:100"], 0, False),
+    (["screening", "--alpha", "0.05", "--power", "0.8", "--odds", "0.1"], 0, False),
+    (["replication", "--self-test"], 0, False),
+    (["cost", "--p1", "2", "--minimize"], 0, False),
+    (["pdist", "--delta", "0.5", "--n", "10", "--grid", "0.005:0.995:100"], 0, False),
     (["analyze", "--estimate", "0.5782", "--stderr", "0.1654", "--n", "15",
-      "--reference", "student_t", "--claim-grid", "0:1:21"], False),
-    (["simulate", "--trials", "1000"], True),
+      "--reference", "student_t", "--claim-grid", "0:1:21"], 0, False),
+    (["simulate", "--trials", "1000"], 0, True),
+    (["simulate", "--trials", "0"], 2, False),
 ], ids=["import", "tradeoff", "screening", "replication", "cost", "pdist", "analyze",
-        "simulate"])
-def test_only_simulate_loads_numpy(argv, loads_numpy):
+        "simulate", "simulate-invalid"])
+def test_only_simulate_loads_numpy(argv, code, loads_numpy):
+    # a SimConfig is built, and a simulate config rejected, without loading numpy
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("ERRSTAT_SEED", None)
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", str(loads_numpy)]
+    assert proc.stdout.split() == [str(code), str(loads_numpy)]
 
 
 def test_grid_counts_stop_at_a_million(capsys):

@@ -232,7 +232,8 @@ def test_workers_are_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected):
     config = SimConfig(num_trials=2 * CHUNK_SIZE + 7, seed=5, prior_null=0.3, effect_size=0.4)
     studies = simulate_studies(config, workers=64)
     pvalues = simulate_pvalues(config, workers=64)
-    assert pools == ([expected] * 3 if expected > 1 else [])
+    # one pool for the studies and one for the p-value draw; the p-value summary is serial
+    assert pools == ([expected] * 2 if expected > 1 else [])
     assert studies == simulate_studies(config, workers=1)
     assert pvalues == simulate_pvalues(config, workers=1)
 
@@ -240,7 +241,8 @@ def test_workers_are_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("trials", [1 << 19, 1 << 21])
 def test_simulate_pvalues_holds_one_float_per_trial(trials, workers):
-    # the only per-trial allocation is the float64 buffer; the rest is per block
+    # the only per-trial allocation is the float64 buffer; the summary's coarse reads
+    # are 1/64 of it and the kernel runs on at most CHUNK_SIZE points at a time
     config = SimConfig(num_trials=trials, seed=9, effect_size=0.3, tail=Tail.TWO_SIDED)
     tracemalloc.start()
     try:
@@ -248,7 +250,26 @@ def test_simulate_pvalues_holds_one_float_per_trial(trials, workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * trials + (16 << 20)
+    assert peak <= 8 * trials + (8 << 20)
+
+
+@pytest.mark.parametrize("tail", [Tail.ONE_SIDED_UPPER, Tail.TWO_SIDED])
+def test_simulate_pvalues_reads_the_kernel_at_few_trials(monkeypatch, tail):
+    # A pass over every trial evaluates the Gaussian cdf at 2n (one-sided) or 3n
+    # (two-sided) points; the summary reads it at the first trial of every block of
+    # 64 and inside a few blocks.
+    points = []
+
+    def counting(x):
+        points.append(np.size(x))
+        return _normal_cdf_vec(x)
+
+    monkeypatch.setattr(montecarlo, "_normal_cdf_vec", counting)
+    config = SimConfig(num_trials=1 << 20, seed=4, effect_size=0.4, n_per_study=3, tail=tail)
+    summary = simulate_pvalues(config, workers=2)
+    monkeypatch.undo()
+    assert summary == simulate_pvalues(config)
+    assert 0 < sum(points) <= config.num_trials // 8
 
 
 def test_ks_distance_holds_where_pvalues_tie():
