@@ -60,19 +60,20 @@ class CostParams:
     def cost_ratio(self) -> float:
         """cost_type2 / cost_type1; needs both costs strictly positive."""
         cost1 = check_positive(self.cost_type1, "cost_type1")
-        return check_positive(self.cost_type2, "cost_type2") / cost1
+        return check_finite(check_positive(self.cost_type2, "cost_type2") / cost1,
+                            "cost_type2 / cost_type1")
 
 
 def _standardized(c: float, params: CostParams) -> tuple[float, float]:
     # c in units of sigma from each mean, the only form in which c enters the Gaussian laws
+    c = check_finite(c, "critical value")
+    check_instance(params, CostParams, "params")
     return (check_finite((c - params.mu0) / params.sigma, "(c - mu0) / sigma"),
             check_finite((c - params.mu1) / params.sigma, "(c - mu1) / sigma"))
 
 
 def expected_cost(c: float, params: CostParams) -> float:
     """Expected cost of thresholding at c."""
-    c = check_finite(c, "critical value")
-    check_instance(params, CostParams, "params")
     z0, z1 = _standardized(c, params)
     return (params.prior_good * (1.0 - normal_cdf(z0)) * params.cost_type1
             + (1.0 - params.prior_good) * normal_cdf(z1) * params.cost_type2)
@@ -91,8 +92,6 @@ def _cost_slopes(c: float, params: CostParams) -> tuple[float, float]:
 
 def cost_derivative(c: float, params: CostParams) -> float:
     """d/dc of expected_cost for the Gaussian pair."""
-    c = check_finite(c, "critical value")
-    check_instance(params, CostParams, "params")
     return check_finite(_cost_slopes(c, params)[0] / params.sigma, "the cost derivative")
 
 
@@ -189,8 +188,6 @@ def cost_monotonicity_region(c: float, params: CostParams) -> CostTrend:
 
 def alpha_from_critical(c: float, params: CostParams) -> float:
     """Type I error probability implied by the threshold: the null law beyond c, not 1 - F0(c)."""
-    c = check_finite(c, "critical value")
-    check_instance(params, CostParams, "params")
     return Tail.ONE_SIDED_UPPER.rejection(_standardized(c, params)[0], 0.0)
 
 

@@ -1,19 +1,21 @@
 """Standard-normal and Student-t kernels used everywhere else in the package.
 
-Self-contained on purpose: the Gaussian cdf goes through Cody's rational
+Standard library only: the Gaussian cdf goes through Cody's rational
 Chebyshev approximations to erf/erfc (double-precision accurate on the whole
-real line), the quantile starts from Acklam's approximation and is polished
-with Halley steps against the cdf, and the t cdf is the regularized
-incomplete beta function evaluated by a modified-Lentz continued fraction.
-The Cody rational pieces use only + * / and take floats or ndarrays (the
-exp(-y^2) split is handed math or numpy functions), so the Monte Carlo
-array kernel evaluates this same code; everything else is a pure scalar
-function of floats. No global state, and no numpy import here.
+real line), the quantile starts from Wichura's AS 241 (``statistics.
+NormalDist.inv_cdf``) and is polished with two Halley steps against that
+cdf, and the t cdf is the regularized incomplete beta function evaluated by
+a modified-Lentz continued fraction. The Cody rational pieces use only + * /
+and take floats or ndarrays (the exp(-y^2) split is handed math or numpy
+functions), so the Monte Carlo array kernel evaluates this same code;
+everything else is a pure scalar function of floats. No mutable global
+state, and no numpy import here.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 from .errors import DomainError, check_finite, check_int, check_open_unit
 
@@ -106,43 +108,15 @@ def normal_cdf(x: float) -> float:
     return 0.5 * _erfc(-x / _SQRT2)
 
 
-# Acklam's inverse-normal approximation (relative error < 1.15e-9),
-# used only as the starting point for Halley refinement.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-          -2.759285104469687e+02, 1.383577518672690e+02,
-          -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-          -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-          -2.400758277161838e+00, -2.549732539343734e+00,
-          4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
-
-
-def _acklam(p: float) -> float:
-    if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q + _ACK_C[3]) * q
-                  + _ACK_C[4]) * q + _ACK_C[5])
-                / ((((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q + _ACK_D[3]) * q + 1.0))
-    if p > 0.97575:
-        return -_acklam(1.0 - p)
-    q = p - 0.5
-    r = q * q
-    return ((((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r + _ACK_A[3]) * r
-              + _ACK_A[4]) * r + _ACK_A[5]) * q
-            / (((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r + _ACK_B[3]) * r
-                + _ACK_B[4]) * r + 1.0))
+_NORMAL = NormalDist()
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse of normal_cdf on (0, 1); round-trips to ~1e-15."""
+    """Inverse of normal_cdf on (0, 1), AS 241 polished by Halley; round-trips to ~1e-15."""
     p = check_open_unit(p, "p")
-    x = _acklam(p)
-    # Two Halley steps; skipped in the extreme tail where the density
-    # underflows (Acklam alone is already ~1e-9 relative there).
+    x = _NORMAL.inv_cdf(p)
+    # Two Halley steps against normal_cdf; skipped in the extreme tail where
+    # the density underflows (AS 241 alone is double precision there).
     for _ in range(2):
         dens = normal_pdf(x)
         if dens < 1e-280:

@@ -491,7 +491,8 @@ def test_extreme_accepted_inputs_exit_without_a_traceback(argv, capsys):
     ["pdist", "--delta", "38.3", "--grid", "1e-320,0.5", "--format", "json"],
     ["cost", "--alpha-map", "--sigma", "1e308", "--mu0", "1e308", "--alphas", "0.5,1e-300"],
     ["analyze", "--estimate", "0", "--stderr", "1.7e308", "--level", "1e-300"],
-], ids=["pdist_density", "cost_critical_value", "analyze_lower_limit"])
+    ["cost", "--minimize", "--p0", "1e-300", "--p1", "1e308"],
+], ids=["pdist_density", "cost_critical_value", "analyze_lower_limit", "cost_ratio"])
 def test_results_beyond_the_float_range_exit_2(argv, capsys):
     code = cli.main(argv)
     out, err = capsys.readouterr()

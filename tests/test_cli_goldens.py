@@ -24,8 +24,9 @@ GOLDENS = cli_batch.load_goldens()
 # Open defects that a golden entry shows, each with its ROADMAP item.
 KNOWN_DEFECTS = {
     "edge.cost_phi_1e-12_minimize": (
-        "ROADMAP 'Tail-accurate kernels and a crash-free error surface': the golden-section "
-        "bracket of numeric_minimizer is fixed at +-10 sigma (gap 17.1 at phi = 1e-12)"),
+        "ROADMAP item 4, 'One benchmark refresh that carries every digit-moving tail fix': "
+        "the golden-section bracket of numeric_minimizer is fixed at +-10 sigma "
+        "(gap 17.1 at phi = 1e-12)"),
 }
 
 

@@ -3,22 +3,24 @@
 Power, the p-value cdf under the alternative and the coupled screening curve
 are each evaluated through the rejection law itself, never as 1 - (an
 acceptance probability), so they keep their relative accuracy where that
-complement would round to a few digits or to 0. The grids stop at alpha =
-1e-280: below p ~ 1e-281 normal_quantile skips its polish, a separate open
-defect.
+complement would round to a few digits or to 0. The critical values under
+them come from normal_quantile, itself checked here into both tails.
 """
 
 import math
+import random
+import sys
 
 import pytest
 from scipy.stats import norm
 
 from errstat import (AlternativeSpec, GaussianTestModel, Tail, cdf_under_alternative,
-                     combined_fpr_curve, power, type2_error)
+                     combined_fpr_curve, normal_quantile, power, type2_error)
 
 RTOL = 1e-10
-ALPHAS = [1e-280, 1e-200, 1e-120, 1e-60, 1e-30, 1e-16, 1e-10, 1e-6, 1e-3, 0.05, 0.2, 0.5]
+ALPHAS = [1e-290, 1e-280, 1e-200, 1e-120, 1e-60, 1e-30, 1e-16, 1e-10, 1e-6, 1e-3, 0.05, 0.2, 0.5]
 MEANS = [-8.0, -5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 5.0, 8.0]
+EPS = sys.float_info.epsilon
 
 
 def _assert_close(got, ref):
@@ -67,3 +69,15 @@ def test_coupled_fpr_curve_matches_scipy_for_tiny_alpha(effect_size, n):
             pw = norm.sf(z - m)
             _assert_close(beta, norm.cdf(z - m))
             _assert_close(fpr, alpha * prior_null / (alpha * prior_null + pw * (1.0 - prior_null)))
+
+
+def test_normal_quantile_matches_scipy_into_both_tails():
+    # Below 1/2 against norm.ppf(p); above it against norm.isf(1 - p), where 1 - p is exact.
+    rng = random.Random(13)
+    points = ([10.0 ** rng.uniform(-307, -3) for _ in range(2000)]
+              + [1.0 - 10.0 ** rng.uniform(-15, -3) for _ in range(2000)]
+              + [rng.uniform(1e-3, 1.0 - 1e-3) for _ in range(2000)])
+    for p in points:
+        ref = norm.ppf(p) if p < 0.5 else norm.isf(1.0 - p)
+        got = normal_quantile(p)
+        assert abs(got - ref) <= 8 * EPS * abs(ref), (p, got, ref, abs(got - ref) / abs(ref))

@@ -148,7 +148,8 @@ def test_overflowing_derived_values_name_their_inputs():
      "the cost derivative"),
     (lambda: confidence_lower_limit(SummaryStats(0.0, 1.7e308), 1e-300),
      "the confidence lower limit"),
-], ids=["pdf", "critical_from_alpha", "cost_derivative", "confidence_lower_limit"])
+    (lambda: CostParams(1e-300, 1e308, 0.5).cost_ratio, "cost_type2 / cost_type1"),
+], ids=["pdf", "critical_from_alpha", "cost_derivative", "confidence_lower_limit", "cost_ratio"])
 def test_results_beyond_the_float_range_raise_domain_error(call, what):
     with pytest.raises(DomainError, match=f"^{what} must be finite, got -?inf$"):
         call()
