@@ -10,6 +10,13 @@ and take floats or ndarrays (the exp(-y^2) split is handed math or numpy
 functions), so the Monte Carlo array kernel evaluates this same code;
 everything else is a pure scalar function of floats. No mutable global
 state, and no numpy import here.
+
+Each public kernel checks its arguments once and hands them to a private
+core. The solvers call the cores directly: the Halley steps of
+normal_quantile, and the bracket and Newton loop of student_t_quantile,
+which run on one Student-t law per df (``_StudentT``) that computes
+log B(df/2, 1/2) once; the loop computes the density's log normaliser once
+per solve.
 """
 
 from __future__ import annotations
@@ -96,39 +103,44 @@ def _erfc(x: float) -> float:
     return tail if x > 0.0 else 2.0 - tail
 
 
+def _normal_pdf(x: float) -> float:
+    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+
+
+def _normal_cdf(x: float) -> float:
+    return 0.5 * _erfc(-x / _SQRT2)
+
+
 def normal_pdf(x: float) -> float:
     """Standard Gaussian density (2*pi)**-0.5 * exp(-x**2 / 2)."""
-    x = check_finite(x, "x")
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    return _normal_pdf(check_finite(x, "x"))
 
 
 def normal_cdf(x: float) -> float:
     """Standard Gaussian distribution function, accurate to ~1e-15 absolute."""
-    x = check_finite(x, "x")
-    return 0.5 * _erfc(-x / _SQRT2)
+    return _normal_cdf(check_finite(x, "x"))
 
 
 _NORMAL = NormalDist()
 
 
-def normal_quantile(p: float) -> float:
-    """Inverse of normal_cdf on (0, 1), AS 241 polished by Halley; round-trips to ~1e-15."""
-    p = check_open_unit(p, "p")
+def _normal_quantile(p: float) -> float:
     x = _NORMAL.inv_cdf(p)
-    # Two Halley steps against normal_cdf; skipped in the extreme tail where
+    # Two Halley steps against the cdf; skipped in the extreme tail where
     # the density underflows (AS 241 alone is double precision there).
     for _ in range(2):
-        dens = normal_pdf(x)
+        dens = _normal_pdf(x)
         if dens < 1e-280:
             break
-        err = normal_cdf(x) - p
+        err = _normal_cdf(x) - p
         u = err / dens
         x -= u / (1.0 + 0.5 * x * u)
     return x
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+def normal_quantile(p: float) -> float:
+    """Inverse of normal_cdf on (0, 1), AS 241 polished by Halley; round-trips to ~1e-15."""
+    return _normal_quantile(check_open_unit(p, "p"))
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
@@ -170,57 +182,84 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     return h
 
 
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for x in [0, 1]."""
+def _reg_inc_beta(a: float, b: float, log_beta: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for x in [0, 1]; log_beta is log B(a, b)."""
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cont_frac(a, b, x) / a
     return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
+_LGAMMA_HALF = math.lgamma(0.5)
+
+
+class _StudentT:
+    """The Student-t law of one df, with log B(df/2, 1/2) computed once.
+
+    Its methods take finite floats and p in (0, 1): callers check."""
+
+    __slots__ = ("df", "a", "log_beta")
+
+    def __init__(self, df: int):
+        self.df = df
+        self.a = a = 0.5 * df
+        self.log_beta = math.lgamma(a) + _LGAMMA_HALF - math.lgamma(a + 0.5)
+
+    def cdf(self, x: float) -> float:
+        df = self.df
+        x2 = x * x
+        if x2 < math.inf:
+            tail = 0.5 * _reg_inc_beta(self.a, 0.5, self.log_beta, df / (df + x2))
+        else:
+            # Beyond |x| ~ 1.34e154 the square overflows. There w = df / (df + x^2) is
+            # df / x^2 < 1e-292, so (1 - w)^(1/2) and the continued fraction are 1 to
+            # the last bit and the tail is its front factor w^(df/2) / (df B(df/2, 1/2)).
+            tail = 0.5 * (math.sqrt(df) / abs(x)) ** df * math.exp(-self.log_beta) / self.a
+        return 1.0 - tail if x > 0.0 else tail
+
+    def quantile(self, p: float) -> float:
+        if p < 0.5:
+            return -self.quantile(check_open_unit(1.0 - p, "p"))
+        # p > 0.5: the root is positive. Grow the bracket, then refine.
+        df = self.df
+        lo, hi = 0.0, 1.0
+        while self.cdf(hi) < p:
+            lo = hi
+            hi *= 2.0
+            if hi > 1e300:
+                raise DomainError(f"quantile overflow for p={p!r}, df={df}")
+        x = min(max(_normal_quantile(p), lo), hi)
+        # the density's log normaliser and power, once per solve
+        log_norm = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
+                    - 0.5 * math.log(df * math.pi))
+        power = 0.5 * (df + 1)
+        for _ in range(100):
+            f = self.cdf(x) - p
+            if f > 0.0:
+                hi = x
+            else:
+                lo = x
+            step = f / max(math.exp(log_norm - power * math.log1p(x * x / df)), 1e-300)
+            x_new = x - step
+            if not (lo <= x_new <= hi):
+                x_new = 0.5 * (lo + hi)
+            if abs(x_new - x) <= 1e-14 * max(1.0, abs(x)):
+                return x_new
+            x = x_new
+        return x
+
+
 def student_t_cdf(x: float, df: int) -> float:
     """Student-t distribution function with ``df`` degrees of freedom."""
     x = check_finite(x, "x")
-    df = check_int(df, "df", 1)
-    tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x * x))
-    return 1.0 - tail if x > 0.0 else tail
-
-
-def _student_t_pdf(x: float, df: int) -> float:
-    lognorm = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
-               - 0.5 * math.log(df * math.pi))
-    return math.exp(lognorm - 0.5 * (df + 1) * math.log1p(x * x / df))
+    return _StudentT(check_int(df, "df", 1)).cdf(x)
 
 
 def student_t_quantile(p: float, df: int) -> float:
     """Inverse of student_t_cdf; safeguarded Newton inside a bisection bracket."""
     p = check_open_unit(p, "p")
-    df = check_int(df, "df", 1)
-    if p < 0.5:
-        return -student_t_quantile(1.0 - p, df)
-    # p > 0.5: the root is positive. Grow the bracket, then refine.
-    lo, hi = 0.0, 1.0
-    while student_t_cdf(hi, df) < p:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            raise DomainError(f"quantile overflow for p={p!r}, df={df}")
-    x = min(max(normal_quantile(p), lo), hi)
-    for _ in range(100):
-        f = student_t_cdf(x, df) - p
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        step = f / max(_student_t_pdf(x, df), 1e-300)
-        x_new = x - step
-        if not (lo <= x_new <= hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-14 * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-    return x
+    return _StudentT(check_int(df, "df", 1)).quantile(p)

@@ -20,7 +20,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -92,22 +92,24 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
                                                                       spawn_key=(index,))))
 
 
-def _map_chunks(fn, total: int, workers: int) -> list:
-    # fn(start) for each chunk's first trial, in order, on min(workers, chunks, CPUs) threads.
-    # At most 2 * workers futures are pending, read in order: memory does not grow with the
-    # chunk count, and a thread that finishes early still takes the next chunk.
+def _map_chunks(fn, total: int, workers: int) -> Iterator:
+    # Yields fn(start) for each chunk's first trial, in order, on min(workers, chunks, CPUs)
+    # threads. At most 2 * workers futures are pending, read in order, and the caller folds
+    # each result as it comes: memory does not grow with the chunk count, and a thread
+    # that finishes early still takes the next chunk.
     starts = range(0, total, CHUNK_SIZE)
     workers = min(check_int(workers, "workers", 1), len(starts), os.cpu_count() or 1)
     if workers == 1:
-        return [fn(start) for start in starts]
-    results, pending = [], deque()
+        yield from map(fn, starts)
+        return
+    pending = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for start in starts:
             if len(pending) == 2 * workers:
-                results.append(pending.popleft().result())
+                yield pending.popleft().result()
             pending.append(pool.submit(fn, start))
-        results.extend(future.result() for future in pending)
-    return results
+        while pending:
+            yield pending.popleft().result()
 
 
 def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first: float,
@@ -129,8 +131,12 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
         return (int(np.count_nonzero(first)), int(np.count_nonzero(reject)),
                 int(np.count_nonzero(first & reject)))
 
-    parts = _map_chunks(run_chunk, config.num_trials, workers)
-    n_first, n_reject, first_reject = (sum(column) for column in zip(*parts))
+    n_first = n_reject = first_reject = 0
+    for chunk_first, chunk_reject, chunk_first_reject in _map_chunks(run_chunk, config.num_trials,
+                                                                     workers):
+        n_first += chunk_first
+        n_reject += chunk_reject
+        first_reject += chunk_first_reject
     second_reject = n_reject - first_reject
     return (first_reject, n_first - first_reject, second_reject,
             config.num_trials - n_first - second_reject)
@@ -335,7 +341,8 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
         part += shift
         np.negative(tail.extremity(part), out=part)
 
-    _map_chunks(draw, n, workers)
+    for _ in _map_chunks(draw, n, workers):  # each chunk has filled its slice
+        pass
     buf.sort()
     deciles, at_deciles, ks = _summarize(buf, shift, tail)
     return PValueSimSummary(

@@ -118,11 +118,13 @@ def combined_fpr_curve(
     """
     prior_null = check_open_unit(prior_null, "prior_null")
     model = error_tradeoff.GaussianTestModel(effect_size=effect_size, n=n)
+    tail, mean = model.tail, model.noncentrality
     out = []
     for alpha in check_sequence(alphas, "alphas"):
-        fpr = false_positive_rate(
-            ScreeningParams(alpha, error_tradeoff.power(alpha, model), prior_null))
-        out.append((float(alpha), error_tradeoff.type2_error(alpha, model), fpr))
+        alpha = check_open_unit(alpha, "alpha")
+        z = tail.critical(alpha)  # one critical value serves both laws
+        fpr = false_positive_rate(ScreeningParams(alpha, tail.rejection(z, mean), prior_null))
+        out.append((alpha, tail.acceptance(z, mean), fpr))
     return out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .distributions import normal_cdf, normal_quantile, student_t_cdf, student_t_quantile
+from .distributions import _StudentT, normal_cdf, normal_quantile
 from .error_tradeoff import Tail
 from .errors import (DomainError, check_finite, check_instance, check_int, check_member,
                      check_open_unit, check_positive, check_sequence)
@@ -85,11 +85,19 @@ class SeverityClaim:
 
 
 def _reference_law(stats: SummaryStats, reference: ReferenceDist) -> tuple[Callable, Callable]:
-    # (cdf, quantile) of the reference law: the one place that picks normal or Student-t
+    # (cdf, quantile) of the reference law: the one place that picks normal or Student-t.
+    # The cdf checks its argument, which can overflow; the quantile is handed a checked level.
     if check_member(reference, ReferenceDist, "reference") is ReferenceDist.NORMAL:
         return normal_cdf, normal_quantile
-    df = stats.effective_df()
-    return (lambda z: student_t_cdf(z, df)), (lambda p: student_t_quantile(p, df))
+    law = _StudentT(stats.effective_df())
+    return (lambda z: law.cdf(check_finite(z, "x"))), law.quantile
+
+
+def _severity(stats: SummaryStats, claim: SeverityClaim, cdf: Callable) -> float:
+    z = (stats.estimate - claim.bound) / stats.stderr
+    if claim.direction is ClaimDirection.LESS_THAN:
+        z = -z  # the lower tail of the reference law itself, never 1 - cdf(z)
+    return cdf(z)
 
 
 def severity(stats: SummaryStats, claim: SeverityClaim,
@@ -97,10 +105,7 @@ def severity(stats: SummaryStats, claim: SeverityClaim,
     """Probability the data would have fit the claim worse were it false."""
     check_instance(stats, SummaryStats, "stats")
     check_instance(claim, SeverityClaim, "claim")
-    z = (stats.estimate - claim.bound) / stats.stderr
-    if claim.direction is ClaimDirection.LESS_THAN:
-        z = -z  # the lower tail of the reference law itself, never 1 - cdf(z)
-    return _reference_law(stats, reference)[0](z)
+    return _severity(stats, claim, _reference_law(stats, reference)[0])
 
 
 def severity_curve(stats: SummaryStats, bounds: Sequence[float],
@@ -110,7 +115,10 @@ def severity_curve(stats: SummaryStats, bounds: Sequence[float],
     """Severity at each bound, for probing which parameter values are warranted."""
     check_instance(stats, SummaryStats, "stats")
     claims = [SeverityClaim(direction, b) for b in check_sequence(bounds, "bounds")]
-    return [(claim.bound, severity(stats, claim, reference)) for claim in claims]
+    if not claims:  # no bound at which to read the law
+        return []
+    cdf = _reference_law(stats, reference)[0]
+    return [(claim.bound, _severity(stats, claim, cdf)) for claim in claims]
 
 
 def confidence_lower_limit(stats: SummaryStats, level: float,

@@ -1,4 +1,4 @@
-"""Pinned bits of the array Gaussian kernel and of the three simulators.
+"""Pinned bits of the scalar kernels, the array Gaussian kernel and the three simulators.
 
 The kernel and simulate_pvalues values were recorded before the scalar and
 array Cody erfc shared one set of rational pieces; the simulate_studies,
@@ -11,17 +11,23 @@ change to how the kernels or the simulators are evaluated must leave these
 outputs bit for bit. The p-value summary, which evaluates the kernel only
 where its fields can change, is also held to the pass over every trial that
 it replaced, kept here as the reference, on random and on crafted sorted
-buffers whose values fall out of order at the ulp scale.
+buffers whose values fall out of order at the ulp scale. The digest of a seeded
+sweep of the scalar kernels and of the curves built on them was recorded before
+the public kernels checked their arguments once and handed the solvers their
+private cores and one Student-t law per df.
 """
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
 
-from errstat import (CostParams, SimConfig, Tail, simulate_expected_cost, simulate_pvalues,
-                     simulate_studies)
+from errstat import (CostParams, ReferenceDist, SimConfig, SummaryStats, Tail, combined_fpr_curve,
+                     confidence_lower_limit, normal_quantile, severity_curve, simulate_expected_cost,
+                     simulate_pvalues, simulate_studies, student_t_cdf, student_t_quantile)
+from errstat.errors import ErrstatError
 from errstat import montecarlo
 from errstat.montecarlo import CHUNK_SIZE, CostSimEstimate, SimOutcome, _normal_cdf_vec
 
@@ -44,6 +50,59 @@ def test_vectorized_cdf_bits_are_pinned():
     assert grid.size == 400023
     digest = hashlib.sha256(_normal_cdf_vec(grid).tobytes()).hexdigest()
     assert digest == "d4f991bbb6e32a84d6ed24b83a2d0d61945a1a0be5a3dee8d8e1d75fa9a2e445"
+
+
+def _kernel_sweep_rows() -> list:
+    # One line per call: the call, then the repr of its result or the error it raised.
+    # p runs from 1e-300 to 1 - 1e-16, df from 1 to 2e9 and |x| from 1e-10 to 1e150;
+    # quantiles below about 1.1e-16 raise, as does a curve whose power underflows.
+    rng = random.Random(20261018)
+
+    def log_uniform(lo, hi):
+        return lo * (hi / lo) ** rng.random()
+
+    def df():
+        return int(log_uniform(1.0, 2e9))
+
+    def upper():
+        return 1.0 - log_uniform(1e-16, 0.5)
+
+    calls = []
+    for _ in range(1000):
+        calls.append((normal_quantile, (log_uniform(1e-300, 0.5),)))
+        calls.append((normal_quantile, (upper(),)))
+    for _ in range(1000):
+        calls.append((student_t_cdf, (rng.choice((-1.0, 1.0)) * log_uniform(1e-10, 1e150), df())))
+        calls.append((student_t_cdf, (rng.uniform(-40.0, 40.0), df())))
+    for _ in range(400):
+        calls.append((student_t_quantile, (log_uniform(1e-20, 0.5), df())))
+        calls.append((student_t_quantile, (upper(), df())))
+    for _ in range(150):
+        alphas = [log_uniform(1e-300, 0.999) for _ in range(4)]
+        calls.append((combined_fpr_curve, (rng.uniform(-3.0, 3.0), int(log_uniform(1.0, 1e4)),
+                                           rng.random(), alphas)))
+    for _ in range(150):
+        stats = SummaryStats(rng.uniform(-5.0, 5.0), log_uniform(1e-3, 10.0), df=df())
+        bounds = [rng.uniform(-10.0, 10.0) for _ in range(3)]
+        calls.append((severity_curve, (stats, bounds, ReferenceDist.STUDENT_T)))
+        level = log_uniform(1e-20, 0.5) if rng.random() < 0.5 else upper()
+        calls.append((confidence_lower_limit, (stats, level, ReferenceDist.STUDENT_T)))
+    rows = []
+    for fn, args in calls:
+        try:
+            out = repr(fn(*args))
+        except ErrstatError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        rows.append(f"{fn.__name__}{args!r} -> {out}")
+    return rows
+
+
+def test_scalar_kernel_sweep_is_pinned():
+    rows = _kernel_sweep_rows()
+    assert len(rows) == 5250
+    assert sum(" -> DomainError: " in row for row in rows) == 173
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "56af844babb072157b0bc6dbd0972804e4d412011a33b75158fa11879771e103"
 
 
 _PVALUE_SUMMARIES = {

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import pytest
 from scipy.stats import t
 
@@ -116,6 +119,18 @@ def test_t_cdf_against_quadrature_oracle():
 def test_t_cdf_cauchy_closed_form():
     # df=1 is Cauchy: F(1) = 3/4
     assert dist.student_t_cdf(1.0, 1) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_t_cdf_keeps_the_far_tail_where_x_squared_overflows():
+    # Past |x| ~ 1.34e154, x * x is inf; the Cauchy tail there is about 1 / (pi |x|).
+    assert dist.student_t_cdf(-1.35e154, 1) == pytest.approx(2.35785100877e-155, rel=1e-11)
+    with mpmath.workdps(40):
+        for i in range(201):
+            x = 1.35e154 * (1e300 / 1.35e154) ** (i / 200)
+            xm = mpmath.mpf(x)
+            ref = float(mpmath.betainc(0.5, 0.5, 0, 1 / (1 + xm * xm), regularized=True) / 2)
+            assert math.isclose(dist.student_t_cdf(-x, 1), ref, rel_tol=1e-13, abs_tol=0.0), x
+            assert dist.student_t_cdf(x, 1) == 1.0
 
 
 def test_t_cdf_approaches_normal_for_large_df():

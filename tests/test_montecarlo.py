@@ -295,7 +295,7 @@ def test_chunks_start_without_a_plan_of_all_chunks():
             raise Stop
 
     with pytest.raises(Stop):
-        montecarlo._map_chunks(fn, 2 ** 50, 1)
+        list(montecarlo._map_chunks(fn, 2 ** 50, 1))
     assert starts == [0, CHUNK_SIZE, 2 * CHUNK_SIZE]
 
 
@@ -325,5 +325,23 @@ def test_parallel_chunks_are_submitted_a_few_at_a_time(monkeypatch):
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Counting)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     chunks = 5000
-    assert montecarlo._map_chunks(fn, chunks * CHUNK_SIZE, 2) == list(range(chunks))
+    assert list(montecarlo._map_chunks(fn, chunks * CHUNK_SIZE, 2)) == list(range(chunks))
     assert len(in_flight) == chunks and max(in_flight) <= 4
+
+
+@pytest.mark.parametrize("workers, chunks", [(1, 200_000), (2, 20_000)])
+def test_chunk_results_are_consumed_as_they_come(monkeypatch, workers, chunks):
+    # The count simulators fold each chunk's result into running sums, so the chunk
+    # runner holds O(workers) results, not one per chunk (a list of them passes 1 MiB).
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    seen = 0
+    tracemalloc.start()
+    try:
+        for result in montecarlo._map_chunks(lambda start: (start, start + 1), chunks * CHUNK_SIZE,
+                                             workers):
+            seen += result[1] - result[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == chunks
+    assert peak < 1 << 20
