@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import normal_cdf, normal_pdf
+from .distributions import _normal_cdf, normal_pdf
 from .error_tradeoff import Tail
 from .errors import (DomainError, check_at_least, check_finite, check_instance, check_open_unit,
                      check_positive, check_unit)
@@ -64,26 +64,37 @@ class CostParams:
                             "cost_type2 / cost_type1")
 
 
-def _standardized(c: float, params: CostParams) -> tuple[float, float]:
-    # c in units of sigma from each mean, the only form in which c enters the Gaussian laws
+def _checked(c: float, params: CostParams) -> float:
+    # the caller's critical value, after the checks on it and on params
     c = check_finite(c, "critical value")
     check_instance(params, CostParams, "params")
+    return c
+
+
+def _standardized(c: float, params: CostParams) -> tuple[float, float]:
+    # c in units of sigma from each mean, the only form in which c enters the Gaussian laws;
+    # callers check c and params, but the quotients can still overflow
     return (check_finite((c - params.mu0) / params.sigma, "(c - mu0) / sigma"),
             check_finite((c - params.mu1) / params.sigma, "(c - mu1) / sigma"))
 
 
+def _expected_cost(c: float, params: CostParams) -> float:
+    # expected_cost of a checked c and params
+    z0, z1 = _standardized(c, params)
+    return (params.prior_good * (1.0 - _normal_cdf(z0)) * params.cost_type1
+            + (1.0 - params.prior_good) * _normal_cdf(z1) * params.cost_type2)
+
+
 def expected_cost(c: float, params: CostParams) -> float:
     """Expected cost of thresholding at c."""
-    z0, z1 = _standardized(c, params)
-    return (params.prior_good * (1.0 - normal_cdf(z0)) * params.cost_type1
-            + (1.0 - params.prior_good) * normal_cdf(z1) * params.cost_type2)
+    return _expected_cost(_checked(c, params), params)
 
 
 def _cost_slopes(c: float, params: CostParams) -> tuple[float, float]:
     # sigma * C'(c) and sigma^2 * C''(c), free of sigma so that neither overflows or underflows
     # with it: each law's density at c is normal_pdf(z) / sigma and its slope
     # -z normal_pdf(z) / sigma^2.
-    z0, z1 = _standardized(c, params)
+    z0, z1 = _standardized(_checked(c, params), params)
     w0 = params.prior_good * params.cost_type1
     w1 = (1.0 - params.prior_good) * params.cost_type2
     f0, f1 = normal_pdf(z0), normal_pdf(z1)
@@ -128,18 +139,19 @@ def numeric_minimizer(params: CostParams) -> float:
     a, b = lo, hi
     c1 = b - _GOLDEN * (b - a)
     c2 = a + _GOLDEN * (b - a)
-    f1, f2 = expected_cost(c1, params), expected_cost(c2, params)
+    # c1 and c2 stay inside the finite bracket, so the loop calls the core
+    f1, f2 = _expected_cost(c1, params), _expected_cost(c2, params)
     for _ in range(200):
         if b - a < 1e-10 * sigma:
             break
         if f1 <= f2:
             b, c2, f2 = c2, c1, f1
             c1 = b - _GOLDEN * (b - a)
-            f1 = expected_cost(c1, params)
+            f1 = _expected_cost(c1, params)
         else:
             a, c1, f1 = c1, c2, f2
             c2 = a + _GOLDEN * (b - a)
-            f2 = expected_cost(c2, params)
+            f2 = _expected_cost(c2, params)
     x = 0.5 * (a + b)
     # Newton polish on the derivative, C'/C'' = sigma * (sigma C')/(sigma^2 C''); the second
     # derivative at an interior minimum is positive, so a couple of steps suffice.
@@ -169,8 +181,7 @@ def cost_monotonicity_region(c: float, params: CostParams) -> CostTrend:
     density ratio f0(c)/f1(c); a gap between those two sides of at most
     _STATIONARY_TOL (1e-9) reports the stationary point.
     """
-    c = check_finite(c, "critical value")
-    check_instance(params, CostParams, "params")
+    c = _checked(c, params)
     phi = check_open_unit(params.prior_good, "prior_good")
     lhs = params.cost_ratio * (1.0 - phi) / phi
     # log f0(c)/f1(c) = (mu0 - mu1)(c - mu0/2 - mu1/2)/sigma^2, a difference of squares that
@@ -188,7 +199,7 @@ def cost_monotonicity_region(c: float, params: CostParams) -> CostTrend:
 
 def alpha_from_critical(c: float, params: CostParams) -> float:
     """Type I error probability implied by the threshold: the null law beyond c, not 1 - F0(c)."""
-    return Tail.ONE_SIDED_UPPER.rejection(_standardized(c, params)[0], 0.0)
+    return Tail.ONE_SIDED_UPPER.rejection(_standardized(_checked(c, params), params)[0], 0.0)
 
 
 def critical_from_alpha(alpha: float, params: CostParams) -> float:

@@ -2,27 +2,34 @@
 
 Standard library only: the Gaussian cdf goes through Cody's rational
 Chebyshev approximations to erf/erfc (double-precision accurate on the whole
-real line), the quantile starts from Wichura's AS 241 (``statistics.
-NormalDist.inv_cdf``) and is polished with two Halley steps against that
-cdf, and the t cdf is the regularized incomplete beta function evaluated by
-a modified-Lentz continued fraction. The Cody rational pieces use only + * /
-and take floats or ndarrays (the exp(-y^2) split is handed math or numpy
-functions), so the Monte Carlo array kernel evaluates this same code;
-everything else is a pure scalar function of floats. No mutable global
-state, and no numpy import here.
+real line), the quantile starts from Wichura's AS 241 and is polished with
+two Halley steps against that cdf, and the t cdf is the regularized
+incomplete beta function evaluated by a modified-Lentz continued fraction.
+AS 241 is the function ``statistics.NormalDist.inv_cdf`` calls, taken from
+the ``_statistics`` C module, so importing this module loads neither
+``statistics`` nor its ``fractions`` and ``decimal``. The Cody rational
+pieces use only + * / and take floats or ndarrays (the exp(-y^2) split is
+handed math or numpy functions), so the Monte Carlo array kernel evaluates
+this same code; everything else is a pure scalar function of floats. No
+mutable global state, and no numpy import here.
 
 Each public kernel checks its arguments once and hands them to a private
 core. The solvers call the cores directly: the Halley steps of
 normal_quantile, and the bracket and Newton loop of student_t_quantile,
 which run on one Student-t law per df (``_StudentT``) that computes
 log B(df/2, 1/2) once; the loop computes the density's log normaliser once
-per solve.
+per solve. The scalar hot loops compare where they would call abs() or
+max(), and the Gaussian cdf evaluates Cody's erfc in its own body.
 """
 
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
+
+try:
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # an interpreter without the C accelerator
+    from statistics import _normal_dist_inv_cdf
 
 from .errors import DomainError, check_finite, check_int, check_open_unit
 
@@ -57,30 +64,31 @@ _ERF_Q = (2.56852019228982242e00, 1.87295284992346047e00,
 
 def _erf_small(x):
     # erf(x) for |x| <= 0.46875.
-    a, b = _ERF_A, _ERF_B
+    a0, a1, a2, a3, a4 = _ERF_A
+    b0, b1, b2, b3 = _ERF_B
     ysq = x * x
-    xnum = (((a[4] * ysq + a[0]) * ysq + a[1]) * ysq + a[2]) * ysq
-    xden = (((ysq + b[0]) * ysq + b[1]) * ysq + b[2]) * ysq
-    return x * (xnum + a[3]) / (xden + b[3])
+    xnum = (((a4 * ysq + a0) * ysq + a1) * ysq + a2) * ysq
+    xden = (((ysq + b0) * ysq + b1) * ysq + b2) * ysq
+    return x * (xnum + a3) / (xden + b3)
 
 
 def _erfc_mid_ratio(y):
     # erfc(y) * exp(y^2) for 0.46875 < y <= 4.
-    c, d = _ERF_C, _ERF_D
-    xnum = (((((((c[8] * y + c[0]) * y + c[1]) * y + c[2]) * y + c[3]) * y + c[4]) * y
-             + c[5]) * y + c[6]) * y
-    xden = (((((((y + d[0]) * y + d[1]) * y + d[2]) * y + d[3]) * y + d[4]) * y
-             + d[5]) * y + d[6]) * y
-    return (xnum + c[7]) / (xden + d[7])
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _ERF_C
+    d0, d1, d2, d3, d4, d5, d6, d7 = _ERF_D
+    xnum = (((((((c8 * y + c0) * y + c1) * y + c2) * y + c3) * y + c4) * y + c5) * y + c6) * y
+    xden = (((((((y + d0) * y + d1) * y + d2) * y + d3) * y + d4) * y + d5) * y + d6) * y
+    return (xnum + c7) / (xden + d7)
 
 
 def _erfc_big_ratio(y):
     # erfc(y) * exp(y^2) for 4 < y < 26.5.
-    p, q = _ERF_P, _ERF_Q
+    p0, p1, p2, p3, p4, p5 = _ERF_P
+    q0, q1, q2, q3, q4 = _ERF_Q
     ysq = 1.0 / (y * y)
-    xnum = ((((p[5] * ysq + p[0]) * ysq + p[1]) * ysq + p[2]) * ysq + p[3]) * ysq
-    xden = ((((ysq + q[0]) * ysq + q[1]) * ysq + q[2]) * ysq + q[3]) * ysq
-    return (_INV_SQRT_PI - ysq * (xnum + p[4]) / (xden + q[4])) / y
+    xnum = ((((p5 * ysq + p0) * ysq + p1) * ysq + p2) * ysq + p3) * ysq
+    xden = ((((ysq + q0) * ysq + q1) * ysq + q2) * ysq + q3) * ysq
+    return (_INV_SQRT_PI - ysq * (xnum + p4) / (xden + q4)) / y
 
 
 def _exp_neg_sq(y, exp, floor):
@@ -91,24 +99,22 @@ def _exp_neg_sq(y, exp, floor):
     return exp(-ytrunc * ytrunc) * exp(-delta)
 
 
-def _erfc(x: float) -> float:
-    y = abs(x)
-    if y <= 0.46875:
-        return 1.0 - _erf_small(x)
-    if y >= 26.5:
-        tail = 0.0
-    else:
-        ratio = _erfc_mid_ratio(y) if y <= 4.0 else _erfc_big_ratio(y)
-        tail = _exp_neg_sq(y, math.exp, math.floor) * ratio
-    return tail if x > 0.0 else 2.0 - tail
-
-
 def _normal_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 def _normal_cdf(x: float) -> float:
-    return 0.5 * _erfc(-x / _SQRT2)
+    # 0.5 * erfc(t) at t = -x / sqrt(2), by Cody's pieces for y = |t|
+    t = -x / _SQRT2
+    y = t if t > 0.0 else -t
+    if y <= 0.46875:
+        return 0.5 * (1.0 - _erf_small(t))
+    if y >= 26.5:
+        tail = 0.0
+    else:
+        ratio = _erfc_mid_ratio(y) if y <= 4.0 else _erfc_big_ratio(y)
+        tail = _exp_neg_sq(y, math.exp, math.floor) * ratio
+    return 0.5 * (tail if t > 0.0 else 2.0 - tail)
 
 
 def normal_pdf(x: float) -> float:
@@ -121,11 +127,9 @@ def normal_cdf(x: float) -> float:
     return _normal_cdf(check_finite(x, "x"))
 
 
-_NORMAL = NormalDist()
-
-
 def _normal_quantile(p: float) -> float:
-    x = _NORMAL.inv_cdf(p)
+    # AS 241, the function NormalDist().inv_cdf calls once p passes its range check
+    x = _normal_dist_inv_cdf(p, 0.0, 1.0)
     # Two Halley steps against the cdf; skipped in the extreme tail where
     # the density underflows (AS 241 alone is double precision there).
     for _ in range(2):
@@ -144,7 +148,9 @@ def normal_quantile(p: float) -> float:
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    # Modified Lentz evaluation of the continued fraction for I_x(a, b).
+    # Modified Lentz evaluation of the continued fraction for I_x(a, b). The clamps and
+    # the stop rule test -t < v < t, which is abs(v) < t for every float, NaN included.
+    # m counts as a float: Python converts an int m exactly, so each operation rounds alike.
     eps = 1e-15
     fpmin = 1e-300
     qab = a + b
@@ -152,32 +158,34 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
+    if -fpmin < d < fpmin:
         d = fpmin
     d = 1.0 / d
     h = d
-    for m in range(1, 300):
-        m2 = 2 * m
+    m = 0.0
+    for _ in range(299):
+        m += 1.0
+        m2 = 2.0 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < fpmin:
+        if -fpmin < d < fpmin:
             d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < fpmin:
+        if -fpmin < c < fpmin:
             c = fpmin
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < fpmin:
+        if -fpmin < d < fpmin:
             d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < fpmin:
+        if -fpmin < c < fpmin:
             c = fpmin
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if -eps < delta - 1.0 < eps:
             break
     return h
 
@@ -237,17 +245,22 @@ class _StudentT:
         log_norm = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
                     - 0.5 * math.log(df * math.pi))
         power = 0.5 * (df + 1)
+        # the floor is max(dens, 1e-300) and tol 1e-14 * max(1.0, |x|), NaN cases included
         for _ in range(100):
             f = self.cdf(x) - p
             if f > 0.0:
                 hi = x
             else:
                 lo = x
-            step = f / max(math.exp(log_norm - power * math.log1p(x * x / df)), 1e-300)
-            x_new = x - step
+            dens = math.exp(log_norm - power * math.log1p(x * x / df))
+            if dens < 1e-300:
+                dens = 1e-300
+            x_new = x - f / dens
             if not (lo <= x_new <= hi):
                 x_new = 0.5 * (lo + hi)
-            if abs(x_new - x) <= 1e-14 * max(1.0, abs(x)):
+            ax = -x if x < 0.0 else x
+            tol = 1e-14 * (ax if ax > 1.0 else 1.0)
+            if -tol <= x_new - x <= tol:
                 return x_new
             x = x_new
         return x

@@ -14,19 +14,31 @@ it replaced, kept here as the reference, on random and on crafted sorted
 buffers whose values fall out of order at the ulp scale. The digest of a seeded
 sweep of the scalar kernels and of the curves built on them was recorded before
 the public kernels checked their arguments once and handed the solvers their
-private cores and one Student-t law per df.
+private cores and one Student-t law per df. The digest of a second sweep, of the
+Gaussian cdf and pdf at and around Cody's cuts, the Gaussian test laws, the
+expected cost and its minimizer, was recorded before the scalar Gaussian cdf,
+the incomplete-beta continued fraction, the t-quantile Newton step and the
+minimizer's cost loop were written without builtin calls and extra frames. The
+values of the continued fraction where its fpmin clamps fire were recorded then too.
 """
 
 import hashlib
+import linecache
 import math
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
 
-from errstat import (CostParams, ReferenceDist, SimConfig, SummaryStats, Tail, combined_fpr_curve,
-                     confidence_lower_limit, normal_quantile, severity_curve, simulate_expected_cost,
-                     simulate_pvalues, simulate_studies, student_t_cdf, student_t_quantile)
+from errstat import (AlternativeSpec, CostParams, GaussianTestModel, ReferenceDist, SimConfig,
+                     SummaryStats, Tail, cdf_under_alternative, combined_fpr_curve,
+                     confidence_lower_limit, expected_cost, normal_cdf, normal_pdf,
+                     normal_quantile, numeric_minimizer, pdf_under_alternative, power,
+                     severity_curve, simulate_expected_cost, simulate_pvalues, simulate_studies,
+                     student_t_cdf, student_t_quantile, type2_error)
+from errstat.distributions import _beta_cont_frac
 from errstat.errors import ErrstatError
 from errstat import montecarlo
 from errstat.montecarlo import CHUNK_SIZE, CostSimEstimate, SimOutcome, _normal_cdf_vec
@@ -52,8 +64,19 @@ def test_vectorized_cdf_bits_are_pinned():
     assert digest == "d4f991bbb6e32a84d6ed24b83a2d0d61945a1a0be5a3dee8d8e1d75fa9a2e445"
 
 
-def _kernel_sweep_rows() -> list:
+def _rows(calls) -> list:
     # One line per call: the call, then the repr of its result or the error it raised.
+    rows = []
+    for fn, args in calls:
+        try:
+            out = repr(fn(*args))
+        except ErrstatError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        rows.append(f"{fn.__name__}{args!r} -> {out}")
+    return rows
+
+
+def _kernel_sweep_rows() -> list:
     # p runs from 1e-300 to 1 - 1e-16, df from 1 to 2e9 and |x| from 1e-10 to 1e150;
     # quantiles below about 1.1e-16 raise, as does a curve whose power underflows.
     rng = random.Random(20261018)
@@ -87,14 +110,7 @@ def _kernel_sweep_rows() -> list:
         calls.append((severity_curve, (stats, bounds, ReferenceDist.STUDENT_T)))
         level = log_uniform(1e-20, 0.5) if rng.random() < 0.5 else upper()
         calls.append((confidence_lower_limit, (stats, level, ReferenceDist.STUDENT_T)))
-    rows = []
-    for fn, args in calls:
-        try:
-            out = repr(fn(*args))
-        except ErrstatError as exc:
-            out = f"{type(exc).__name__}: {exc}"
-        rows.append(f"{fn.__name__}{args!r} -> {out}")
-    return rows
+    return _rows(calls)
 
 
 def test_scalar_kernel_sweep_is_pinned():
@@ -103,6 +119,123 @@ def test_scalar_kernel_sweep_is_pinned():
     assert sum(" -> DomainError: " in row for row in rows) == 173
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == "56af844babb072157b0bc6dbd0972804e4d412011a33b75158fa11879771e103"
+
+
+def _gaussian_sweep_rows() -> list:
+    # As _kernel_sweep_rows, for what that sweep does not reach: normal_cdf and normal_pdf
+    # at each Cody cut and its three nearest doubles on either side, both signs, and on
+    # [-38.5, 38.5]; the Gaussian test laws on both tails; the expected cost; and its
+    # minimizer, including laws so narrow that (c - mu) / sigma overflows and raises.
+    rng = random.Random(20261019)
+
+    def log_uniform(lo, hi):
+        return lo * (hi / lo) ** rng.random()
+
+    def sign():
+        return rng.choice((-1.0, 1.0))
+
+    xs = []
+    for cut in (0.46875 * math.sqrt(2.0), 4.0 * math.sqrt(2.0), 26.5 * math.sqrt(2.0)):
+        below = above = cut
+        near = [cut]
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            near += [below, above]
+        xs += near + [-x for x in near]
+    xs += [rng.uniform(-38.5, 38.5) for _ in range(1500)]
+    xs += [sign() * log_uniform(1e-300, 1.0) for _ in range(200)]
+    xs += [-38.5, 38.5, 0.0, -0.0]
+    calls = [(fn, (x,)) for x in xs for fn in (normal_cdf, normal_pdf)]
+    for _ in range(300):
+        model = GaussianTestModel(rng.uniform(-4.0, 4.0), int(log_uniform(1.0, 1e4)),
+                                  rng.choice(list(Tail)))
+        alpha = log_uniform(1e-300, 0.999)
+        calls.append((type2_error, (alpha, model)))
+        calls.append((power, (alpha, model)))
+    for _ in range(200):
+        spec = AlternativeSpec(rng.uniform(-4.0, 4.0), int(log_uniform(1.0, 1e3)),
+                               rng.choice(list(Tail)))
+        p = log_uniform(1e-300, 0.999)
+        tail = rng.choice((None, Tail.ONE_SIDED_UPPER, Tail.TWO_SIDED))
+        calls.append((pdf_under_alternative, (p, spec, tail)))
+        calls.append((cdf_under_alternative, (p, spec, tail)))
+
+    def cost_params():
+        mu0 = rng.uniform(-5.0, 5.0)
+        return CostParams(log_uniform(1e-3, 1e3), log_uniform(1e-3, 1e3), rng.random(),
+                          mu0=mu0, mu1=mu0 + sign() * log_uniform(1e-3, 10.0),
+                          sigma=log_uniform(1e-2, 1e2))
+
+    for _ in range(600):
+        params = cost_params()
+        c = rng.uniform(min(params.mu0, params.mu1) - 12.0 * params.sigma,
+                        max(params.mu0, params.mu1) + 12.0 * params.sigma)
+        calls.append((expected_cost, (c, params)))
+    calls.append((expected_cost, (1e300, CostParams(1.0, 1.0, 0.5, sigma=1e-300))))
+    calls.append((expected_cost, (-1e300, CostParams(1.0, 1.0, 0.5, mu1=-1e300, sigma=1e-10))))
+    for _ in range(150):
+        calls.append((numeric_minimizer, (cost_params(),)))
+    for _ in range(15):
+        # the bracket is finite but its ends lie far more than 1e308 sigmas from a mean
+        mu0 = rng.uniform(-1.0, 1.0)
+        calls.append((numeric_minimizer, (CostParams(1.0, 2.0, rng.random(), mu0=mu0,
+                                                     mu1=mu0 + sign() * log_uniform(1.0, 1e10),
+                                                     sigma=log_uniform(1e-320, 1e-300)),)))
+    return _rows(calls)
+
+
+def test_gaussian_and_cost_sweep_is_pinned():
+    rows = _gaussian_sweep_rows()
+    assert len(rows) == 5259
+    assert sum(" -> DomainError: " in row for row in rows) == 17
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "772026629d916c31143639d10d05b547e8838809b7f07c558ed52e4aac488bec"
+
+
+def _clamped_zeros(args):
+    # the names, d or c, that hold 0.0 when _beta_cont_frac reaches an fpmin clamp on them
+    zeros = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not _beta_cont_frac.__code__:
+            return None
+        line = linecache.getline(frame.f_code.co_filename, frame.f_lineno).strip()
+        if event == "line" and line.startswith("if ") and "fpmin" in line:
+            name = re.search(r"\b[cd]\b", line).group(0)
+            if frame.f_locals[name] == 0.0:
+                zeros.add(name)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        out = _beta_cont_frac(*args)
+    finally:
+        sys.settrace(None)
+    return out, zeros
+
+
+@pytest.mark.parametrize("args, expected, zeros", [
+    # d = 1 - (a + b) x / (a + 1) is 0 before the loop
+    ((0.25, 1.0, 1.0), "9.999999999999999e+299", {"d"}),
+    # the loop's first half-step drives d, then c, to 0; so does its second
+    ((0.5, 2.5, 0.625), "8.355409375318128", {"d"}),
+    ((-4.0, 3.0, -3.0), "1e-300", {"c"}),
+    ((1.0, 7.0, 0.5), "36.28571428571429", {"d"}),
+    ((2.0, 7.0, 1.0), "1782328634817060.5", {"c"}),
+    # c, then d, turns negative but not small, which the clamps leave alone
+    ((1.75, 8.5, 1.0), "5134257099786274.0", set()),
+    ((0.25, 1.5, 0.75), "7.310470490424666", set()),
+    # NaN, here also from an infinite x, neither clamps nor meets the stop rule
+    ((0.5, 0.5, math.nan), "nan", set()),
+    ((math.nan, 0.5, 0.3), "nan", set()),
+    ((2.0, 3.0, math.inf), "nan", set()),
+])
+def test_continued_fraction_clamps_are_pinned(args, expected, zeros):
+    # 1 + y rounds to no double of size below 1e-300 but 0.0, so a zero is what the
+    # fpmin clamps see; these values were recorded with the clamps written as abs(v) < fpmin
+    out, seen = _clamped_zeros(args)
+    assert repr(out) == expected
+    assert seen == zeros
 
 
 _PVALUE_SUMMARIES = {

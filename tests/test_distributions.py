@@ -1,4 +1,10 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+from statistics import NormalDist
 
 import mpmath
 import pytest
@@ -95,6 +101,44 @@ def test_quantiles_strictly_increasing():
     for df in (1, 5, 40):
         ts = [dist.student_t_quantile(p, df) for p in ps]
         assert all(a < b for a, b in zip(ts, ts[1:]))
+
+
+def _quantile_probabilities():
+    rng = random.Random(241)
+    return ([10.0 ** -rng.uniform(0.0, 300.0) for _ in range(300)]
+            + [1.0 - 10.0 ** -rng.uniform(0.3, 16.0) for _ in range(300)]
+            + [rng.random() for _ in range(300)])
+
+
+def test_quantile_seed_is_the_inv_cdf_of_the_standard_normal_dist():
+    # NormalDist().inv_cdf hands p in (0, 1) to this same function
+    normal = NormalDist()
+    for p in _quantile_probabilities():
+        assert dist._normal_dist_inv_cdf(p, 0.0, 1.0) == normal.inv_cdf(p), p
+
+
+def _run_python(code: str) -> str:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_neither_statistics_nor_its_number_types():
+    code = ("import sys, errstat; "
+            "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))")
+    assert _run_python(code).split() == ["[]"]
+
+
+def test_quantile_is_the_same_without_the_statistics_c_module():
+    # a None entry makes `from _statistics import ...` raise ImportError
+    code = ("import sys; sys.modules['_statistics'] = None; "
+            "from errstat.distributions import normal_quantile; "
+            f"print([normal_quantile(p).hex() for p in {_quantile_probabilities()!r}])")
+    expected = [dist.normal_quantile(p).hex() for p in _quantile_probabilities()]
+    assert _run_python(code).strip() == repr(expected)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, float("nan")])
