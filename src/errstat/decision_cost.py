@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import _normal_cdf, normal_pdf
+from .distributions import _normal_cdf, _normal_pdf
 from .error_tradeoff import Tail
 from .errors import (DomainError, check_at_least, check_finite, check_instance, check_open_unit,
                      check_positive, check_unit)
@@ -97,7 +97,7 @@ def _cost_slopes(c: float, params: CostParams) -> tuple[float, float]:
     z0, z1 = _standardized(_checked(c, params), params)
     w0 = params.prior_good * params.cost_type1
     w1 = (1.0 - params.prior_good) * params.cost_type2
-    f0, f1 = normal_pdf(z0), normal_pdf(z1)
+    f0, f1 = _normal_pdf(z0), _normal_pdf(z1)
     return -w0 * f0 + w1 * f1, w0 * z0 * f0 - w1 * z1 * f1
 
 

@@ -31,11 +31,16 @@ try:
 except ImportError:  # an interpreter without the C accelerator
     from statistics import _normal_dist_inv_cdf
 
-from .errors import DomainError, check_finite, check_int, check_open_unit
+from .errors import check_finite, check_int, check_open_unit
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_SQRT_PI = 0.5641895835477562869480794515607726
+
+# Cody's region cuts in y = |x| / sqrt(2), read by montecarlo's array kernel too
+_CODY_SMALL_CUT = 0.46875
+_CODY_MID_CUT = 4.0
+_CODY_ZERO_CUT = 26.5
 
 # Cody (1969) rational approximations for erf on [0, 0.46875] ...
 _ERF_A = (3.16112374387056560e00, 1.13864154151050156e02,
@@ -107,12 +112,12 @@ def _normal_cdf(x: float) -> float:
     # 0.5 * erfc(t) at t = -x / sqrt(2), by Cody's pieces for y = |t|
     t = -x / _SQRT2
     y = t if t > 0.0 else -t
-    if y <= 0.46875:
+    if y <= _CODY_SMALL_CUT:
         return 0.5 * (1.0 - _erf_small(t))
-    if y >= 26.5:
+    if y >= _CODY_ZERO_CUT:
         tail = 0.0
     else:
-        ratio = _erfc_mid_ratio(y) if y <= 4.0 else _erfc_big_ratio(y)
+        ratio = _erfc_mid_ratio(y) if y <= _CODY_MID_CUT else _erfc_big_ratio(y)
         tail = _exp_neg_sq(y, math.exp, math.floor) * ratio
     return 0.5 * (tail if t > 0.0 else 2.0 - tail)
 
@@ -232,14 +237,13 @@ class _StudentT:
     def quantile(self, p: float) -> float:
         if p < 0.5:
             return -self.quantile(check_open_unit(1.0 - p, "p"))
-        # p > 0.5: the root is positive. Grow the bracket, then refine.
+        # p > 0.5: the root is positive. Grow the bracket, then refine. The cdf rounds to 1
+        # before hi passes 2**52 (at df 1, the slowest), so the bracket stays finite.
         df = self.df
         lo, hi = 0.0, 1.0
         while self.cdf(hi) < p:
             lo = hi
             hi *= 2.0
-            if hi > 1e300:
-                raise DomainError(f"quantile overflow for p={p!r}, df={df}")
         x = min(max(_normal_quantile(p), lo), hi)
         # the density's log normaliser and power, once per solve
         log_norm = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)

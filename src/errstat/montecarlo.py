@@ -24,10 +24,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .decision_cost import CostParams
+from .decision_cost import CostParams, _checked
 from .error_tradeoff import SimConfig, Tail
-from .distributions import _erf_small, _erfc_big_ratio, _erfc_mid_ratio, _exp_neg_sq
-from .errors import check_finite, check_instance, check_int
+from .distributions import (_CODY_MID_CUT, _CODY_SMALL_CUT, _CODY_ZERO_CUT, _erf_small,
+                            _erfc_big_ratio, _erfc_mid_ratio, _exp_neg_sq)
+from .errors import check_instance, check_int
 
 CHUNK_SIZE = 1 << 16
 RNG_ALGORITHM = "numpy-pcg64/seedseq(entropy=seed, spawn_key=(chunk,))/chunk=65536"
@@ -37,11 +38,11 @@ _SQRT2 = math.sqrt(2.0)
 def _normal_cdf_vec(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     t = np.abs(x) / _SQRT2
-    ec = np.zeros_like(t)  # erfc(t); stays 0 from t = 26.5 on, as in the scalar kernel
-    small = t <= 0.46875
+    ec = np.zeros_like(t)  # erfc(t); stays 0 from the last cut on, as in the scalar kernel
+    small = t <= _CODY_SMALL_CUT
     ec[small] = 1.0 - _erf_small(t[small])
-    for region, ratio in ((~small & (t <= 4.0), _erfc_mid_ratio),
-                          ((t > 4.0) & (t < 26.5), _erfc_big_ratio)):
+    for region, ratio in ((~small & (t <= _CODY_MID_CUT), _erfc_mid_ratio),
+                          ((t > _CODY_MID_CUT) & (t < _CODY_ZERO_CUT), _erfc_big_ratio)):
         tr = t[region]
         ec[region] = _exp_neg_sq(tr, np.exp, np.floor) * ratio(tr)
     return np.where(x < 0.0, 0.5 * ec, 1.0 - 0.5 * ec)
@@ -372,8 +373,7 @@ def simulate_expected_cost(c: float, params: CostParams, config: SimConfig,
     Uses params.prior_good for the good/bad mixture and the Gaussian laws
     from params; config supplies num_trials and the seed.
     """
-    c = check_finite(c, "critical value")
-    check_instance(params, CostParams, "params")
+    c = _checked(c, params)
     check_instance(config, SimConfig, "config")
     n_fr, _, _, n_fa = _mixture_counts(config, workers, params.prior_good, params.mu0,
                                        params.mu1, params.sigma, c, Tail.ONE_SIDED_UPPER)

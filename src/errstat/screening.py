@@ -57,24 +57,30 @@ class PriorOdds:
         return 1.0 / (1.0 + self.ratio)
 
 
-def _scaled_terms(params: ScreeningParams) -> tuple:
+def _scaled_terms(alpha: float, power: float, prior_null: float) -> tuple:
     # alpha * prior and power * (1 - prior) as a * 2**k and b * 2**k, the larger in [0.25, 1),
     # and the frexp parts of alpha, power, prior and 1 - prior. Mantissa products never
     # underflow, and k <= 0 scales up exactly, so ordinary inputs keep the plain formula's bits.
-    parts = [math.frexp(v) for v in (params.alpha, params.power, params.prior_null,
-                                     1.0 - params.prior_null)]
+    parts = [math.frexp(v) for v in (alpha, power, prior_null, 1.0 - prior_null)]
     (ma, ea), (mp, ep), (mf, ef), (mg, eg) = parts
     k = min(0, max(ea + ef, ep + eg))
     return math.ldexp(ma * mf, ea + ef - k), math.ldexp(mp * mg, ep + eg - k), k, parts
 
 
+def _false_positive_rate(alpha: float, power: float, prior_null: float) -> float:
+    # the rate of alpha and prior_null in (0, 1) and a power in [0, 1], checked or computed
+    if power == 0.0:  # every rejection is false; frexp(0.0) has no exponent to rescale by
+        return 1.0
+    a, b = alpha * prior_null, power * (1.0 - prior_null)
+    if a < 2.0 ** -1022 or b < 2.0 ** -1022:  # a subnormal term has lost bits: rescale exactly
+        a, b, _, _ = _scaled_terms(alpha, power, prior_null)
+    return a / (a + b)
+
+
 def false_positive_rate(params: ScreeningParams) -> float:
     """Posterior probability the null is true given a rejection."""
     check_instance(params, ScreeningParams, "params")
-    a, b = params.alpha * params.prior_null, params.power * (1.0 - params.prior_null)
-    if a < 2.0 ** -1022 or b < 2.0 ** -1022:  # a subnormal term has lost bits: rescale exactly
-        a, b, _, _ = _scaled_terms(params)
-    return a / (a + b)
+    return _false_positive_rate(params.alpha, params.power, params.prior_null)
 
 
 def false_positive_rate_odds(alpha: float, power: float, odds: PriorOdds) -> float:
@@ -94,7 +100,8 @@ def fpr_gradient(params: ScreeningParams) -> tuple[float, float]:
     raises DomainError where one exceeds the float range (near alpha = power = 5e-324).
     """
     check_instance(params, ScreeningParams, "params")
-    a, b, k, ((ma, ea), (mp, ep), (mf, ef), (mg, eg)) = _scaled_terms(params)
+    a, b, k, ((ma, ea), (mp, ep), (mf, ef), (mg, eg)) = _scaled_terms(
+        params.alpha, params.power, params.prior_null)
     denom_sq = (a + b) * (a + b)
     try:
         return (math.ldexp(mf * mp * mg / denom_sq, ef + ep + eg - 2 * k),
@@ -114,7 +121,8 @@ def combined_fpr_curve(
 
     Unlike the plain screening formula (where beta is a free scalar), each point
     recomputes beta = type2_error(alpha) and power(alpha), never as 1 - beta, for the
-    given effect size and sample count. Returns [(alpha, beta, fpr), ...] in input order.
+    given effect size and sample count. Returns [(alpha, beta, fpr), ...] in input order;
+    a power that rounds to 0 gives fpr 1.
     """
     prior_null = check_open_unit(prior_null, "prior_null")
     model = error_tradeoff.GaussianTestModel(effect_size=effect_size, n=n)
@@ -123,7 +131,7 @@ def combined_fpr_curve(
     for alpha in check_sequence(alphas, "alphas"):
         alpha = check_open_unit(alpha, "alpha")
         z = tail.critical(alpha)  # one critical value serves both laws
-        fpr = false_positive_rate(ScreeningParams(alpha, tail.rejection(z, mean), prior_null))
+        fpr = _false_positive_rate(alpha, tail.rejection(z, mean), prior_null)
         out.append((alpha, tail.acceptance(z, mean), fpr))
     return out
 

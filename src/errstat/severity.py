@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .distributions import _StudentT, normal_cdf, normal_quantile
+from .distributions import _StudentT, _normal_cdf, _normal_quantile
 from .error_tradeoff import Tail
 from .errors import (DomainError, check_finite, check_instance, check_int, check_member,
                      check_open_unit, check_positive, check_sequence)
@@ -86,11 +86,12 @@ class SeverityClaim:
 
 def _reference_law(stats: SummaryStats, reference: ReferenceDist) -> tuple[Callable, Callable]:
     # (cdf, quantile) of the reference law: the one place that picks normal or Student-t.
-    # The cdf checks its argument, which can overflow; the quantile is handed a checked level.
+    # Both are private cores. The cdf reads an overflowed +-inf as the law's limit, 1 or 0,
+    # and the quantile is handed a checked level.
     if check_member(reference, ReferenceDist, "reference") is ReferenceDist.NORMAL:
-        return normal_cdf, normal_quantile
+        return _normal_cdf, _normal_quantile
     law = _StudentT(stats.effective_df())
-    return (lambda z: law.cdf(check_finite(z, "x"))), law.quantile
+    return law.cdf, law.quantile
 
 
 def _severity(stats: SummaryStats, claim: SeverityClaim, cdf: Callable) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
-from .distributions import student_t_cdf
+from .distributions import _StudentT
 from .error_tradeoff import Tail
 from .errors import (CsvFormatError, DegenerateDataError, DomainError, check_finite, check_instance,
                      check_int, check_sequence)
@@ -178,7 +178,7 @@ def lag_regression(series: Series, tau: int) -> LagFit:
     stderr = math.sqrt((rss / df) / sxx)
     r = sxy / math.sqrt(sxx * syy)
     t_stat = beta1 / stderr
-    p = Tail.TWO_SIDED.p_value(t_stat, lambda x: student_t_cdf(x, df))
+    p = Tail.TWO_SIDED.p_value(t_stat, _StudentT(df).cdf)
     return LagFit(
         beta0=beta0,
         beta1=beta1,
@@ -211,4 +211,4 @@ def t_from_correlation(r: float, n: int) -> tuple[float, float]:
     if abs(r) == 1.0:
         raise DegenerateDataError("correlation of +/-1 gives an infinite t statistic")
     t = r * math.sqrt(n - 2) / math.sqrt(1.0 - r * r)
-    return t, Tail.TWO_SIDED.p_value(t, lambda x: student_t_cdf(x, n - 2))
+    return t, Tail.TWO_SIDED.p_value(t, _StudentT(n - 2).cdf)

@@ -123,6 +123,12 @@ def test_screening_coupled_curve_matches_library():
     assert all(a < b for a, b in zip(fprs, fprs[1:]))
 
 
+def test_screening_coupled_curve_prints_a_power_of_1():
+    proc = run_cli("screening", "--coupled", "--effect-size", "10", "--n", "100",
+                   "--alpha", "0.05", "--phi", "0.5")
+    assert proc.stdout.splitlines()[1] == "0.05,0,0.5,0.04761904762"
+
+
 def test_screening_rejects_bad_phi():
     proc = run_cli("screening", "--alpha", "0.05", "--power", "0.8",
                    "--phi", "1.5", expect_code=2)

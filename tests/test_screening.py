@@ -118,6 +118,19 @@ def test_combined_curve_under_null_equals_prior():
         assert fpr == pytest.approx(0.3, abs=1e-12)
 
 
+def test_combined_curve_holds_where_the_power_rounds_to_1():
+    # power 1.0 exactly: fpr = 0.025 / (0.025 + 0.5)
+    assert combined_fpr_curve(10, 100, 0.5, [0.05]) == [(0.05, 0.0, 0.047619047619047616)]
+
+
+@pytest.mark.parametrize("prior_null, alpha", [(0.5, 1e-300), (5e-324, 5e-324),
+                                               (1e-300, 1e-300)])
+def test_combined_curve_is_1_where_the_power_rounds_to_0(prior_null, alpha):
+    # the last two also underflow alpha * prior, which the exact rescale cannot place
+    # beside a zero power term
+    assert combined_fpr_curve(-3, 10000, prior_null, [alpha]) == [(alpha, 1.0, 1.0)]
+
+
 def test_replication_factor_flagship():
     assert replication_threshold_factor(4.0 / 9.0, 2.0) == pytest.approx(10.0, abs=1e-12)
 

@@ -40,6 +40,15 @@ def test_severity_limits():
     assert severity(SLOPE, far_above) < 1e-12
 
 
+@pytest.mark.parametrize("reference", list(ReferenceDist))
+def test_severity_reads_the_limit_where_the_standardized_distance_overflows(reference):
+    # (estimate - bound) / stderr is inf: the law's limits, not an error
+    stats = SummaryStats(1.0, 1e-300, n=15)
+    for direction, limit in ((ClaimDirection.GREATER_THAN, 1.0), (ClaimDirection.LESS_THAN, 0.0)):
+        assert severity(stats, SeverityClaim(direction, -1e308), reference) == limit
+        assert severity_curve(stats, [-1e308], reference, direction) == [(-1e308, limit)]
+
+
 def test_directions_are_complementary():
     for bound in (-0.2, 0.3, 0.5782, 1.1):
         gt = severity(SLOPE, SeverityClaim(ClaimDirection.GREATER_THAN, bound))

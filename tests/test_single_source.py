@@ -1,7 +1,7 @@
 """Guards against the kernel, the range check and the test laws being written twice again.
 
-The Cody erfc coefficients live in distributions.py only (the Monte Carlo
-array kernel evaluates the same rational pieces), the open-unit-interval
+The Cody erfc coefficients and region cuts live in distributions.py only (the
+Monte Carlo array kernel evaluates the same rational pieces), the open-unit-interval
 requirement is spelled out only in the validator in errors.py, and the
 two-sided critical value -quantile(alpha/2), the two-sided p-value and the
 one-/two-sided choice itself only in Tail. Power is never a complement,
@@ -32,6 +32,16 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "errstat"
                                   "def noncentrality(", '"schema_version"'])
 def test_text_appears_once_in_the_package(text):
     hits = {path.name: path.read_text(encoding="utf-8").count(text)
+            for path in sorted(SRC.rglob("*.py"))}
+    assert sum(hits.values()) == 1, {name: n for name, n in hits.items() if n}
+
+
+@pytest.mark.parametrize("value", [0.46875, 26.5])
+def test_cody_cut_is_written_once_in_the_package(value):
+    # the scalar and the array Gaussian cdf share each cut through a named constant
+    hits = {path.name: sum(isinstance(node, ast.Constant) and type(node.value) is float
+                           and node.value == value
+                           for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
             for path in sorted(SRC.rglob("*.py"))}
     assert sum(hits.values()) == 1, {name: n for name, n in hits.items() if n}
 

@@ -310,6 +310,21 @@ def test_screening_rate_and_gradient_are_floats_or_errstat_errors(alpha, pw, phi
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
+@given(effect=st.floats(-1e3, 1e3), n=st.integers(1, 2 ** 53), phi=_OPEN_UNIT,
+       alphas=st.lists(_OPEN_UNIT, min_size=1, max_size=4))
+def test_coupled_curve_is_points_in_the_unit_square_or_an_errstat_error(effect, n, phi, alphas):
+    try:
+        curve = combined_fpr_curve(effect, n, phi, alphas)
+    except ErrstatError as exc:  # never for a computed power of 0 or 1
+        assert "power" not in str(exc)
+        return
+    assert [alpha for alpha, _, _ in curve] == alphas
+    for _, beta, fpr in curve:
+        assert type(beta) is float and 0.0 <= beta <= 1.0
+        assert type(fpr) is float and 0.0 <= fpr <= 1.0
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
 @given(cost1=_POSITIVE, cost2=_POSITIVE, phi=_OPEN_UNIT, mu0=_FINITE, mu1=_FINITE,
        sigma=_POSITIVE)
 def test_closed_form_minimizer_is_a_float_or_an_errstat_error(cost1, cost2, phi, mu0, mu1,
