@@ -213,7 +213,8 @@ _LGAMMA_HALF = math.lgamma(0.5)
 class _StudentT:
     """The Student-t law of one df, with log B(df/2, 1/2) computed once.
 
-    Its methods take finite floats and p in (0, 1): callers check."""
+    cdf takes a float that is not NaN and gives the law's limit, 0 or 1, at -inf or +inf;
+    quantile takes p in (0, 1). Callers check."""
 
     __slots__ = ("df", "a", "log_beta")
 

@@ -21,6 +21,8 @@ from . import error_tradeoff
 from .errors import (DomainError, InfeasibleParameterError, check_at_least, check_finite,
                      check_instance, check_open_unit, check_positive, check_sequence)
 
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
 
 @dataclass(frozen=True)
 class ScreeningParams:
@@ -68,13 +70,25 @@ def _scaled_terms(alpha: float, power: float, prior_null: float) -> tuple:
 
 
 def _false_positive_rate(alpha: float, power: float, prior_null: float) -> float:
-    # the rate of alpha and prior_null in (0, 1) and a power in [0, 1], checked or computed
-    if power == 0.0:  # every rejection is false; frexp(0.0) has no exponent to rescale by
-        return 1.0
+    # the rate of alpha and prior_null in (0, 1) and a power in (0, 1], checked or computed
     a, b = alpha * prior_null, power * (1.0 - prior_null)
     if a < 2.0 ** -1022 or b < 2.0 ** -1022:  # a subnormal term has lost bits: rescale exactly
         a, b, _, _ = _scaled_terms(alpha, power, prior_null)
     return a / (a + b)
+
+
+def _rate_past_underflow(tail, z: float, mean: float, alpha: float, prior_null: float) -> float:
+    # The computed power is 0, so each Gaussian cdf term in it was taken at an x < -37, where
+    # Phi(x) < phi(x) / |x| (Mills' ratio). The rate is 1 / (1 + power * (1 - prior_null) / a),
+    # a = alpha * prior_null, so it rounds to 1 when the bound on that ratio is below 2**-54;
+    # 2**-55 leaves room for the bound's own rounding. Any larger ratio is not known to 1 bit.
+    log_odds = math.log(alpha) + math.log(prior_null) - math.log1p(-prior_null)
+    ratio = tail.rejection(z, mean, lambda x: math.exp(
+        min(0.0, -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI - log_odds)))
+    if ratio < 2.0 ** -55:
+        return 1.0
+    raise DomainError(f"the power at alpha={alpha!r} underflows a float but may not be negligible "
+                      f"beside alpha * prior_null, so the false positive rate cannot be computed")
 
 
 def false_positive_rate(params: ScreeningParams) -> float:
@@ -121,8 +135,9 @@ def combined_fpr_curve(
 
     Unlike the plain screening formula (where beta is a free scalar), each point
     recomputes beta = type2_error(alpha) and power(alpha), never as 1 - beta, for the
-    given effect size and sample count. Returns [(alpha, beta, fpr), ...] in input order;
-    a power that rounds to 0 gives fpr 1.
+    given effect size and sample count. Returns [(alpha, beta, fpr), ...] in input order.
+    Where the power rounds to 0, fpr is 1 if alpha * prior_null dwarfs the power's Mills-ratio
+    bound, and DomainError is raised otherwise.
     """
     prior_null = check_open_unit(prior_null, "prior_null")
     model = error_tradeoff.GaussianTestModel(effect_size=effect_size, n=n)
@@ -131,7 +146,9 @@ def combined_fpr_curve(
     for alpha in check_sequence(alphas, "alphas"):
         alpha = check_open_unit(alpha, "alpha")
         z = tail.critical(alpha)  # one critical value serves both laws
-        fpr = _false_positive_rate(alpha, tail.rejection(z, mean), prior_null)
+        power = tail.rejection(z, mean)
+        fpr = (_false_positive_rate(alpha, power, prior_null) if power
+               else _rate_past_underflow(tail, z, mean, alpha, prior_null))
         out.append((alpha, tail.acceptance(z, mean), fpr))
     return out
 

@@ -125,10 +125,20 @@ def test_combined_curve_holds_where_the_power_rounds_to_1():
 
 @pytest.mark.parametrize("prior_null, alpha", [(0.5, 1e-300), (5e-324, 5e-324),
                                                (1e-300, 1e-300)])
-def test_combined_curve_is_1_where_the_power_rounds_to_0(prior_null, alpha):
-    # the last two also underflow alpha * prior, which the exact rescale cannot place
-    # beside a zero power term
+def test_combined_curve_is_1_where_the_power_is_negligible(prior_null, alpha):
+    # the power rounds to 0; at x = mean - z ~ -338 its bound phi(x)/|x| ~ exp(-57000)
+    # lies far below alpha * prior, even where that product underflows too
     assert combined_fpr_curve(-3, 10000, prior_null, [alpha]) == [(alpha, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("effect_size, prior_null, alpha", [(-9.8, 1e-200, 1e-200),
+                                                            (-0.5, 0.5, 1e-300)])
+def test_combined_curve_raises_where_the_underflowed_power_may_matter(effect_size, prior_null,
+                                                                      alpha):
+    # the power rounds to 0 but is not negligible beside alpha * prior: Phi(-40) ~ 4e-350
+    # dwarfs 1e-400 (true fpr ~ 2.5e-51), and Phi(-37.5) ~ 5e-308 is 1e-7 of 5e-301
+    with pytest.raises(DomainError, match="underflows a float"):
+        combined_fpr_curve(effect_size, 1, prior_null, [alpha])
 
 
 def test_replication_factor_flagship():

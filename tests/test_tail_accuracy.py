@@ -11,11 +11,13 @@ import math
 import random
 import sys
 
+import mpmath
 import pytest
 from scipy.stats import norm
 
 from errstat import (AlternativeSpec, GaussianTestModel, Tail, cdf_under_alternative,
-                     combined_fpr_curve, normal_quantile, power, type2_error)
+                     combined_fpr_curve, normal_cdf, normal_quantile, power, type2_error)
+from errstat.errors import DomainError
 
 RTOL = 1e-10
 ALPHAS = [1e-290, 1e-280, 1e-200, 1e-120, 1e-60, 1e-30, 1e-16, 1e-10, 1e-6, 1e-3, 0.05, 0.2, 0.5]
@@ -69,6 +71,32 @@ def test_coupled_fpr_curve_matches_scipy_for_tiny_alpha(effect_size, n):
             pw = norm.sf(z - m)
             _assert_close(beta, norm.cdf(z - m))
             _assert_close(fpr, alpha * prior_null / (alpha * prior_null + pw * (1.0 - prior_null)))
+
+
+def test_coupled_fpr_curve_where_the_power_underflows_is_exact_or_raises():
+    # Where the computed power is 0, the curve gives fpr 1 only if the true rate at the same
+    # critical value and mean rounds to 1; else it raises, and only when power * (1 - prior) /
+    # (alpha * prior) is not far below 2**-54 (its Mills-ratio bound is tight to 1 - 1/x**2).
+    rng = random.Random(5)
+    seen = {1.0: 0, DomainError: 0}
+    with mpmath.workdps(40):
+        while min(seen.values()) < 100:
+            model = GaussianTestModel(-(10.0 ** rng.uniform(-1.0, 1.0)),
+                                      int(10.0 ** rng.uniform(0.0, 4.0)))
+            alpha, prior = (max(5e-324, 10.0 ** rng.uniform(-323.5, -1.0)) for _ in range(2))
+            prior = prior if rng.random() < 0.5 else 1.0 - max(2.0 ** -53, prior)
+            x = model.noncentrality - model.tail.critical(alpha)
+            if normal_cdf(x) != 0.0:
+                continue
+            ratio = mpmath.ncdf(x) * (1 - mpmath.mpf(prior)) / (mpmath.mpf(alpha) * prior)
+            try:
+                (_, _, fpr), = combined_fpr_curve(model.effect_size, model.n, prior, [alpha])
+            except DomainError:
+                assert ratio > mpmath.mpf(2) ** -56, (model, alpha, prior, ratio)
+                seen[DomainError] += 1
+                continue
+            assert fpr == float(1 / (1 + ratio)) == 1.0, (model, alpha, prior, ratio)
+            seen[fpr] += 1
 
 
 def test_normal_quantile_matches_scipy_into_both_tails():
