@@ -12,10 +12,9 @@ import math
 from errstat import (
     CostParams,
     GaussianTestModel,
-    ScreeningParams,
     SimConfig,
+    combined_fpr_curve,
     expected_cost,
-    false_positive_rate,
     power,
     simulate_expected_cost,
     simulate_pvalues,
@@ -35,7 +34,7 @@ config = SimConfig(num_trials=TRIALS, seed=42, prior_null=0.5, alpha=0.05,
                    effect_size=0.5, n_per_study=10)
 outcome = simulate_studies(config)
 analytic_power = power(0.05, GaussianTestModel(0.5, 10))
-analytic_fpr = false_positive_rate(ScreeningParams(0.05, analytic_power, 0.5))
+(_, _, analytic_fpr), = combined_fpr_curve(0.5, 10, 0.5, [0.05])
 z = (outcome.empirical_fpr - analytic_fpr) / outcome.mc_stderr_fpr
 print(f"fpr: empirical {outcome.empirical_fpr:.5f} vs analytic {analytic_fpr:.5f} (z={z:+.2f})")
 print(f"power: empirical {outcome.empirical_power:.5f} vs analytic {analytic_power:.5f}")

@@ -287,16 +287,13 @@ def _cmd_simulate(args) -> dict:
         effect_size=args.delta,
         n_per_study=args.n,
     )
-    from . import montecarlo  # the only command that loads numpy, once its inputs are valid
+    analytic_power = error_tradeoff.power(args.alpha, config.design)
+    # a prior of 0 or 1 leaves the rate undefined; the curve raises where it cannot be computed
+    analytic_fpr = (screening.combined_fpr_curve(args.delta, args.n, args.phi, [args.alpha])[0][2]
+                    if 0.0 < args.phi < 1.0 else None)
+    from . import montecarlo  # the only command that loads numpy, once its formulas are computed
 
     outcome = montecarlo.simulate_studies(config, workers=args.workers)
-    analytic_power = error_tradeoff.power(args.alpha, config.design)
-    if 0.0 < args.phi < 1.0 and 0.0 < analytic_power < 1.0:
-        analytic_fpr = screening.false_positive_rate(
-            screening.ScreeningParams(args.alpha, analytic_power, args.phi)
-        )
-    else:
-        analytic_fpr = None
 
     n_null = outcome.false_pos + outcome.true_neg
     empirical_size = outcome.false_pos / n_null if n_null > 0 else None

@@ -91,10 +91,10 @@ def expected_cost(c: float, params: CostParams) -> float:
 
 
 def _cost_slopes(c: float, params: CostParams) -> tuple[float, float]:
-    # sigma * C'(c) and sigma^2 * C''(c), free of sigma so that neither overflows or underflows
-    # with it: each law's density at c is normal_pdf(z) / sigma and its slope
+    # sigma * C'(c) and sigma^2 * C''(c) at a checked c, free of sigma so that neither overflows
+    # or underflows with it: each law's density at c is normal_pdf(z) / sigma and its slope
     # -z normal_pdf(z) / sigma^2.
-    z0, z1 = _standardized(_checked(c, params), params)
+    z0, z1 = _standardized(c, params)
     w0 = params.prior_good * params.cost_type1
     w1 = (1.0 - params.prior_good) * params.cost_type2
     f0, f1 = _normal_pdf(z0), _normal_pdf(z1)
@@ -103,7 +103,8 @@ def _cost_slopes(c: float, params: CostParams) -> tuple[float, float]:
 
 def cost_derivative(c: float, params: CostParams) -> float:
     """d/dc of expected_cost for the Gaussian pair."""
-    return check_finite(_cost_slopes(c, params)[0] / params.sigma, "the cost derivative")
+    return check_finite(_cost_slopes(_checked(c, params), params)[0] / params.sigma,
+                        "the cost derivative")
 
 
 def closed_form_minimizer(params: CostParams) -> float:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import normal_cdf, normal_pdf, normal_quantile
+from .distributions import _normal_quantile, normal_cdf, normal_pdf, normal_quantile
 from .errors import (DomainError, InfeasibleParameterError, check_finite, check_instance, check_int,
                      check_member, check_open_unit, check_positive, check_unit)
 
@@ -26,10 +26,19 @@ class Tail(Enum):
     TWO_SIDED = "two_sided"
 
     def critical(self, alpha: float) -> float:
-        """z_{1-alpha}, or z_{1-alpha/2} two-sided, as -quantile: exact, no 1 - alpha rounding."""
+        """z_{1-alpha}, or z_{1-alpha/2} two-sided, as -quantile: exact, no 1 - alpha rounding.
+
+        Raises DomainError for a two-sided level whose half is not a float (the
+        smallest subnormals), where the half underflows to 0 or rounds.
+        """
+        alpha = check_open_unit(alpha, "alpha")
         if self is Tail.ONE_SIDED_UPPER:
-            return -normal_quantile(alpha)
-        return -normal_quantile(0.5 * alpha)
+            return -_normal_quantile(alpha)
+        half = 0.5 * alpha
+        if half + half != alpha:
+            raise DomainError(f"the two-sided level alpha={alpha!r} has no half in floats: "
+                              f"alpha / 2 rounds to {half!r}")
+        return -_normal_quantile(half)
 
     def extremity(self, stat):
         """The statistic itself, or |stat| two-sided: the p-value falls as this grows."""

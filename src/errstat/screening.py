@@ -167,7 +167,7 @@ def replication_threshold_factor(gamma: float, n_fold: float) -> float:
             f"a true positive rate of {gamma} cannot be raised {n_fold}-fold: "
             f"that requires gamma < 1/{n_fold}"
         )
-    return n_fold * (1.0 - gamma) / (1.0 - n_fold * gamma)
+    return check_finite(n_fold * (1.0 - gamma) / (1.0 - n_fold * gamma), "the threshold factor")
 
 
 def gamma_for_factor(r: float, n_fold: float) -> float:

@@ -148,6 +148,14 @@ def _window_moments(x: list[float],
     return e, mean_x, mean_y, sxx, syy, sxy
 
 
+def _correlation(sxx: float, syy: float, sxy: float) -> float:
+    # sxy / sqrt(sxx * syy) for nonzero sums of squares; where their product leaves the normal
+    # floats (it can underflow to 0 when each does not), the two roots are taken apart
+    product = sxx * syy
+    return sxy / (math.sqrt(product) if product >= 2.0 ** -1022
+                  else math.sqrt(sxx) * math.sqrt(syy))
+
+
 def lag_regression(series: Series, tau: int) -> LagFit:
     """Least-squares fit of each value on its tau-steps-earlier predecessor."""
     tau = check_int(tau, "tau", 1)
@@ -175,8 +183,10 @@ def lag_regression(series: Series, tau: int) -> LagFit:
             "slope inference is undefined"
         )
     df = k - 2
-    stderr = math.sqrt((rss / df) / sxx)
-    r = sxy / math.sqrt(sxx * syy)
+    var = (rss / df) / sxx  # can pass the float range where its root does not
+    stderr = check_finite(math.sqrt(var) if var < math.inf else
+                          math.sqrt(rss / df) / math.sqrt(sxx), "the standard error of the slope")
+    r = _correlation(sxx, syy, sxy)
     t_stat = beta1 / stderr
     p = Tail.TWO_SIDED.p_value(t_stat, _StudentT(df).cdf)
     return LagFit(
@@ -199,7 +209,7 @@ def autocorrelation(series: Series, tau: int) -> float:
     _, _, _, sxx, syy, sxy = _window_moments(*_lag_pairs(series, tau))
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateDataError("zero variance in a lag window; correlation undefined")
-    return sxy / math.sqrt(sxx * syy)
+    return _correlation(sxx, syy, sxy)
 
 
 def t_from_correlation(r: float, n: int) -> tuple[float, float]:

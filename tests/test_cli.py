@@ -472,14 +472,24 @@ def test_overflow_messages_name_the_input(argv, name, capsys):
     assert err.startswith("error: ") and name in err and "finite" in err, err
 
 
-@pytest.mark.parametrize("delta, n, analytic_power", [("10", "1", 1.0), ("5", "10", 1.0),
-                                                      ("-40", "1", 0.0)])
-def test_simulate_has_no_analytic_fpr_where_power_rounds_to_0_or_1(delta, n, analytic_power,
-                                                                  capsys):
+@pytest.mark.parametrize("delta, n, analytic_power, analytic_fpr", [
+    ("10", "1", 1.0, 0.047619047619047616), ("5", "10", 1.0, 0.047619047619047616),
+    ("-40", "1", 0.0, 1.0)])
+def test_simulate_takes_its_analytic_fpr_from_the_coupled_curve(delta, n, analytic_power,
+                                                                analytic_fpr, capsys):
+    # also where the power rounds to 1 or to 0
     code = cli.main(["simulate", "--trials", "1000", "--delta", delta, "--n", n])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["analytic"]["power"] == analytic_power
-    assert payload["analytic"]["fpr"] is None and payload["z_scores"]["fpr"] is None
+    (_, _, curve_fpr), = combined_fpr_curve(float(delta), int(n), 0.5, [0.05])
+    assert payload["analytic"]["fpr"] == analytic_fpr == curve_fpr
+
+
+@pytest.mark.parametrize("phi", ["0", "1"])
+def test_simulate_has_no_analytic_fpr_at_a_prior_of_0_or_1(phi, capsys):
+    code = cli.main(["simulate", "--trials", "1000", "--phi", phi])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["analytic"]["fpr"] is None and payload["z_scores"]["fpr"] is None
 
 
 @pytest.mark.parametrize("argv", [
@@ -530,8 +540,10 @@ print(code, "numpy" in sys.modules)
       "--reference", "student_t", "--claim-grid", "0:1:21"], 0, False),
     (["simulate", "--trials", "1000"], 0, True),
     (["simulate", "--trials", "0"], 2, False),
+    (["simulate", "--trials", "1000", "--delta", "-9.8", "--phi", "1e-200", "--alpha", "1e-200"],
+     2, False),
 ], ids=["import", "tradeoff", "screening", "replication", "cost", "pdist", "analyze",
-        "simulate", "simulate-invalid"])
+        "simulate", "simulate-invalid", "simulate-fpr-underflow"])
 def test_only_simulate_loads_numpy(argv, code, loads_numpy):
     # a SimConfig is built, and a simulate config rejected, without loading numpy
     env = dict(os.environ)

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from errstat import GaussianTestModel, Tail, power, required_sample_size, type2_error
+from errstat import (AlternativeSpec, GaussianTestModel, ObservedResult, Tail,
+                     cdf_under_alternative, power, reproducibility_probability,
+                     required_sample_size, type2_error)
 from errstat.distributions import normal_cdf, normal_quantile
 from errstat.errors import DomainError, InfeasibleParameterError
 
@@ -99,6 +101,35 @@ def test_input_validation():
         required_sample_size(0.05, 0.2, mu_star=0.0, sigma=1.0)
     with pytest.raises(DomainError):
         required_sample_size(0.05, 0.2, mu_star=0.5, sigma=0.0)
+
+
+@pytest.mark.parametrize("tail, alpha", [(Tail.TWO_SIDED, 1.0), (Tail.TWO_SIDED, 1.5),
+                                         (Tail.TWO_SIDED, 1.9999), (Tail.ONE_SIDED_UPPER, 1.0)])
+def test_critical_checks_the_level_it_is_given(tail, alpha):
+    # not the half level: at 1.5 that is 0.75, which would give a negative critical value
+    message = rf"^alpha must lie strictly inside \(0, 1\), got {alpha}$"
+    with pytest.raises(DomainError, match=message):
+        tail.critical(alpha)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Tail.TWO_SIDED.critical(5e-324),
+    lambda: Tail.TWO_SIDED.critical(1.5e-323),
+    lambda: type2_error(5e-324, GaussianTestModel(0.5, 1, "two_sided")),
+    lambda: cdf_under_alternative(5e-324, AlternativeSpec(0.5, 1, "two_sided")),
+    lambda: ObservedResult.from_p_value(5e-324),
+    lambda: reproducibility_probability(ObservedResult(1.0), 5e-324),
+], ids=["critical_5e-324", "critical_1.5e-323", "type2_error", "cdf_under_alternative",
+        "from_p_value", "reproducibility_probability"])
+def test_a_two_sided_level_with_no_float_half_raises(call):
+    # half of 5e-324 underflows to 0, and half of 1.5e-323 rounds to 1e-323
+    with pytest.raises(DomainError, match="^the two-sided level alpha=.* has no half in floats"):
+        call()
+
+
+def test_a_two_sided_level_with_an_exact_half_keeps_its_value():
+    assert Tail.TWO_SIDED.critical(1e-323) == float.fromhex("0x1.33bd3f27fcd02p+5")
+    assert Tail.TWO_SIDED.critical(1e-323) == Tail.ONE_SIDED_UPPER.critical(5e-324)
 
 
 def test_required_sample_size_overflow_is_infeasible():

@@ -6,11 +6,12 @@ requirement is spelled out only in the validator in errors.py, and the
 two-sided critical value -quantile(alpha/2), the two-sided p-value and the
 one-/two-sided choice itself only in Tail. Power is never a complement,
 simulate_pvalues sorts its one buffer in place instead of gathering copies, and
-the CLI turns list and grid text into values only through argparse. The
-normal/Student-t choice of the severity reference law is made in one place,
-and decision_cost, like montecarlo, takes its critical values from Tail.
-Each public name is listed once in the package's table of exports, and
-numpy is imported by montecarlo alone.
+the CLI turns list and grid text into values only through argparse and builds
+a ScreeningParams only from a fixed --power. The normal/Student-t choice of the
+severity reference law is made in one place, and decision_cost, like
+montecarlo, takes its critical values from Tail. Each public name is listed
+once in the package's table of exports, and numpy is imported by montecarlo
+alone.
 """
 
 import ast
@@ -28,7 +29,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "errstat"
 
 
 @pytest.mark.parametrize("text", ["3.16112374387056560", "strictly inside (0, 1)",
-                                  "-normal_quantile(0.5 *", "2.0 * cdf(-abs(",
+                                  "half = 0.5 * alpha", "2.0 * cdf(-abs(",
                                   "def noncentrality(", '"schema_version"'])
 def test_text_appears_once_in_the_package(text):
     hits = {path.name: path.read_text(encoding="utf-8").count(text)
@@ -86,6 +87,13 @@ def test_power_is_never_a_complement(text):
     hits = [path.name for path in sorted(SRC.rglob("*.py"))
             if text in path.read_text(encoding="utf-8")]
     assert not hits, hits
+
+
+def test_cli_builds_screening_params_only_from_a_fixed_power():
+    # a computed power goes to the coupled curve, never to the ScreeningParams check
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert source.count("ScreeningParams(") == 1
+    assert "ScreeningParams(alpha, args.power, phi)" in source
 
 
 def test_cli_handlers_receive_lists_and_grids_as_values():

@@ -132,6 +132,19 @@ def test_intercept_beyond_the_largest_float_is_a_domain_error():
         lag_regression(Series.from_values(values), tau=1)
 
 
+def test_moments_whose_products_leave_the_float_range_still_give_finite_fits():
+    # The slope's variance, 3e308, passes the largest float; its root, sqrt(3) * 1e154, does not.
+    fit = lag_regression(Series.from_values([0.5, 5e-324, -5e-324, 1e154, -40.0, 1e154, 0.5]),
+                         tau=4)
+    assert fit.beta1 == pytest.approx(-1e154)
+    assert fit.stderr_beta1 == pytest.approx(math.sqrt(3.0) * 1e154)
+    assert fit.t_stat == pytest.approx(-1.0 / math.sqrt(3.0))
+    assert fit.p_two_sided_t == pytest.approx(2.0 / 3.0)  # Cauchy at df 1
+    # sxx * syy underflows to 0 here, so the correlation takes the two roots apart
+    series = Series.from_values([1e308, 1.0000000001e308, 1.0000000002e308, 1e154, 2e154, 4e154])
+    assert autocorrelation(series, 3) == pytest.approx(0.98198050606196571569, rel=1e-14)
+
+
 def test_perfect_fit_is_degenerate():
     values = [1.0]
     for _ in range(14):

@@ -1,7 +1,9 @@
 """The shared precondition validators and the error surface they give the library."""
 
 import dataclasses
+import enum
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -23,30 +25,40 @@ from errstat import (
     SimConfig,
     SummaryStats,
     Tail,
+    alpha_from_critical,
+    autocorrelation,
     cdf_under_alternative,
     closed_form_minimizer,
     combined_fpr_curve,
     confidence_lower_limit,
     cost_derivative,
+    cost_monotonicity_region,
     critical_from_alpha,
     expected_cost,
     false_positive_rate,
     false_positive_rate_odds,
     fpr_gradient,
+    gamma_for_factor,
     lag_regression,
     normal_cdf,
+    normal_pdf,
+    normal_quantile,
     numeric_minimizer,
     p_value_from_summary,
     pdf_under_alternative,
     power,
     quantile_under_alternative,
+    replication_threshold_factor,
     reproducibility_probability,
+    required_sample_size,
     severity,
     severity_curve,
     simulate_expected_cost,
     simulate_pvalues,
     simulate_studies,
     student_t_cdf,
+    student_t_quantile,
+    t_from_correlation,
     type2_error,
 )
 from errstat import errors
@@ -149,7 +161,9 @@ def test_overflowing_derived_values_name_their_inputs():
     (lambda: confidence_lower_limit(SummaryStats(0.0, 1.7e308), 1e-300),
      "the confidence lower limit"),
     (lambda: CostParams(1e-300, 1e308, 0.5).cost_ratio, "cost_type2 / cost_type1"),
-], ids=["pdf", "critical_from_alpha", "cost_derivative", "confidence_lower_limit", "cost_ratio"])
+    (lambda: replication_threshold_factor(5e-324, 1.7976931348623157e308), "the threshold factor"),
+], ids=["pdf", "critical_from_alpha", "cost_derivative", "confidence_lower_limit", "cost_ratio",
+        "threshold_factor"])
 def test_results_beyond_the_float_range_raise_domain_error(call, what):
     with pytest.raises(DomainError, match=f"^{what} must be finite, got -?inf$"):
         call()
@@ -334,3 +348,96 @@ def test_closed_form_minimizer_is_a_float_or_an_errstat_error(cost1, cost2, phi,
     except ErrstatError:
         return
     assert type(c) is float and math.isfinite(c)
+
+
+# The sweep's values: the edges of each validated domain, the subnormals, the float range and
+# the non-finite floats; and counts from 1 to 2**53, half of them small.
+_SWEPT_FLOATS = (0.0, 5e-324, -5e-324, 1e-300, 1e-17, 0.05, 0.5, 1.0 - 1e-16, 1.0, 1.5, 2.0,
+                 40.0, -40.0, 1e154, 1e300, -1e300, 1.797e308, -1.797e308, math.inf, -math.inf,
+                 math.nan)
+
+# Each public function of floats x, counts k and one member of each enum, as it is called.
+_SWEPT_CALLS = {
+    "normal_pdf": lambda x, k, t, d, r: normal_pdf(x[0]),
+    "normal_cdf": lambda x, k, t, d, r: normal_cdf(x[0]),
+    "normal_quantile": lambda x, k, t, d, r: normal_quantile(x[0]),
+    "student_t_cdf": lambda x, k, t, d, r: student_t_cdf(x[0], k[0]),
+    "student_t_quantile": lambda x, k, t, d, r: student_t_quantile(x[0], k[0]),
+    "Tail.critical": lambda x, k, t, d, r: t.critical(x[0]),
+    "type2_error": lambda x, k, t, d, r: type2_error(x[0], GaussianTestModel(x[1], k[0], t)),
+    "power": lambda x, k, t, d, r: power(x[0], GaussianTestModel(x[1], k[0], t)),
+    "required_sample_size": lambda x, k, t, d, r: required_sample_size(*x[:4]),
+    "false_positive_rate": lambda x, k, t, d, r: false_positive_rate(ScreeningParams(*x[:3])),
+    "false_positive_rate_odds": lambda x, k, t, d, r: false_positive_rate_odds(
+        x[0], x[1], PriorOdds(x[2])),
+    "PriorOdds.from_prior_null": lambda x, k, t, d, r: PriorOdds.from_prior_null(x[0]).ratio,
+    "fpr_gradient": lambda x, k, t, d, r: fpr_gradient(ScreeningParams(*x[:3])),
+    "combined_fpr_curve": lambda x, k, t, d, r: combined_fpr_curve(x[0], k[0], x[1], x[2:4]),
+    "replication_threshold_factor": lambda x, k, t, d, r: replication_threshold_factor(
+        x[0], x[1]),
+    "gamma_for_factor": lambda x, k, t, d, r: gamma_for_factor(x[0], x[1]),
+    "expected_cost": lambda x, k, t, d, r: expected_cost(x[0], CostParams(*x[1:])),
+    "cost_derivative": lambda x, k, t, d, r: cost_derivative(x[0], CostParams(*x[1:])),
+    "CostParams.cost_ratio": lambda x, k, t, d, r: CostParams(*x[1:]).cost_ratio,
+    "closed_form_minimizer": lambda x, k, t, d, r: closed_form_minimizer(CostParams(*x[1:])),
+    "numeric_minimizer": lambda x, k, t, d, r: numeric_minimizer(CostParams(*x[1:])),
+    "cost_monotonicity_region": lambda x, k, t, d, r: cost_monotonicity_region(
+        x[0], CostParams(*x[1:])),
+    "alpha_from_critical": lambda x, k, t, d, r: alpha_from_critical(x[0], CostParams(*x[1:])),
+    "critical_from_alpha": lambda x, k, t, d, r: critical_from_alpha(x[0], CostParams(*x[1:])),
+    "pdf_under_alternative": lambda x, k, t, d, r: pdf_under_alternative(
+        x[0], AlternativeSpec(x[1], k[0], t)),
+    "cdf_under_alternative": lambda x, k, t, d, r: cdf_under_alternative(
+        x[0], AlternativeSpec(x[1], k[0], t)),
+    "quantile_under_alternative": lambda x, k, t, d, r: quantile_under_alternative(
+        x[0], AlternativeSpec(x[1], k[0])),
+    "ObservedResult.from_p_value": lambda x, k, t, d, r: ObservedResult.from_p_value(x[0]),
+    "ObservedResult.from_summary": lambda x, k, t, d, r: ObservedResult.from_summary(x[0], x[1]),
+    "ObservedResult.p_observed": lambda x, k, t, d, r: ObservedResult(x[0]).p_observed,
+    "reproducibility_probability": lambda x, k, t, d, r: reproducibility_probability(
+        ObservedResult(x[0]), x[1], t),
+    "severity": lambda x, k, t, d, r: severity(SummaryStats(x[0], x[1], k[0]),
+                                               SeverityClaim(d, x[2]), r),
+    "severity_curve": lambda x, k, t, d, r: severity_curve(SummaryStats(x[0], x[1], k[0]),
+                                                           x[2:4], r, d),
+    "confidence_lower_limit": lambda x, k, t, d, r: confidence_lower_limit(
+        SummaryStats(x[0], x[1], k[0]), x[2], r),
+    "p_value_from_summary": lambda x, k, t, d, r: p_value_from_summary(
+        SummaryStats(x[0], x[1], k[0]), t, r),
+    "lag_regression": lambda x, k, t, d, r: lag_regression(Series(x), k[0]),
+    "autocorrelation": lambda x, k, t, d, r: autocorrelation(Series(x), k[0] - 1),
+    "t_from_correlation": lambda x, k, t, d, r: t_from_correlation(x[0], k[0]),
+}
+
+
+def _finite_numbers(value):
+    # the numbers in a result, through tuples, lists and result dataclasses; enum members pass
+    if isinstance(value, (tuple, list)):
+        return all(_finite_numbers(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return all(_finite_numbers(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, enum.Enum) or type(value) is int:
+        return True
+    return type(value) is float and math.isfinite(value)
+
+
+def test_public_functions_return_finite_floats_or_raise_errstat_errors():
+    rng = random.Random(17)
+    enums = (list(Tail), list(ClaimDirection), list(ReferenceDist))
+    failures = []
+    for _ in range(3000):
+        x = tuple(rng.choice(_SWEPT_FLOATS) for _ in range(7))
+        k = tuple(rng.choice((rng.randint(1, 8), int(2.0 ** rng.uniform(0, 53))))
+                  for _ in range(2))
+        members = [rng.choice(kind) for kind in enums]
+        for name, call in _SWEPT_CALLS.items():
+            try:
+                result = call(x, k, *members)
+            except ErrstatError:
+                continue
+            except Exception as exc:  # noqa: BLE001 - any other error is a finding
+                failures.append((name, x, k, members, repr(exc)))
+                continue
+            if not _finite_numbers(result):
+                failures.append((name, x, k, members, result))
+    assert not failures, failures[:5]
