@@ -68,9 +68,12 @@ class Tail(Enum):
 
     def p_value_density(self, z, mean):
         """Density at p = p_value(z) of the p-value of a N(mean, 1) statistic."""
+        null = normal_pdf(z)
+        if null == 0.0:
+            raise DomainError(f"the null density at z={z!r} underflows to 0")
         if self is Tail.ONE_SIDED_UPPER:
-            return normal_pdf(z - mean) / normal_pdf(z)
-        return (normal_pdf(z - mean) + normal_pdf(z + mean)) / (2.0 * normal_pdf(z))
+            return normal_pdf(z - mean) / null
+        return (normal_pdf(z - mean) + normal_pdf(z + mean)) / (2.0 * null)
 
     def p_value_quantile(self, q, mean):
         """q-quantile of the p-value of a N(mean, 1) statistic; closed-form one-sided only."""

@@ -131,29 +131,30 @@ def _lag_pairs(series: Series, tau: int) -> tuple[list[float], list[float]]:
 
 
 def _window_moments(x: list[float],
-                    y: list[float]) -> tuple[int, float, float, float, float, float]:
-    # (e, mean_x, mean_y, sxx, syy, sxy), each window with its own mean, of both
-    # windows scaled by 2**-e, e the binary exponent of the largest |value|, so that
-    # no product overflows or underflows to 0. The scaling is exact (d * d, unlike
-    # d ** 2, is correctly rounded), so ratios of moments equal those of the raw values.
-    e = math.frexp(max(map(abs, x + y)))[1]
-    x = [math.ldexp(v, -e) for v in x]
-    y = [math.ldexp(v, -e) for v in y]
+                    y: list[float]) -> tuple[int, int, float, float, float, float, float]:
+    # (ex, ey, mean_x, mean_y, sxx, syy, sxy), each window with its own mean, of each window
+    # scaled by 2**-e, e the binary exponent of its own largest |value|, so that no product
+    # overflows and no varying window underflows to 0. The scaling is exact (d * d, unlike
+    # d ** 2, is correctly rounded), so each moment is that of the raw values times a power of 2.
+    ex = math.frexp(max(map(abs, x)))[1]
+    ey = math.frexp(max(map(abs, y)))[1]
+    x = [math.ldexp(v, -ex) for v in x]
+    y = [math.ldexp(v, -ey) for v in y]
     k = len(x)
     mean_x = math.fsum(x) / k
     mean_y = math.fsum(y) / k
     sxx = math.fsum((xi - mean_x) * (xi - mean_x) for xi in x)
     syy = math.fsum((yi - mean_y) * (yi - mean_y) for yi in y)
     sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
-    return e, mean_x, mean_y, sxx, syy, sxy
+    return ex, ey, mean_x, mean_y, sxx, syy, sxy
 
 
-def _correlation(sxx: float, syy: float, sxy: float) -> float:
-    # sxy / sqrt(sxx * syy) for nonzero sums of squares; where their product leaves the normal
-    # floats (it can underflow to 0 when each does not), the two roots are taken apart
-    product = sxx * syy
-    return sxy / (math.sqrt(product) if product >= 2.0 ** -1022
-                  else math.sqrt(sxx) * math.sqrt(syy))
+def _raw(value: float, e: int, name: str) -> float:
+    # a scaled value times 2**e, the quantity it stands for in the units of the series
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        raise DomainError(f"the {name} overflows a float") from None
 
 
 def lag_regression(series: Series, tau: int) -> LagFit:
@@ -161,39 +162,35 @@ def lag_regression(series: Series, tau: int) -> LagFit:
     tau = check_int(tau, "tau", 1)
     check_instance(series, Series, "series")
     if tau >= len(series) - 2:
-        raise DomainError(
-            f"tau = {tau} leaves fewer than 3 pairs from {len(series)} values"
-        )
+        raise DomainError(f"tau = {tau} leaves fewer than 3 pairs from {len(series)} values")
     x, y = _lag_pairs(series, tau)
-    k = len(x)
-    e, mean_x, mean_y, sxx, syy, sxy = _window_moments(x, y)
-    if sxx == 0.0:
+    if min(x) == max(x):
         raise DegenerateDataError("predictor window has zero variance (constant series)")
-    if syy == 0.0:
+    if min(y) == max(y):
         raise DegenerateDataError("response window has zero variance (constant series)")
-    beta1 = sxy / sxx
-    try:
-        beta0 = math.ldexp(mean_y - beta1 * mean_x, e)
-    except OverflowError:
-        raise DomainError("the intercept of the fit overflows a float") from None
-    rss = syy - beta1 * sxy
+    k = len(x)
+    ex, ey, mean_x, mean_y, sxx, syy, sxy = _window_moments(x, y)
+    b = sxy / sxx  # the slope in the scaled units, 2**(ex - ey) times beta1
+    beta0 = _raw(mean_y - b * mean_x, ey, "intercept of the fit")
+    rss = syy - b * sxy
     if rss <= _PERFECT_FIT_RTOL * syy:
         raise DegenerateDataError(
             "residual variance is zero (perfect fit, |r| = 1); "
             "slope inference is undefined"
         )
     df = k - 2
-    var = (rss / df) / sxx  # can pass the float range where its root does not
-    stderr = check_finite(math.sqrt(var) if var < math.inf else
-                          math.sqrt(rss / df) / math.sqrt(sxx), "the standard error of the slope")
-    r = _correlation(sxx, syy, sxy)
-    t_stat = beta1 / stderr
+    se = math.sqrt((rss / df) / sxx)
+    beta1 = _raw(b, ey - ex, "slope of the fit")
+    stderr = _raw(se, ey - ex, "standard error of the slope")
+    if stderr == 0.0:
+        raise DomainError("the standard error of the slope underflows a float")
+    t_stat = b / se
     p = Tail.TWO_SIDED.p_value(t_stat, _StudentT(df).cdf)
     return LagFit(
         beta0=beta0,
         beta1=beta1,
         stderr_beta1=stderr,
-        r=r,
+        r=sxy / math.sqrt(sxx * syy),
         n_pairs=k,
         t_stat=t_stat,
         p_two_sided_t=p,
@@ -206,10 +203,11 @@ def autocorrelation(series: Series, tau: int) -> float:
     check_instance(series, Series, "series")
     if tau >= len(series) - 1:
         raise DomainError(f"tau = {tau} leaves fewer than 2 pairs from {len(series)} values")
-    _, _, _, sxx, syy, sxy = _window_moments(*_lag_pairs(series, tau))
-    if sxx == 0.0 or syy == 0.0:
+    x, y = _lag_pairs(series, tau)
+    if min(x) == max(x) or min(y) == max(y):
         raise DegenerateDataError("zero variance in a lag window; correlation undefined")
-    return _correlation(sxx, syy, sxy)
+    _, _, _, _, sxx, syy, sxy = _window_moments(x, y)
+    return sxy / math.sqrt(sxx * syy)
 
 
 def t_from_correlation(r: float, n: int) -> tuple[float, float]:

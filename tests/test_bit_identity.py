@@ -22,6 +22,9 @@ expected cost and its minimizer, was recorded before the scalar Gaussian cdf,
 the incomplete-beta continued fraction, the t-quantile Newton step and the
 minimizer's cost loop were written without builtin calls and extra frames. The
 values of the continued fraction where its fpmin clamps fire were recorded then too.
+The digest of a seeded sweep of lag_regression and autocorrelation, over series scaled
+as a whole by powers of two from 2**-1000 to 2**1000, was recorded before each lag
+window was scaled by its own power of two.
 """
 
 import hashlib
@@ -38,8 +41,9 @@ from errstat import (AlternativeSpec, CostParams, GaussianTestModel, ReferenceDi
                      SummaryStats, Tail, cdf_under_alternative, combined_fpr_curve,
                      confidence_lower_limit, expected_cost, normal_cdf, normal_pdf,
                      normal_quantile, numeric_minimizer, pdf_under_alternative, power,
-                     severity_curve, simulate_expected_cost, simulate_pvalues, simulate_studies,
-                     student_t_cdf, student_t_quantile, type2_error)
+                     Series, autocorrelation, lag_regression, severity_curve,
+                     simulate_expected_cost, simulate_pvalues, simulate_studies, student_t_cdf,
+                     student_t_quantile, type2_error)
 from errstat.distributions import _beta_cont_frac
 from errstat.errors import ErrstatError
 from errstat import montecarlo
@@ -193,6 +197,34 @@ def test_gaussian_and_cost_sweep_is_pinned():
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == "772026629d916c31143639d10d05b547e8838809b7f07c558ed52e4aac488bec"
 
+
+
+def _lag_sweep_rows() -> list:
+    # 20,000 series of 3 to 30 values, each scaled as a whole by 2**s for s in [-1000, 1000],
+    # so both lag windows share one scale; a quarter are small integers, which give constant
+    # windows and perfect fits. Each series meets lag_regression and autocorrelation at a tau
+    # drawn from 0 to its length - 1, so the tau bounds raise too.
+    rng = random.Random(20261020)
+    calls = []
+    for _ in range(20000):
+        k = rng.randint(3, 30)
+        if rng.random() < 0.25:
+            values = [float(rng.randint(-2, 2)) for _ in range(k)]
+        else:
+            values = [rng.gauss(0.0, 1.0) for _ in range(k)]
+        s = rng.randint(-1000, 1000)
+        series = Series(tuple(math.ldexp(v, s) for v in values))
+        calls.append((lag_regression, (series, rng.randint(0, k - 1))))
+        calls.append((autocorrelation, (series, rng.randint(0, k - 1))))
+    return _rows(calls)
+
+
+def test_lag_sweep_is_pinned():
+    rows = _lag_sweep_rows()
+    assert len(rows) == 40000
+    assert sum(" -> DegenerateDataError: " in row for row in rows) == 287
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "488ff829caecedd4981598177440bb281b8b438e97b616d9acb975e8028cb61b"
 
 def _clamped_zeros(args):
     # the names, d or c, that hold 0.0 when _beta_cont_frac reaches an fpmin clamp on them

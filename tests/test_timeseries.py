@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -140,9 +141,62 @@ def test_moments_whose_products_leave_the_float_range_still_give_finite_fits():
     assert fit.stderr_beta1 == pytest.approx(math.sqrt(3.0) * 1e154)
     assert fit.t_stat == pytest.approx(-1.0 / math.sqrt(3.0))
     assert fit.p_two_sided_t == pytest.approx(2.0 / 3.0)  # Cauchy at df 1
-    # sxx * syy underflows to 0 here, so the correlation takes the two roots apart
+    # the raw windows lie 1e154 apart; each is scaled by its own power of two, so sxx * syy
+    # is a normal float and the correlation takes one root
     series = Series.from_values([1e308, 1.0000000001e308, 1.0000000002e308, 1e154, 2e154, 4e154])
     assert autocorrelation(series, 3) == pytest.approx(0.98198050606196571569, rel=1e-14)
+
+
+def _exact_fit(values, tau):
+    # (beta0, beta1, r) of the lag-tau fit from exact rationals; r is rounded twice
+    x = [Fraction(v) for v in values[:len(values) - tau]]
+    y = [Fraction(v) for v in values[tau:]]
+    mean_x, mean_y = sum(x) / len(x), sum(y) / len(y)
+    sxx = sum((a - mean_x) ** 2 for a in x)
+    syy = sum((b - mean_y) ** 2 for b in y)
+    sxy = sum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
+    beta1 = sxy / sxx
+    return mean_y - beta1 * mean_x, beta1, math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+
+
+@pytest.mark.parametrize("values, tau, t_stat", [
+    # the windows lie far apart in scale; one scale for both underflowed the smaller one
+    ((1e308, 1.0, 2.0, 3.0, 4.0), 1, -math.sqrt(3.0)),
+    # here the shared scale gave r = 0.4356 silently, and with a fourth pair a ZeroDivisionError
+    ((1e120, 3e120, 2e120, 2e-41, 3e-41, 1e-41), 3, 1.0 / math.sqrt(3.0)),
+    ((1e120, 3e120, 2e120, 4e120, 1e-41, 1e-41, 1e-41, 3e-41), 4, math.sqrt(3.0)),
+])
+def test_windows_of_far_apart_scales_give_the_exact_fit(values, tau, t_stat):
+    fit = lag_regression(Series(values), tau)
+    beta0, beta1, r = _exact_fit(values, tau)
+    # beta0 can be the difference of two values near mean_y, so it is held to their rounding
+    assert fit.beta0 == pytest.approx(float(beta0), rel=1e-15,
+                                      abs=1e-15 * max(map(abs, values[tau:])))
+    assert fit.beta1 == pytest.approx(float(beta1), rel=1e-15)
+    assert fit.r == pytest.approx(r, rel=1e-15)
+    assert fit.t_stat == pytest.approx(t_stat, rel=1e-15)
+    assert autocorrelation(Series(values), tau) == fit.r
+
+
+def test_a_small_window_beside_a_huge_one_is_not_constant():
+    values = (1e308, 1.0, 2.0, 3.0)
+    assert autocorrelation(Series(values), 1) == pytest.approx(_exact_fit(values, 1)[2],
+                                                               rel=1e-15)
+    assert autocorrelation(Series(values), 1) == pytest.approx(-math.sqrt(3.0) / 2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("values, message", [
+    # a slope near 1e600 and, windows swapped, one near 1e-600 with its standard error
+    ((1e-300, 2e-300, 1.5e-300, 4e-300, 3e300, 2e300, 5e300, 1e300),
+     "the slope of the fit overflows a float"),
+    ((1e300, 2e300, 1.5e300, 4e300, 3e-300, 2e-300, 5e-300, 1e-300),
+     "the standard error of the slope underflows a float"),
+])
+def test_a_slope_beyond_the_floats_is_a_domain_error(values, message):
+    with pytest.raises(DomainError, match=message):
+        lag_regression(Series(values), 4)
+    r = _exact_fit(values, 4)[2]
+    assert autocorrelation(Series(values), 4) == pytest.approx(r, rel=1e-15)
 
 
 def test_perfect_fit_is_degenerate():
@@ -158,6 +212,9 @@ def test_constant_series_is_degenerate():
         lag_regression(Series.from_values([0.4] * 12), tau=1)
     with pytest.raises(DegenerateDataError):
         autocorrelation(Series.from_values([0.4] * 12), tau=1)
+    # the mean of three 1.797e308 does not round back to it, so sxx is not 0
+    with pytest.raises(DegenerateDataError, match="zero variance in a lag window"):
+        autocorrelation(Series((1.797e308,) * 3 + (1.0, 1e154, 0.05, 0.5)), tau=4)
 
 
 def test_tau_bounds():

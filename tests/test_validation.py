@@ -364,6 +364,11 @@ _SWEPT_CALLS = {
     "student_t_cdf": lambda x, k, t, d, r: student_t_cdf(x[0], k[0]),
     "student_t_quantile": lambda x, k, t, d, r: student_t_quantile(x[0], k[0]),
     "Tail.critical": lambda x, k, t, d, r: t.critical(x[0]),
+    "Tail.p_value": lambda x, k, t, d, r: t.p_value(x[0]),
+    "Tail.rejection": lambda x, k, t, d, r: t.rejection(x[0], x[1]),
+    "Tail.acceptance": lambda x, k, t, d, r: t.acceptance(x[0], x[1]),
+    "Tail.p_value_density": lambda x, k, t, d, r: t.p_value_density(x[0], x[1]),
+    "Tail.p_value_quantile": lambda x, k, t, d, r: t.p_value_quantile(x[0], x[1]),
     "type2_error": lambda x, k, t, d, r: type2_error(x[0], GaussianTestModel(x[1], k[0], t)),
     "power": lambda x, k, t, d, r: power(x[0], GaussianTestModel(x[1], k[0], t)),
     "required_sample_size": lambda x, k, t, d, r: required_sample_size(*x[:4]),
