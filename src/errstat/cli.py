@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import __version__
 from . import decision_cost, error_tradeoff, pvalue_dist, screening, timeseries
@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # the report commands have no --format: they always print JSON

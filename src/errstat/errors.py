@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the validators that raise them.
+"""Exception types shared across the package, and the validators and helpers that raise them.
 
 Each type carries the CLI's process exit status as exit_code, so keep the
 hierarchy flat and the meanings distinct: bad parameter values,
@@ -155,3 +155,11 @@ def check_int(value, name: str, minimum: int, maximum: int = 2 ** 53) -> int:
             if n >= minimum:
                 return n
     raise _fail(name, f"be an integer >= {minimum}", value)
+
+
+def unscaled(value: float, e: int, name: str) -> float:
+    """value * 2**e; a DomainError naming the quantity where that overflows a float."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        raise DomainError(f"the {name} overflows a float") from None

@@ -18,17 +18,17 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
 
 import numpy as np
 
-from .decision_cost import CostParams, _checked
+from .decision_cost import CostParams, _checked, _standardized
 from .error_tradeoff import SimConfig, Tail
 from .distributions import (_CODY_MID_CUT, _CODY_SMALL_CUT, _CODY_ZERO_CUT, _erf_small,
                             _erfc_big_ratio, _erfc_mid_ratio, _exp_neg_sq)
-from .errors import check_instance, check_int
+from .errors import DomainError, check_instance, check_int, unscaled
 
 CHUNK_SIZE = 1 << 16
 RNG_ALGORITHM = "numpy-pcg64/seedseq(entropy=seed, spawn_key=(chunk,))/chunk=65536"
@@ -60,9 +60,9 @@ class SimOutcome:
     false_pos: int
     true_neg: int
     false_neg: int
-    empirical_fpr: Optional[float]
-    empirical_power: Optional[float]
-    mc_stderr_fpr: Optional[float]
+    empirical_fpr: float | None
+    empirical_power: float | None
+    mc_stderr_fpr: float | None
     rng: str = RNG_ALGORITHM
 
     @property
@@ -126,8 +126,11 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
         count = min(CHUNK_SIZE, config.num_trials - start)
         first = rng.random(count) < p_first
         stat = rng.standard_normal(count)
-        stat *= sigma
-        stat += means.take(first.view(np.uint8))
+        # Callers keep crit - mean finite, so a statistic that overflows to +-inf lies beyond
+        # crit, as its exact value does. Entered here: the error state is per thread.
+        with np.errstate(over="ignore"):
+            stat *= sigma
+            stat += means.take(first.view(np.uint8))
         reject = tail.rejects(stat, crit)
         return (int(np.count_nonzero(first)), int(np.count_nonzero(reject)),
                 int(np.count_nonzero(first & reject)))
@@ -279,7 +282,12 @@ def _summarize(buf: np.ndarray, shift: float, tail: Tail):
 
         return read
 
-    reference = reader(lambda stat: tail.rejection(stat, shift, _normal_cdf_vec))
+    def reference_law(stat):
+        # two-sided, -|stat| - shift can overflow to -inf, whose cdf is the exact value 0
+        with np.errstate(over="ignore"):
+            return tail.rejection(stat, shift, _normal_cdf_vec)
+
+    reference = reader(reference_law)
     p_value = reader(lambda stat: tail.p_value(stat, _normal_cdf_vec))
     tenths = np.arange(1, 10) / 10.0
     edges = np.append(np.arange(0, n, _STRIDE), n)
@@ -327,6 +335,9 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
 
     All trials use effect_size/n_per_study (set effect_size = 0 for the
     null-uniformity check); prior_null plays no role here.
+
+    The buffer takes 8 * num_trials bytes; one that cannot be allocated raises DomainError.
+    From about 2^29 to 2^31 trials (4-16 GiB) it can be allocated and exhaust an 8 GB host.
     """
     check_instance(config, SimConfig, "config")
     design = config.design
@@ -334,7 +345,10 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     # The one per-trial allocation: each chunk draws into its own slice, then
     # negates how extreme each statistic is, so the ascending sort below puts
     # the p-values in ascending order, and the PIT values too where p-values tie.
-    buf = np.empty(n)
+    try:
+        buf = np.empty(n)
+    except MemoryError:
+        raise DomainError(f"cannot allocate the {8 * n} bytes that num_trials={n} needs") from None
 
     def draw(start: int) -> None:
         part = buf[start:start + CHUNK_SIZE]
@@ -361,7 +375,7 @@ class CostSimEstimate:
     """Monte Carlo estimate of the expected cost at a threshold."""
 
     mean_cost: float
-    stderr: float
+    stderr: float | None  # None (undefined) at one trial
     num_trials: int
     rng: str = RNG_ALGORITHM
 
@@ -374,15 +388,22 @@ def simulate_expected_cost(c: float, params: CostParams, config: SimConfig,
     from params; config supplies num_trials and the seed.
     """
     c = _checked(c, params)
+    _standardized(c, params)  # c - mu finite: a statistic that overflows lies beyond c
     check_instance(config, SimConfig, "config")
     n_fr, _, _, n_fa = _mixture_counts(config, workers, params.prior_good, params.mu0,
                                        params.mu1, params.sigma, c, Tail.ONE_SIDED_UPPER)
     n = config.num_trials
-    mean = (params.cost_type1 * n_fr + params.cost_type2 * n_fa) / n
-    second_moment = (params.cost_type1 ** 2 * n_fr + params.cost_type2 ** 2 * n_fa) / n
+    # Moments of the incurred costs scaled by 2**-e, e the exponent of the larger, so no square
+    # overflows or underflows; a cost never incurred drops out, as its product with 0 did.
+    costs = (params.cost_type1 if n_fr else 0.0, params.cost_type2 if n_fa else 0.0)
+    e = math.frexp(max(costs))[1]
+    cost1, cost2 = (math.ldexp(cost, -e) for cost in costs)
+    mean = (cost1 * n_fr + cost2 * n_fa) / n
+    second_moment = (cost1 ** 2 * n_fr + cost2 ** 2 * n_fa) / n
+    stderr = None
     if n > 1:
         sample_var = max(0.0, second_moment - mean * mean) * n / (n - 1)
-        stderr = math.sqrt(sample_var / n)
-    else:
-        stderr = float("nan")
-    return CostSimEstimate(mean_cost=mean, stderr=stderr, num_trials=n)
+        stderr = unscaled(math.sqrt(sample_var / n), e, "standard error of the cost")
+        if stderr == 0.0 < sample_var:
+            raise DomainError("the standard error of the cost underflows a float")
+    return CostSimEstimate(mean_cost=unscaled(mean, e, "mean cost"), stderr=stderr, num_trials=n)

@@ -14,8 +14,8 @@ behind "cut the threshold by r to multiply the replication rate n-fold".
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import error_tradeoff
 from .errors import (DomainError, InfeasibleParameterError, check_at_least, check_finite,

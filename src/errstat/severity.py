@@ -13,9 +13,9 @@ the lag-regression context) is available for the same operations.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
 
 from .distributions import _StudentT, _normal_cdf, _normal_quantile
 from .error_tradeoff import Tail
@@ -44,8 +44,8 @@ class SummaryStats:
 
     estimate: float
     stderr: float
-    n: Optional[int] = None
-    df: Optional[int] = None
+    n: int | None = None
+    df: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "estimate", check_finite(self.estimate, "estimate"))

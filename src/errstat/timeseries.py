@@ -13,14 +13,14 @@ mutually consistent.
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence, Union
 
 from .distributions import _StudentT
 from .error_tradeoff import Tail
-from .errors import (CsvFormatError, DegenerateDataError, DomainError, check_finite, check_instance,
-                     check_int, check_sequence)
+from .errors import (CsvFormatError, DegenerateDataError, DomainError, _fail, check_finite,
+                     check_instance, check_int, check_sequence, unscaled)
 from .severity import SummaryStats
 
 # Relative residual variance below which a fit is reported as exact
@@ -36,29 +36,33 @@ class Series:
     start_label: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", check_sequence(self.values, "values"))
-        if len(self.values) < 3:
-            raise DomainError(f"series needs at least 3 values, got {len(self.values)}")
-        for i, v in enumerate(self.values):
-            check_finite(v, f"series value at index {i}")
+        values = check_sequence(self.values, "values")
+        if len(values) < 3:
+            raise DomainError(f"series needs at least 3 values, got {len(values)}")
+        object.__setattr__(self, "values", tuple(
+            check_finite(v, f"series value at index {i}") for i, v in enumerate(values)))
+        object.__setattr__(self, "start_label", check_int(self.start_label, "start_label",
+                                                          -math.inf, math.inf))
 
     def __len__(self) -> int:
         return len(self.values)
 
     @classmethod
-    def from_values(cls, values: Sequence[float], start_label: int = 0) -> "Series":
-        return cls(tuple(float(v) for v in values), start_label)
+    def from_values(cls, values: Sequence[float], start_label: int = 0) -> Series:
+        return cls(values, start_label)
 
 
-def read_series_csv(path: Union[str, Path]) -> Series:
+def read_series_csv(path: str | bytes | os.PathLike) -> Series:
     """Read a `label,value` CSV (header required, UTF-8, '.' decimals).
 
     Labels must be consecutive integers; a gap means a missing year and is
     rejected rather than imputed. All parse errors carry the 1-based line
     number.
     """
-    # a leading BOM from spreadsheet exports is tolerated
-    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open() would take an int as a descriptor
+        raise _fail("path", "be a str, bytes or os.PathLike", path)
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")  # a leading BOM from spreadsheet exports
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -149,14 +153,6 @@ def _window_moments(x: list[float],
     return ex, ey, mean_x, mean_y, sxx, syy, sxy
 
 
-def _raw(value: float, e: int, name: str) -> float:
-    # a scaled value times 2**e, the quantity it stands for in the units of the series
-    try:
-        return math.ldexp(value, e)
-    except OverflowError:
-        raise DomainError(f"the {name} overflows a float") from None
-
-
 def lag_regression(series: Series, tau: int) -> LagFit:
     """Least-squares fit of each value on its tau-steps-earlier predecessor."""
     tau = check_int(tau, "tau", 1)
@@ -171,7 +167,7 @@ def lag_regression(series: Series, tau: int) -> LagFit:
     k = len(x)
     ex, ey, mean_x, mean_y, sxx, syy, sxy = _window_moments(x, y)
     b = sxy / sxx  # the slope in the scaled units, 2**(ex - ey) times beta1
-    beta0 = _raw(mean_y - b * mean_x, ey, "intercept of the fit")
+    beta0 = unscaled(mean_y - b * mean_x, ey, "intercept of the fit")
     rss = syy - b * sxy
     if rss <= _PERFECT_FIT_RTOL * syy:
         raise DegenerateDataError(
@@ -180,8 +176,8 @@ def lag_regression(series: Series, tau: int) -> LagFit:
         )
     df = k - 2
     se = math.sqrt((rss / df) / sxx)
-    beta1 = _raw(b, ey - ex, "slope of the fit")
-    stderr = _raw(se, ey - ex, "standard error of the slope")
+    beta1 = unscaled(b, ey - ex, "slope of the fit")
+    stderr = unscaled(se, ey - ex, "standard error of the slope")
     if stderr == 0.0:
         raise DomainError("the standard error of the slope underflows a float")
     t_stat = b / se

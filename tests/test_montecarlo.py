@@ -1,7 +1,9 @@
 import math
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -345,3 +347,85 @@ def test_chunk_results_are_consumed_as_they_come(monkeypatch, workers, chunks):
         tracemalloc.stop()
     assert seen == chunks
     assert peak < 1 << 20
+
+
+# The simulators at the edges of their inputs give finite numbers, None where a value is
+# undefined, or an ErrstatError, and warn nowhere: the filter below turns a warning from any
+# module into an error, not only one from errstat's.
+
+def _exact_cost_moments(c, params, config):
+    # (mean, squared standard error) of the costs at the simulation's own counts, exactly
+    n_fr, _, _, n_fa = montecarlo._mixture_counts(config, 1, params.prior_good, params.mu0,
+                                                  params.mu1, params.sigma, c,
+                                                  Tail.ONE_SIDED_UPPER)
+    n = config.num_trials
+    cost1, cost2 = Fraction(params.cost_type1), Fraction(params.cost_type2)
+    mean = (cost1 * n_fr + cost2 * n_fa) / n
+    second_moment = (cost1 ** 2 * n_fr + cost2 ** 2 * n_fa) / n
+    return mean, (second_moment - mean * mean) / (n - 1)
+
+
+@pytest.mark.parametrize("params, trials", [
+    (CostParams(1e308, 1.0, 0.5), 2),
+    (CostParams(1e200, 1e-100, 0.5, mu0=-50), 1000),
+    (CostParams(1e154, 1e154, 0.5), 1000),
+    (CostParams(1e-200, 1e-200, 0.5), 1000),
+], ids=["square_overflows", "only_the_smaller_cost_incurred", "sum_of_squares_overflows",
+        "squares_underflow"])
+def test_cost_moments_past_the_float_range_are_exact_to_rounding(params, trials):
+    config = SimConfig(trials, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate = simulate_expected_cost(0.0, params, config)
+    mean, variance = _exact_cost_moments(0.0, params, config)
+    assert variance > 0
+    assert abs(Fraction(estimate.mean_cost) / mean - 1) < 1e-15
+    assert abs(Fraction(estimate.stderr) ** 2 / variance - 1) < 1e-12
+
+
+@pytest.mark.parametrize("c, params, match", [
+    # c - mu0 overflows: a statistic sigma * z + mu0 that overflows to +inf would pass c,
+    # where its exact value, below 1e308, does not
+    (1e308, CostParams(1, 1, 0.5, mu0=-1.7e308, mu1=-1.7e308, sigma=1.7e308),
+     r"^\(c - mu0\) / sigma must be finite"),
+    (0.0, CostParams(5e-324, 5e-324, 0.5), "^the standard error of the cost underflows a float$"),
+], ids=["threshold_beyond_the_floats_from_mu0", "stderr_underflows"])
+def test_cost_results_past_the_float_range_raise_domain_error(c, params, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            simulate_expected_cost(c, params, SimConfig(1000, 1))
+
+
+def test_cost_stderr_is_none_at_one_trial():
+    estimate = simulate_expected_cost(0.0, CostParams(1, 1, 0.5), SimConfig(1, 1))
+    assert estimate.stderr is None and estimate.mean_cost in (0.0, 1.0)
+
+
+@pytest.mark.parametrize("trials", [1000, CHUNK_SIZE + 1])
+def test_statistics_that_overflow_still_decide(trials, monkeypatch):
+    # sigma at the float maximum takes some statistics to +-inf, in the worker threads too
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    params = CostParams(1, 1, 0.5, sigma=1.7976931348623157e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        serial, parallel = (simulate_expected_cost(0.0, params, SimConfig(trials, 1), workers)
+                            for workers in (1, 2))
+    assert serial == parallel
+    assert 0.4 < serial.mean_cost < 0.6 and 0.0 < serial.stderr < 0.02
+
+
+def test_two_sided_reference_law_at_a_shift_near_the_float_maximum():
+    config = SimConfig(1000, 1, effect_size=1.7e308, tail="two_sided")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = simulate_pvalues(config)
+    assert all(math.isfinite(v) for v in (*summary.deciles, *summary.cdf_at_reference_deciles,
+                                           summary.supnorm_vs_reference))
+
+
+def test_a_pvalue_buffer_that_cannot_be_allocated_names_its_size():
+    # 2**53 trials ask for 64 PiB: the request fails before any memory is touched
+    with pytest.raises(DomainError, match="^cannot allocate the 72057594037927936 bytes that "
+                                          "num_trials=9007199254740992 needs$"):
+        simulate_pvalues(SimConfig(2 ** 53, 1))

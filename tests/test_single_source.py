@@ -10,8 +10,8 @@ the CLI turns list and grid text into values only through argparse and builds
 a ScreeningParams only from a fixed --power. The normal/Student-t choice of the
 severity reference law is made in one place, and decision_cost, like
 montecarlo, takes its critical values from Tail. Each public name is listed
-once in the package's table of exports, and numpy is imported by montecarlo
-alone.
+once in the package's table of exports, numpy is imported by montecarlo
+alone, and a bare `import errstat` loads neither typing nor pathlib.
 """
 
 import ast
@@ -122,6 +122,16 @@ def test_numpy_is_imported_by_montecarlo_alone():
     hits = [path.name for path in sorted(SRC.rglob("*.py"))
             if "import numpy" in path.read_text(encoding="utf-8")]
     assert hits == ["montecarlo.py"], hits
+
+
+def test_import_loads_neither_typing_nor_pathlib():
+    # without site, whose .pth files may import them on their own
+    code = "import sys, errstat; print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0 and proc.stdout.split() == ["[]"], (proc.stdout, proc.stderr)
 
 
 def test_public_names_resolve_and_star_import_binds_the_simulators():

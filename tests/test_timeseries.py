@@ -43,6 +43,14 @@ def test_csv_round_trip(tmp_path):
     assert series.values[3] == pytest.approx(0.35)
 
 
+@pytest.mark.parametrize("first", [10 ** 16, -2 ** 60, 10 ** 400])
+def test_labels_of_any_size_are_read(tmp_path, first):
+    # a label enters no arithmetic, so it is not capped like a count
+    path = tmp_path / "series.csv"
+    path.write_text("label,value\n" + "".join(f"{first + i},{i}\n" for i in range(3)))
+    assert read_series_csv(path).start_label == first
+
+
 @pytest.mark.parametrize("content,lineno", [
     ("", 1),
     ("year,burnt\n2001,0.1\n2002,0.2\n2003,0.3\n", 1),
