@@ -18,24 +18,29 @@ core. The solvers call the cores directly: the Halley steps of
 normal_quantile, and the bracket and Newton loop of student_t_quantile,
 which run on one Student-t law per df (``_StudentT``) that computes
 log B(df/2, 1/2) once; the loop computes the density's log normaliser once
-per solve. The scalar hot loops compare where they would call abs() or
+per solve. That loop is one solve for |x| signed by p's side of 1/2: raw
+Newton on the cdf from 1/2 up, and below 1/2 Newton on the log of the exact
+lower tail, which is near linear in log|x| far out; no level is reflected
+through 1 - p. The scalar hot loops compare where they would call abs() or
 max(), and the Gaussian cdf evaluates Cody's erfc in its own body.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 try:
     from _statistics import _normal_dist_inv_cdf
 except ImportError:  # an interpreter without the C accelerator
     from statistics import _normal_dist_inv_cdf
 
-from .errors import check_finite, check_int, check_open_unit
+from .errors import DomainError, check_finite, check_int, check_open_unit
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_SQRT_PI = 0.5641895835477562869480794515607726
+_FLOAT_MAX = sys.float_info.max
 
 # Cody's region cuts in y = |x| / sqrt(2), read by montecarlo's array kernel too
 _CODY_SMALL_CUT = 0.46875
@@ -214,7 +219,8 @@ class _StudentT:
     """The Student-t law of one df, with log B(df/2, 1/2) computed once.
 
     cdf takes a float that is not NaN and gives the law's limit, 0 or 1, at -inf or +inf;
-    quantile takes p in (0, 1). Callers check."""
+    quantile takes p in (0, 1), and raises DomainError where its root lies past the
+    floats. Callers check."""
 
     __slots__ = ("df", "a", "log_beta")
 
@@ -236,39 +242,53 @@ class _StudentT:
         return 1.0 - tail if x > 0.0 else tail
 
     def quantile(self, p: float) -> float:
-        if p < 0.5:
-            return -self.quantile(check_open_unit(1.0 - p, "p"))
-        # p > 0.5: the root is positive. Grow the bracket, then refine. The cdf rounds to 1
-        # before hi passes 2**52 (at df 1, the slowest), so the bracket stays finite.
+        # Solve on p's own side of 1/2 for y = |x|, with s = -1 below 1/2 and +1 from it on:
+        # f = s * (cdf(s * y) - p) rises with y, and below 1/2, c = cdf(-y) is the exact
+        # lower tail, so no level is reflected through 1 - p. Grow the bracket up to the
+        # float maximum, then refine. Above 1/2 the cdf rounds to 1 before hi passes 2**52
+        # (at df 1, the slowest); below it, a root past the floats raises.
+        s = -1.0 if p < 0.5 else 1.0
         df = self.df
         lo, hi = 0.0, 1.0
-        while self.cdf(hi) < p:
+        while s * (self.cdf(s * hi) - p) < 0.0:
+            if hi == _FLOAT_MAX:
+                raise DomainError("the Student-t quantile overflows a float")
             lo = hi
-            hi *= 2.0
-        x = min(max(_normal_quantile(p), lo), hi)
-        # the density's log normaliser and power, once per solve
+            hi = min(2.0 * hi, _FLOAT_MAX)
+        y = min(max(s * _normal_quantile(p), lo), hi)
+        # the density's log normaliser and power, and log p, once per solve
         log_norm = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
                     - 0.5 * math.log(df * math.pi))
         power = 0.5 * (df + 1)
-        # the floor is max(dens, 1e-300) and tol 1e-14 * max(1.0, |x|), NaN cases included
+        log_p = math.log(p)
+        # the floor is max(dens, 1e-300) and tol 1e-14 * max(1.0, y), NaN cases included
         for _ in range(100):
-            f = self.cdf(x) - p
+            c = self.cdf(s * y)
+            f = s * (c - p)
             if f > 0.0:
-                hi = x
+                hi = y
             else:
-                lo = x
-            dens = math.exp(log_norm - power * math.log1p(x * x / df))
-            if dens < 1e-300:
-                dens = 1e-300
-            x_new = x - f / dens
-            if not (lo <= x_new <= hi):
-                x_new = 0.5 * (lo + hi)
-            ax = -x if x < 0.0 else x
-            tol = 1e-14 * (ax if ax > 1.0 else 1.0)
-            if -tol <= x_new - x <= tol:
-                return x_new
-            x = x_new
-        return x
+                lo = y
+            log_dens = log_norm - power * math.log1p(y * y / df)
+            if s > 0.0:
+                dens = math.exp(log_dens)
+                if dens < 1e-300:
+                    dens = 1e-300
+                y_new = y - f / dens
+            elif c > 0.0:
+                # Newton on log c, near linear in log y far out, where raw Newton on c
+                # crawls in from the left. Once y * y overflows, log_dens is -inf: bisect.
+                log_c = math.log(c)
+                y_new = y + (log_c - log_p) * math.exp(log_c - log_dens)
+            else:
+                y_new = math.nan  # a tail that underflowed to 0 has no log: bisect
+            if not (lo <= y_new <= hi):
+                y_new = 0.5 * lo + 0.5 * hi  # as 0.5 * (lo + hi), whose sum can overflow
+            tol = 1e-14 * (y if y > 1.0 else 1.0)
+            if -tol <= y_new - y <= tol:
+                return s * y_new
+            y = y_new
+        return s * y
 
 
 def student_t_cdf(x: float, df: int) -> float:
@@ -278,6 +298,9 @@ def student_t_cdf(x: float, df: int) -> float:
 
 
 def student_t_quantile(p: float, df: int) -> float:
-    """Inverse of student_t_cdf; safeguarded Newton inside a bisection bracket."""
+    """Inverse of student_t_cdf, solved on p's own side of 1/2 for |x| inside a bisection
+    bracket: raw Newton from 1/2 up, Newton on the log of the lower tail below it. A p
+    below 1/2 is never reflected through 1 - p, so p down to 5e-324 is accepted; a
+    quantile past the floats (df 1 below p ~ 1.8e-309) raises DomainError."""
     p = check_open_unit(p, "p")
     return _StudentT(check_int(df, "df", 1)).quantile(p)

@@ -61,7 +61,11 @@ def read_series_csv(path: str | bytes | os.PathLike) -> Series:
     """
     if not isinstance(path, (str, bytes, os.PathLike)):  # open() would take an int as a descriptor
         raise _fail("path", "be a str, bytes or os.PathLike", path)
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except ValueError:  # the one ValueError open raises: "embedded null byte"
+        raise _fail("path", "hold no NUL byte", path) from None
+    with fh:
         data = fh.read().removeprefix(b"\xef\xbb\xbf")  # a leading BOM from spreadsheet exports
     try:
         text = data.decode("utf-8")

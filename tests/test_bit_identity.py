@@ -16,7 +16,12 @@ sweep of the scalar kernels and of the curves built on them was recorded before
 the public kernels checked their arguments once and handed the solvers their
 private cores and one Student-t law per df, and re-recorded when the coupled
 false positive rate curve stopped raising where its power rounds to 0 or 1:
-only those 83 curve rows changed, from a DomainError to a list of points. The digest of a second sweep, of the
+only those 83 curve rows changed, from a DomainError to a list of points. When the
+t quantile came to solve below 1/2 on its own side instead of reflecting through 1 - p,
+the sweep split in two digests: the 4784 rows that never read that side, recorded
+before the change, and the 466 quantile and lower-limit rows below 1/2, re-recorded
+after it (397 of 400 quantile rows and 60 of 66 limit rows moved; their 90
+DomainErrors became values). The digest of a second sweep, of the
 Gaussian cdf and pdf at and around Cody's cuts, the Gaussian test laws, the
 expected cost and its minimizer, was recorded before the scalar Gaussian cdf,
 the incomplete-beta continued fraction, the t-quantile Newton step and the
@@ -82,9 +87,9 @@ def _rows(calls) -> list:
     return rows
 
 
-def _kernel_sweep_rows() -> list:
-    # p runs from 1e-300 to 1 - 1e-16, df from 1 to 2e9 and |x| from 1e-10 to 1e150;
-    # quantiles below about 1.1e-16 raise. A curve whose power rounds to 0 or 1 returns.
+def _kernel_sweep_calls() -> list:
+    # p runs from 1e-300 to 1 - 1e-16, df from 1 to 2e9 and |x| from 1e-10 to 1e150.
+    # A curve whose power rounds to 0 or 1 returns.
     rng = random.Random(20261018)
 
     def log_uniform(lo, hi):
@@ -116,15 +121,26 @@ def _kernel_sweep_rows() -> list:
         calls.append((severity_curve, (stats, bounds, ReferenceDist.STUDENT_T)))
         level = log_uniform(1e-20, 0.5) if rng.random() < 0.5 else upper()
         calls.append((confidence_lower_limit, (stats, level, ReferenceDist.STUDENT_T)))
-    return _rows(calls)
+    return calls
+
+
+def _below_half(fn, args) -> bool:
+    # the calls that solve for a t quantile below 1/2: the quantile itself, and the
+    # Student-t lower limit at a level below 1/2
+    return ((fn is student_t_quantile and args[0] < 0.5)
+            or (fn is confidence_lower_limit and args[1] < 0.5))
 
 
 def test_scalar_kernel_sweep_is_pinned():
-    rows = _kernel_sweep_rows()
-    assert len(rows) == 5250
-    assert sum(" -> DomainError: " in row for row in rows) == 90
-    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-    assert digest == "55282d03a3fd8446e1e1d700e5c2e6e84521b2a93637406e5a5e12135f7fbe04"
+    calls = _kernel_sweep_calls()
+    kept = _rows([call for call in calls if not _below_half(*call)])
+    moved = _rows([call for call in calls if _below_half(*call)])
+    assert (len(kept), len(moved)) == (4784, 466)
+    assert sum(" -> DomainError: " in row for row in kept + moved) == 0
+    digest = hashlib.sha256("\n".join(kept).encode()).hexdigest()
+    assert digest == "ecb038942d7700e28bc76ff901bc821e2ac32f79eaf3fdc1dcb00b09d0eefe2a"
+    digest = hashlib.sha256("\n".join(moved).encode()).hexdigest()
+    assert digest == "bac9cb0b4a5d55237f4c4619d603764afc16aff48f2c201434afa95b389dc07c"
 
 
 def _gaussian_sweep_rows() -> list:

@@ -265,6 +265,16 @@ def test_analyze_null_estimate():
     assert payload["claim"]["severity"] == 0.5
 
 
+def test_analyze_student_t_limit_at_a_level_below_the_ulp_of_1():
+    # the t quantile at 1e-20 is solved on its own side; 1 - 1e-20 rounds to 1
+    payload = json.loads(run_cli(
+        "analyze", "--estimate", "0.5", "--stderr", "0.1", "--n", "15",
+        "--reference", "student_t", "--level", "1e-20").stdout)
+    limit = payload["confidence_lower_limit"]
+    assert limit["level"] == 1e-20 and limit["reference"] == "student_t"
+    assert limit["value"] == pytest.approx(10.995645660809664, rel=1e-15)  # mpmath
+
+
 def test_analyze_csv_end_to_end(tmp_path):
     rng = random.Random(99)
     values = [rng.gauss(0.0, 1.0)]

@@ -11,7 +11,9 @@ a ScreeningParams only from a fixed --power. The normal/Student-t choice of the
 severity reference law is made in one place, and decision_cost, like
 montecarlo, takes its critical values from Tail. Each public name is listed
 once in the package's table of exports, numpy is imported by montecarlo
-alone, and a bare `import errstat` loads neither typing nor pathlib.
+alone, and a bare `import errstat` loads neither typing nor pathlib. No
+validator is handed a complement 1.0 - p: a check guards what the caller
+passed, and a level the code computed is never checked again.
 """
 
 import ast
@@ -87,6 +89,13 @@ def test_power_is_never_a_complement(text):
     hits = [path.name for path in sorted(SRC.rglob("*.py"))
             if text in path.read_text(encoding="utf-8")]
     assert not hits, hits
+
+
+def test_no_check_is_handed_a_complement():
+    complement_check = re.compile(r"\bcheck_\w+\(1\.0 - ")
+    hits = {path.name: complement_check.findall(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.rglob("*.py"))}
+    assert not any(hits.values()), {name: found for name, found in hits.items() if found}
 
 
 def test_cli_builds_screening_params_only_from_a_fixed_power():

@@ -4,7 +4,9 @@ Power, the p-value cdf under the alternative and the coupled screening curve
 are each evaluated through the rejection law itself, never as 1 - (an
 acceptance probability), so they keep their relative accuracy where that
 complement would round to a few digits or to 0. The critical values under
-them come from normal_quantile, itself checked here into both tails.
+them come from normal_quantile, itself checked here into both tails. The
+Student-t quantile is checked below 1/2, down to 1e-300 and at the float edge,
+by an mpmath round trip, since scipy's t.ppf is itself off in the far tail.
 """
 
 import math
@@ -16,7 +18,8 @@ import pytest
 from scipy.stats import norm
 
 from errstat import (AlternativeSpec, GaussianTestModel, Tail, cdf_under_alternative,
-                     combined_fpr_curve, normal_cdf, normal_quantile, power, type2_error)
+                     combined_fpr_curve, normal_cdf, normal_quantile, power,
+                     student_t_quantile, type2_error)
 from errstat.errors import DomainError
 
 RTOL = 1e-10
@@ -109,3 +112,43 @@ def test_normal_quantile_matches_scipy_into_both_tails():
         ref = norm.ppf(p) if p < 0.5 else norm.isf(1.0 - p)
         got = normal_quantile(p)
         assert abs(got - ref) <= 8 * EPS * abs(ref), (p, got, ref, abs(got - ref) / abs(ref))
+
+
+def _t_quantile_error(x, p, df):
+    # |cdf(x) - p| / (|x| pdf(x)) at 40 digits: the relative error in x that the residual implies
+    with mpmath.workdps(40):
+        x, p, df = mpmath.mpf(x), mpmath.mpf(p), mpmath.mpf(df)
+        tail = mpmath.betainc(df / 2, mpmath.mpf(0.5), 0, df / (df + x * x), regularized=True) / 2
+        cdf = tail if x < 0 else 1 - tail
+        pdf = ((1 + x * x / df) ** (-(df + 1) / 2)
+               / (mpmath.sqrt(df) * mpmath.beta(df / 2, mpmath.mpf(0.5))))
+        return float(abs(cdf - p) / (abs(x) * pdf))
+
+
+def test_student_t_quantile_lower_tail_round_trips_through_mpmath():
+    # 600 log-uniform p in [1e-300, 1/2) at df 1 to 999. The worst measured is 7.67e-14
+    # (df 2, p 2.9e-285), where the cdf's own rounding, about eps * log|x| relative, meets
+    # the stop rule's 1e-14.
+    rng = random.Random(22)
+    worst = (0.0, None)
+    for _ in range(600):
+        p = 10.0 ** rng.uniform(-300.0, math.log10(0.5))
+        df = int(10.0 ** rng.uniform(0.0, 3.0))
+        err = _t_quantile_error(student_t_quantile(p, df), p, df)
+        worst = max(worst, (err, (p, df)))
+    assert worst[0] <= 8e-14, worst
+
+
+def test_student_t_quantile_at_the_float_edge():
+    # df 1: x = -cot(pi p), about -1 / (pi p), where the cdf's subnormal values lie 2e-15 apart
+    x = student_t_quantile(2.5e-309, 1)
+    assert x == pytest.approx(-1.2732395447351615435e308, rel=1e-14)
+    with pytest.raises(DomainError, match="quantile"):
+        student_t_quantile(5e-324, 1)  # the root is -6.4e322
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: near 1 the loop solves cdf(x) = p "
+                   "against 1 - tail rounded to the ulp of 1; relative error 3.8e-7 here")
+def test_student_t_quantile_upper_tail_near_1():
+    p, df = 0.9999999999977589, 444
+    assert _t_quantile_error(student_t_quantile(p, df), p, df) <= 1e-10

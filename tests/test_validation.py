@@ -212,6 +212,8 @@ def test_results_beyond_the_float_range_raise_domain_error(call, what):
     lambda: read_series_csv(None),
     lambda: read_series_csv(3),
     lambda: read_series_csv(1.5),
+    lambda: read_series_csv("a\0b"),
+    lambda: read_series_csv(b"a\0b"),
 ])
 def test_non_numeric_input_raises_domain_error(call):
     with pytest.raises(DomainError):
