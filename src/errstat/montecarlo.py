@@ -2,21 +2,26 @@
 
 Determinism contract: trials are split into fixed chunks of 65536; chunk i
 draws from a PCG64 generator seeded with SeedSequence(entropy=seed,
-spawn_key=(i,)). The count simulators sum their per-chunk counts in chunk
-order; simulate_pvalues draws every chunk into its own slice of one float64
-buffer of num_trials entries and sorts it in place. Its summary then reads
-the sorted buffer serially, evaluating the Gaussian kernel at the first trial
-of every block of 64 and in full only in the blocks that can change an exact
-integer count, the KS maximum or a decile; every field is the float a pass
-over all trials would give. Serial and parallel runs are therefore identical
-bit for bit and the only state is the (seed, chunk_index) pair. The generator
-family is recorded in every result so outputs are self-describing.
+spawn_key=(i,)). Each worker draws into buffers it allocates once per pass.
+The count simulators sum their per-chunk counts in chunk order.
+simulate_pvalues makes two passes over the same (seed, chunk) streams, so both
+see the same trials: the first counts every trial's sort key into fixed bins,
+the second keeps only the keys of the bins that can hold a decile's order
+statistic, a crossing of an ECDF threshold or the KS maximum. Where those bins
+hold more keys than a fixed budget, a further pass over the same streams splits
+them instead, or counts the keys of those only counted, so no memory is held
+per trial. The summary then evaluates the Gaussian kernel at the bin edges and
+on the kept keys, and every field is the float a pass over all trials, sorted,
+would give. Serial and parallel runs are therefore identical bit for bit and
+the only state is the (seed, chunk_index) pair. The generator family is
+recorded in every result so outputs are self-describing.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -113,6 +118,20 @@ def _map_chunks(fn, total: int, workers: int) -> Iterator:
             yield pending.popleft().result()
 
 
+def _per_thread(make):
+    # A getter of one object per thread, made by make() on the thread's first call.
+    local = threading.local()
+
+    def get():
+        try:
+            return local.value
+        except AttributeError:
+            local.value = make()
+            return local.value
+
+    return get
+
+
 def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first: float,
                     mean_second: float, sigma: float, crit: float,
                     tail: Tail) -> tuple[int, int, int, int]:
@@ -120,20 +139,25 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
     # statistic from N(mean, sigma^2) and rejects where tail.rejects(stat, crit).
     # Returns the counts of (first, reject), (first, accept), (second, reject), (second, accept).
     means = np.array([mean_second, mean_first])  # indexed by the first-component flag
+    buffers = _per_thread(lambda: (np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE),
+                                   np.empty(CHUNK_SIZE, dtype=bool)))
 
     def run_chunk(start: int) -> tuple[int, int, int]:
         rng = _chunk_rng(config.seed, start // CHUNK_SIZE)
         count = min(CHUNK_SIZE, config.num_trials - start)
-        first = rng.random(count) < p_first
-        stat = rng.standard_normal(count)
+        uniform, stat, first = (buf[:count] for buf in buffers())
+        np.less(rng.random(out=uniform), p_first, out=first)
+        rng.standard_normal(out=stat)
         # Callers keep crit - mean finite, so a statistic that overflows to +-inf lies beyond
         # crit, as its exact value does. Entered here: the error state is per thread.
         with np.errstate(over="ignore"):
             stat *= sigma
-            stat += means.take(first.view(np.uint8))
+            # mode="clip" writes straight into out; "raise" fills a fresh buffer and copies
+            # it, which faulted in new pages on every chunk. The indices are 0 and 1.
+            stat += means.take(first.view(np.uint8), out=uniform, mode="clip")
         reject = tail.rejects(stat, crit)
         return (int(np.count_nonzero(first)), int(np.count_nonzero(reject)),
-                int(np.count_nonzero(first & reject)))
+                int(np.count_nonzero(np.logical_and(first, reject, out=reject))))
 
     n_first = n_reject = first_reject = 0
     for chunk_first, chunk_reject, chunk_first_reject in _map_chunks(run_chunk, config.num_trials,
@@ -160,11 +184,14 @@ def simulate_studies(config: SimConfig, workers: int = 1) -> SimOutcome:
     return SimOutcome.from_counts(tp, fp, tn, fn)
 
 
-# The summary cuts the sorted buffer into blocks of _STRIDE positions and reads each
-# block's first value; it reads a whole block only where the block can change a count,
-# the KS maximum or a decile.
+# The p-value summary works on the sorted keys (minus how extreme each statistic is) cut
+# into blocks of consecutive keys. It knows each block's size and a key at or below its
+# first one, and evaluates a law (the p-value, or the reference CDF value) there; it
+# reads a block's keys only where the block can change a count, the KS maximum or a
+# decile. Stored blocks are read _STRIDE positions at a time.
 _STRIDE = 64
 _BLOCKS_PER_BATCH = CHUNK_SIZE // _STRIDE
+_TENTHS = np.arange(1, 10) / 10.0
 
 # Relative slack of every bracket. Both summary laws (the reference CDF value and the
 # p-value) are monotone in the sorted key, and each operation between the key and the
@@ -179,6 +206,232 @@ _BLOCKS_PER_BATCH = CHUNK_SIZE // _STRIDE
 # apart.
 _SLACK = 2.0 ** -40
 
+# The first pass counts keys into at most _MAX_BINS bins over the keys of statistics
+# within _Z_RANGE of their centre (about 1e-15 of them lie beyond, in two end bins).
+# The summary stores at most _KEPT_BUDGET keys; where the blocks it needs hold more,
+# a pass splits those blocks instead.
+_MAX_BINS = 1 << 17
+_Z_RANGE = 8.0
+_KEPT_BUDGET = 1 << 19
+
+_LOW_63 = np.int64(2 ** 63 - 1)
+
+
+def _ordered(x: np.ndarray) -> np.ndarray:
+    # The doubles as int64 in the same order, -0.0 taken as +0.0; _unordered inverts it.
+    bits = (x + 0.0).view(np.int64)
+    return bits ^ ((bits >> 63) & _LOW_63)
+
+
+def _unordered(u: np.ndarray) -> np.ndarray:
+    return (u ^ ((u >> 63) & _LOW_63)).view(np.float64)
+
+
+class _Bins:
+    """The first pass's bins: a monotone function of the key, the same in every pass.
+
+    Bin 0 holds the keys below the range, bins 1 .. size split it into widths of
+    1/scale, a power of two, and bin size + 1 holds the keys above. floor(key * scale)
+    is an integer below 2**53 in magnitude for every key in the range, so it is exact
+    and every bin edge is a double.
+    """
+
+    def __init__(self, n: int, shift: float, tail: Tail):
+        x = np.array([shift - _Z_RANGE, shift + _Z_RANGE,
+                      min(max(0.0, shift - _Z_RANGE), shift + _Z_RANGE)])
+        keys = -tail.extremity(x)  # the key range holds the statistics within _Z_RANGE
+        lo, hi = float(keys.min()), float(keys.max())
+        exponent = 53 - math.frexp(max(-lo, hi))[1]
+        if hi > lo:  # as many bins as a power-of-two width allows, up to one per 16 trials
+            bins = min(_MAX_BINS, max(16, n >> 4))
+            exponent = min(exponent, math.frexp(bins / (hi - lo))[1] - 1)
+        self.scale = math.ldexp(1.0, exponent)
+        self.low = float(math.floor(lo * self.scale))
+        self.size = int(math.floor(hi * self.scale) - self.low) + 1
+
+    def index(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # The bin of each key, into out (int64); the floats are worked in out's own memory.
+        scaled = out.view(np.float64)
+        with np.errstate(over="ignore"):  # a key far beyond the range scales to +-inf
+            np.multiply(keys, self.scale, out=scaled)
+        np.floor(scaled, out=scaled)
+        scaled -= self.low - 1.0  # an integer below 2**53 in magnitude, as floor(key * scale) is
+        np.clip(scaled, 0.0, self.size + 1.0, out=scaled)
+        np.copyto(out, scaled, casting="unsafe")  # element by element, in place
+        return out
+
+    def lower_edge(self, bins: np.ndarray) -> np.ndarray:
+        # the least key of each bin from 1 on
+        return (self.low + (bins - 1)) / self.scale
+
+
+class _Partition:
+    """The keys cut into blocks of consecutive keys.
+
+    Block i holds the sizes[i] keys from edges[i] up to edges[i + 1] (the last block
+    up to top, inclusive); edges[0] and top are the least and the greatest key.
+    of_bin maps each first-pass bin to the one block that holds it, or to -1 where
+    the bin is split among blocks. A block one double wide holds a single value; one
+    that holds no key counts as one too.
+    """
+
+    def __init__(self, edges, sizes, top, of_bin):
+        self.edges, self.sizes, self.top, self.of_bin = edges, sizes, top, of_bin
+        self.positions = np.append(0, np.cumsum(sizes))
+        self.upper = np.append(edges[1:], np.nextafter(top, np.inf))  # past each block's keys
+        self.single = (np.nextafter(edges, np.inf) >= self.upper) | (sizes == 0)
+
+    def in_play(self, wanted: np.ndarray) -> np.ndarray:
+        # the bins that can hold a key of a wanted block
+        return (self.of_bin < 0) | wanted[self.of_bin]
+
+    def picked(self, keys, bins_of_keys, mask, in_play):
+        # The keys whose bin is in play, and the block of each: from its bin, and by
+        # search where the bin is split.
+        np.take(in_play, bins_of_keys, out=mask, mode="clip")
+        picked = keys[mask]
+        blocks = self.of_bin[bins_of_keys[mask]]
+        split = blocks < 0
+        if split.any():
+            blocks[split] = np.searchsorted(self.edges, picked[split], side="right") - 1
+        return picked, blocks
+
+
+def _pass(draw, n: int, workers: int, bins: _Bins, fn, make=lambda: None):
+    # Draws each chunk's keys into per-thread buffers, bins them and yields
+    # fn(keys, bins_of_keys, mask, state) in chunk order; state is the thread's make().
+    # Returns the generator and the list of the threads' states.
+    states = []
+
+    def buffers():
+        states.append(make())
+        return (np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE, dtype=np.int64),
+                np.empty(CHUNK_SIZE, dtype=bool), states[-1])
+
+    scratch = _per_thread(buffers)
+
+    def run_chunk(start):
+        count = min(CHUNK_SIZE, n - start)
+        keys, index, mask, state = scratch()
+        keys, mask = keys[:count], mask[:count]
+        draw(start, keys)
+        return fn(keys, bins.index(keys, index[:count]), mask, state)
+
+    return _map_chunks(run_chunk, n, workers), states
+
+
+def _summed(states: list) -> np.ndarray:
+    # the threads' counts, added into the first
+    for counts in states[1:]:
+        states[0] += counts
+    return states[0]
+
+
+def _first_partition(draw, n: int, workers: int, bins: _Bins) -> _Partition:
+    # The first pass: each thread counts its keys into the bins, and the blocks are runs
+    # of bins, a new one starting wherever the count of keys before a bin passes a
+    # multiple of _STRIDE.
+    def count(keys, bins_of_keys, mask, counts):
+        np.add.at(counts, bins_of_keys, 1)
+        return keys.min(), keys.max()
+
+    chunks, states = _pass(draw, n, workers, bins, count,
+                           lambda: np.zeros(bins.size + 2, dtype=np.int64))
+    low, top = math.inf, -math.inf
+    for chunk_low, chunk_top in chunks:
+        low, top = min(low, chunk_low), max(top, chunk_top)
+    counts = _summed(states)
+    filled = np.flatnonzero(counts)
+    before = np.cumsum(counts[filled]) - counts[filled]
+    starts = filled[np.append(True, np.diff(before // _STRIDE) > 0)]
+    edges = bins.lower_edge(starts)
+    edges[0] = low
+    sizes = np.add.reduceat(counts, starts)
+    of_bin = np.zeros(counts.size, dtype=np.int32)
+    of_bin[starts] = 1
+    np.cumsum(of_bin, out=of_bin)
+    of_bin -= 1
+    return _Partition(edges, sizes, top, of_bin)
+
+
+def _refined(draw, n: int, workers: int, bins: _Bins, part: _Partition,
+             targets: np.ndarray) -> _Partition:
+    # A pass that splits each target block into up to 2**bits sub-bins of one width, a
+    # power of two, in _ordered key space. Each sub-bin that holds keys becomes a block,
+    # and so does each run of empty ones after it, holding no key: a target's keys end in
+    # blocks narrower by 2**bits, so a block is one double wide after a bounded number of
+    # passes. The summary needs it from about 2**24 trials, where the blocks that can
+    # hold the KS maximum hold more keys than _KEPT_BUDGET.
+    chosen = np.flatnonzero(targets)
+    low = _ordered(part.edges[chosen])
+    width = (_ordered(part.upper[chosen]) - low).view(np.uint64)
+    # about one sub-bin per _STRIDE keys of a target, at least 16, and _MAX_BINS in all
+    most = max(1, (_MAX_BINS // chosen.size).bit_length() - 1)
+    bits = [min(most, max(16, int(size) // _STRIDE).bit_length()) for size in part.sizes[chosen]]
+    shifts = np.array([max(0, int(w - 1).bit_length() - b) for w, b in zip(width, bits)],
+                      dtype=np.uint64)
+    sub_counts = ((width - 1) >> shifts).astype(np.int64) + 1
+    offsets = np.cumsum(sub_counts) - sub_counts
+    target_of = np.full(part.sizes.size, -1)
+    target_of[chosen] = np.arange(chosen.size)
+    in_play = part.in_play(targets)
+
+    def count(keys, bins_of_keys, mask, counts):
+        candidates, of = part.picked(keys, bins_of_keys, mask, in_play)
+        t = target_of[of]
+        hit = t >= 0
+        t = t[hit]
+        sub = (_ordered(candidates[hit]) - low[t]).view(np.uint64) >> shifts[t]
+        np.add.at(counts, offsets[t] + sub.astype(np.int64), 1)
+
+    chunks, states = _pass(draw, n, workers, bins, count,
+                           lambda: np.zeros(int(sub_counts.sum()), dtype=np.int64))
+    for _ in chunks:
+        pass
+    counts = _summed(states)
+    filled = np.flatnonzero(counts)
+    owner = np.searchsorted(offsets, filled, side="right") - 1  # the target of each sub-bin
+    # each filled sub-bin from `start` to `end`, offsets from its target's least key
+    step = np.left_shift(np.uint64(1), shifts[owner])
+    start = (filled - offsets[owner]).astype(np.uint64) << shifts[owner]
+    end = np.where(start >= width[owner] - step, width[owner], start + step)
+    last = np.append(owner[1:] != owner[:-1], True)
+    gap = end < np.where(last, width[owner], np.append(start[1:], 0))
+    # the new blocks: every other block as it was, each target replaced by its sub-bins
+    blocks_of_filled = 1 + gap.astype(np.int64)
+    per_block = np.ones(part.sizes.size, dtype=np.int64)
+    per_block[chosen] = np.bincount(owner, weights=blocks_of_filled, minlength=chosen.size)
+    first = np.cumsum(per_block) - per_block
+    edges = np.empty(per_block.sum())
+    sizes = np.zeros(per_block.sum(), dtype=np.int64)
+    others = ~targets
+    edges[first[others]], sizes[first[others]] = part.edges[others], part.sizes[others]
+    before = np.cumsum(blocks_of_filled) - blocks_of_filled
+    at = first[chosen][owner] + before - before[np.searchsorted(owner, owner)]
+    base = low[owner].view(np.uint64)
+    edges[at], sizes[at] = _unordered((base + start).view(np.int64)), counts[filled]
+    edges[at[gap] + 1] = _unordered((base[gap] + end[gap]).view(np.int64))
+    of_bin = np.where(part.of_bin >= 0, first[part.of_bin], -1)
+    of_bin[(part.of_bin >= 0) & targets[part.of_bin]] = -1
+    return _Partition(edges, sizes, part.top, of_bin)
+
+
+def _brackets(ends: np.ndarray, single: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Bounds on every value in each block, from the values at its least key and at the
+    # next block's (at the greatest key, for the last block); exact in a one-value block.
+    lo, hi = ends[:-1] * (1.0 - _SLACK), ends[1:] * (1.0 + _SLACK)
+    lo[single] = hi[single] = ends[:-1][single]
+    return lo, hi
+
+
+def _straddling(lo, hi, t_lo, t_hi) -> tuple[np.ndarray, np.ndarray]:
+    # The brackets, widened to running extremes, rise with the block: for thresholds
+    # from t_lo to t_hi the blocks wholly <= t come before `below`, those wholly > t
+    # from `above` on.
+    below = np.searchsorted(np.maximum.accumulate(hi), t_lo, side="right")
+    above = np.searchsorted(np.minimum.accumulate(lo[::-1])[::-1], t_hi, side="right")
+    return below, above
+
 
 def _blocks(edges: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     # Every position of the given blocks, block b being edges[b] .. edges[b + 1] - 1.
@@ -186,44 +439,40 @@ def _blocks(edges: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
-def _brackets(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Bounds on every value in each block, from the values read at its first position
-    # and at the next block's (at the last position, for the last block).
-    return ends[:-1] * (1.0 - _SLACK), ends[1:] * (1.0 + _SLACK)
-
-
-def _count_at_most(edges, ends, law, thresholds) -> np.ndarray:
-    # #(law(j) <= t) over every position j, exactly, for each threshold t. The brackets,
-    # widened to running extremes, rise with the block: the blocks wholly <= t come
-    # before `below`, those wholly > t from `above` on, and only the blocks between are
-    # read, each once for all thresholds.
-    lo, hi = _brackets(ends)
-    below = np.searchsorted(np.maximum.accumulate(hi), thresholds, side="right")
-    above = np.searchsorted(np.minimum.accumulate(lo[::-1])[::-1], thresholds, side="right")
+def _count_at_most(edges, lo, hi, counted, thresholds) -> np.ndarray:
+    # #(law(j) <= t) over every position j, exactly, for each threshold t. Only the
+    # blocks that straddle a threshold are read, each once for all thresholds, by
+    # counted(blocks, thresholds).
+    below, above = _straddling(lo, hi, thresholds, thresholds)
     read = np.zeros(lo.size, dtype=bool)
     for a, b in zip(below, above):
         read[a:b] = True
     unread = np.where(read, 0, np.diff(edges))
-    counts = np.append(0, np.cumsum(unread))[below]  # the unread positions before `below`
-    blocks = np.flatnonzero(read)
-    for s in range(0, blocks.size, _BLOCKS_PER_BATCH):
-        values = np.sort(law(_blocks(edges, blocks[s:s + _BLOCKS_PER_BATCH])))
-        counts += np.searchsorted(values, thresholds, side="right")
-    return counts
+    # the unread positions before `below`, and the read ones at most t
+    return np.append(0, np.cumsum(unread))[below] + counted(np.flatnonzero(read), thresholds)
 
 
-def _ks_distance(edges, ends, law) -> float:
+def _ks_bounds(edges, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    # Upper and lower bounds, per block, of the largest KS term at its positions; both
+    # are -inf for a block of no position.
+    n = edges[-1]
+    first, past = edges[:-1] / n, edges[1:] / n
+    held = past > first
+    return (np.where(held, np.maximum(past - lo, hi - first), -np.inf),
+            np.where(held, np.maximum(lo - first, past - hi), -np.inf))
+
+
+def _ks_distance(edges, lo, hi, law) -> float:
     # max over the 1-based ranks i of max(i/n - ref, ref - (i-1)/n). A block is read
-    # only if its bound exceeds the largest value found before it.
+    # only if its bound exceeds the largest value known before it.
     n = edges[-1]
 
     def distance(j, ref):
         i = j + 1.0
         return np.maximum(i / n - ref, ref - (i - 1.0) / n)
 
-    best = distance(np.minimum(edges, n - 1), ends).max()
-    lo, hi = _brackets(ends)
-    bound = np.maximum(edges[1:] / n - lo, hi - edges[:-1] / n)
+    bound, lower = _ks_bounds(edges, lo, hi)
+    best = lower.max()
     blocks = np.flatnonzero(bound > best)
     for s in range(0, blocks.size, _BLOCKS_PER_BATCH):
         batch = blocks[s:s + _BLOCKS_PER_BATCH]
@@ -234,69 +483,195 @@ def _ks_distance(edges, ends, law) -> float:
     return float(best)
 
 
-def _order_statistics(edges, ends, law, ranks) -> np.ndarray:
+def _order_statistics(edges, lo, hi, law, counted, ranks) -> np.ndarray:
     # The values at the given 0-based ranks of law over all positions, sorted by value.
     # The rank-r value lies within _SLACK of law(r), and is law(r) unless the exact counts
     # show a value on the wrong side of it; then a bisection over the doubles between the
     # brackets finds the least t with #(law <= t) > r.
     v = law(ranks)
-    counts = _count_at_most(edges, ends, law, np.append(v, np.nextafter(v, -np.inf)))
+    counts = _count_at_most(edges, lo, hi, counted, np.append(v, np.nextafter(v, -np.inf)))
     wrong = np.flatnonzero((counts[:v.size] <= ranks) | (counts[v.size:] > ranks))
     if wrong.size:
         low = (v[wrong] * (1.0 - _SLACK)).view(np.int64) - 1  # #(law <= low) <= rank
         high = (v[wrong] * (1.0 + _SLACK)).view(np.int64)  # #(law <= high) > rank
         while np.any(high - low > 1):
             mid = (low + high) // 2
-            above = _count_at_most(edges, ends, law, mid.view(np.float64)) > ranks[wrong]
+            above = _count_at_most(edges, lo, hi, counted, mid.view(np.float64)) > ranks[wrong]
             low, high = np.where(above, low, mid), np.where(above, mid, high)
         v[wrong] = high.view(np.float64)
     return v
 
 
+def _ranks(n: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The two 0-based ranks that the q-quantile interpolates, and the weight of the second.
+    index = (n - 1) * q
+    below = np.floor(index).astype(np.int64)
+    return below, np.minimum(below + 1, n - 1), index - below
+
+
 def _quantiles(n: int, q: np.ndarray, order_statistics) -> np.ndarray:
     # np.quantile's default (linear, Hyndman & Fan type 7) from the order statistics it
     # reads, with numpy's _lerp, which takes the form anchored at b from t >= 0.5 on.
-    index = (n - 1) * q
-    below = np.floor(index).astype(np.int64)
-    above = np.minimum(below + 1, n - 1)
-    t = index - below
+    below, above, t = _ranks(n, q)
     values = order_statistics(np.append(below, above))
     a, b = values[:q.size], values[q.size:]
     diff = b - a
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _summarize(buf: np.ndarray, shift: float, tail: Tail):
-    # (deciles, ECDF at the reference deciles, KS distance) of the sorted keys in buf,
-    # each the float a pass over every trial gives; buf is only read.
-    n = buf.size
+def _needed(part: _Partition, n: int, ref_ends, p_ends) -> tuple[np.ndarray, np.ndarray]:
+    # The blocks the summary can read, and among them those whose keys it needs: the
+    # blocks that hold one of the 18 ranks the deciles read or whose KS bound passes
+    # the best lower bound. The others straddle a reference tenth or a threshold the
+    # order statistics can test, by brackets widened by _SLACK once more (a block cut
+    # into smaller ones keeps its values within them); they are only counted.
+    ref_lo, ref_hi = _brackets(ref_ends, part.single)
+    p_lo, p_hi = _brackets(p_ends, part.single)
+    held = np.searchsorted(part.positions, np.append(*_ranks(n, _TENTHS)[:2]), side="right") - 1
+    bound, lower = _ks_bounds(part.positions, ref_lo, ref_hi)
+    keys = bound > lower.max()
+    keys[held] = True
+    read = keys.copy()
+    p_lo, p_hi = p_lo * (1.0 - _SLACK), p_hi * (1.0 + _SLACK)
+    for lo, hi, t_lo, t_hi in (
+            (ref_lo * (1.0 - _SLACK), ref_hi * (1.0 + _SLACK), _TENTHS, _TENTHS),
+            (p_lo, p_hi, np.nextafter(p_lo[held] * (1.0 - _SLACK), -np.inf),
+             p_hi[held] * (1.0 + _SLACK))):
+        for a, b in zip(*_straddling(lo, hi, t_lo, t_hi)):
+            read[a:b] = True
+    return read, keys
 
-    def reader(law):
-        # law of the statistic at positions j, CHUNK_SIZE at a time (the kernel's
-        # temporaries stay small); -buf is the statistic, |statistic| two-sided.
-        def read(j):
-            out = np.empty(j.size)
-            for s in range(0, j.size, CHUNK_SIZE):
-                out[s:s + CHUNK_SIZE] = law(-buf[j[s:s + CHUNK_SIZE]])
-            return out
 
-        return read
+def _counted_in_pass(draw, n: int, workers: int, bins: _Bins, part: _Partition,
+                     blocks: np.ndarray, law_at, thresholds: np.ndarray) -> np.ndarray:
+    # #(law_at(key) <= t) over the keys of the given blocks, for each threshold t, from a
+    # pass that keeps no key. The summary needs it where p-values tie at 1.0 (a one-sided
+    # shift of about -6 or below) over more than _KEPT_BUDGET keys: then every block
+    # straddles the thresholds the deciles test, and no split can separate them.
+    wanted = np.zeros(part.sizes.size, dtype=bool)
+    wanted[blocks] = True
+    in_play = part.in_play(wanted)
 
+    def count(keys, bins_of_keys, mask, state):
+        candidates, of = part.picked(keys, bins_of_keys, mask, in_play)
+        values = np.sort(law_at(candidates[wanted[of]]))
+        return np.searchsorted(values, thresholds, side="right")
+
+    return sum(_pass(draw, n, workers, bins, count)[0])
+
+
+def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
+    # (deciles, ECDF at the reference deciles, KS distance) of the n keys that
+    # draw(start, out) writes, chunk by chunk, into out: minus how extreme each
+    # statistic is, so that ascending keys are ascending p-values. Each field is the
+    # float a pass over every sorted key gives; draw must give the same keys each pass.
     def reference_law(stat):
         # two-sided, -|stat| - shift can overflow to -inf, whose cdf is the exact value 0
         with np.errstate(over="ignore"):
             return tail.rejection(stat, shift, _normal_cdf_vec)
 
-    reference = reader(reference_law)
-    p_value = reader(lambda stat: tail.p_value(stat, _normal_cdf_vec))
-    tenths = np.arange(1, 10) / 10.0
-    edges = np.append(np.arange(0, n, _STRIDE), n)
-    first = np.minimum(edges, n - 1)  # each block's first position, then the last one
-    ref, p = reference(first), p_value(first)
-    at_deciles = _count_at_most(edges, ref, reference, tenths)
-    deciles = _quantiles(n, tenths, lambda ranks: _order_statistics(edges, p, p_value, ranks))
+    def p_law(stat):
+        return tail.p_value(stat, _normal_cdf_vec)
+
+    def at(law, keys):
+        # law of the statistic -keys, 8192 at a time (the kernel's temporaries stay small)
+        out = np.empty(keys.size)
+        for s in range(0, keys.size, 1 << 13):
+            out[s:s + (1 << 13)] = law(-keys[s:s + (1 << 13)])
+        return out
+
+    # Store the keys of every block the summary can read, or else of those it needs the
+    # keys of, counting the others in a pass when it reads them; where even those are
+    # too many, split them.
+    bins = _Bins(n, shift, tail)
+    part = _first_partition(draw, n, workers, bins)
+    while True:
+        ends = np.append(part.edges, part.top)
+        ref_ends, p_ends = at(reference_law, ends), at(p_law, ends)
+        read, keys = _needed(part, n, ref_ends, p_ends)
+        stored = read & ~part.single
+        if part.sizes[stored].sum() > _KEPT_BUDGET:
+            stored = keys & ~part.single
+            if part.sizes[stored].sum() > _KEPT_BUDGET:
+                part = _refined(draw, n, workers, bins, part, stored)
+                continue
+        break
+    counted_only = read & ~stored & ~part.single
+
+    # The last pass keeps the keys of the stored blocks, in chunk order, then sorts them.
+    in_play = part.in_play(stored)
+
+    def keep(keys, bins_of_keys, mask, state):
+        candidates, of = part.picked(keys, bins_of_keys, mask, in_play)
+        return candidates[stored[of]]
+
+    kept = np.empty(part.sizes[stored].sum())
+    if kept.size:  # ties past the noise can leave only blocks of one value, whose keys are known
+        filled = 0
+        for piece in _pass(draw, n, workers, bins, keep)[0]:
+            kept[filled:filled + piece.size] = piece
+            filled += piece.size
+        kept.sort()
+
+    # The summary's blocks: each stored block cut every _STRIDE positions, the others whole.
+    chosen = np.flatnonzero(stored)
+    sizes = part.sizes[chosen]
+    kept_first = np.cumsum(sizes) - sizes
+    cuts = (sizes - 1) // _STRIDE
+    step = _STRIDE * (np.arange(cuts.sum()) - np.repeat(np.cumsum(cuts) - cuts, cuts) + 1)
+    cut_keys = kept[np.repeat(kept_first, cuts) + step]
+    cut_at = np.searchsorted(part.positions, np.repeat(part.positions[chosen], cuts) + step)
+    edges = np.insert(part.positions, cut_at, np.repeat(part.positions[chosen], cuts) + step)
+    single = np.insert(part.single, cut_at, False)
+    ref_lo, ref_hi = _brackets(np.insert(ref_ends, cut_at, at(reference_law, cut_keys)), single)
+    p_lo, p_hi = _brackets(np.insert(p_ends, cut_at, at(p_law, cut_keys)), single)
+    kept_at = np.full(part.sizes.size, -1)
+    kept_at[chosen] = kept_first
+    pieces = np.ones(part.sizes.size, dtype=np.int64)
+    pieces[chosen] += cuts
+    of_block = np.repeat(np.arange(part.sizes.size), pieces)  # the block each one is cut from
+
+    def keys_at(j):
+        # the key at each position j: a stored key, or the value of a one-value block
+        block = np.searchsorted(part.positions, j, side="right") - 1
+        keys = np.where(part.single[block], part.edges[block], np.nan)
+        hit = kept_at[block] >= 0
+        keys[hit] = kept[kept_at[block[hit]] + j[hit] - part.positions[block[hit]]]
+        return keys
+
+    def reader(law):
+        def values(j):
+            return at(law, keys_at(j))
+
+        def counted(blocks, thresholds):
+            # a block of one value counts whole, from its law at that value; of the others,
+            # the stored ones are read and the rest counted in a pass
+            one = blocks[single[blocks]]
+            ordered = np.sort(thresholds)
+            whole = np.zeros(ordered.size + 1, dtype=np.int64)  # by the least threshold >= value
+            np.add.at(whole, np.searchsorted(ordered, at(law, part.edges[of_block[one]])),
+                      edges[one + 1] - edges[one])
+            counts = np.cumsum(whole)[np.searchsorted(ordered, thresholds)]
+            blocks = blocks[~single[blocks]]
+            far = counted_only[of_block[blocks]]
+            near = blocks[~far]
+            for s in range(0, near.size, _BLOCKS_PER_BATCH):
+                found = np.sort(values(_blocks(edges, near[s:s + _BLOCKS_PER_BATCH])))
+                counts += np.searchsorted(found, thresholds, side="right")
+            if far.any():
+                counts += _counted_in_pass(draw, n, workers, bins, part, of_block[blocks[far]],
+                                           lambda keys: at(law, keys), thresholds)
+            return counts
+
+        return values, counted
+
+    reference, ref_counted = reader(reference_law)
+    p_value, p_counted = reader(p_law)
+    at_deciles = _count_at_most(edges, ref_lo, ref_hi, ref_counted, _TENTHS)
+    deciles = _quantiles(n, _TENTHS, lambda ranks: _order_statistics(edges, p_lo, p_hi, p_value,
+                                                                     p_counted, ranks))
     return (tuple(float(v) for v in deciles), tuple(int(k) / n for k in at_deciles),
-            _ks_distance(edges, ref, reference))
+            _ks_distance(edges, ref_lo, ref_hi, reference))
 
 
 @dataclass(frozen=True)
@@ -313,12 +688,13 @@ class PValueSimSummary:
     supnorm_vs_reference: Kolmogorov-Smirnov distance between the empirical
         CDF and the reference CDF (uniform when delta = 0).
 
-    The only per-trial memory is one float64 buffer of num_trials entries:
-    the chunks draw into it and it is sorted in place into p-value order.
-    Every field is the value a pass over all trials would give, but the
-    Gaussian kernel runs only at the first sorted trial of every block of
-    64, and over the blocks that can change a count, the KS maximum or one
-    of the 18 order statistics the deciles interpolate.
+    No memory is held per trial: the trials are drawn twice from the same
+    streams, counted into fixed bins the first time, and the second time only
+    the keys of the few bins that can change a field are kept, at most 2**19
+    of them. Where those bins hold more, a further pass splits them, or counts
+    the keys of the bins that are only counted. Every field is the value a
+    pass over all trials would give, but the Gaussian kernel runs only at the
+    bin edges and on the kept keys.
     """
 
     num_trials: int
@@ -336,32 +712,37 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     All trials use effect_size/n_per_study (set effect_size = 0 for the
     null-uniformity check); prior_null plays no role here.
 
-    The buffer takes 8 * num_trials bytes; one that cannot be allocated raises DomainError.
-    From about 2^29 to 2^31 trials (4-16 GiB) it can be allocated and exhaust an 8 GB host.
+    Each worker holds a few chunk-sized buffers and the bin counts, and the
+    summary at most 2**19 kept keys plus a few arrays per block. Outside the
+    two cases below, two passes suffice up to 2**23 trials and the traced
+    peak stayed under 9 MiB. The two cases cost further passes, each a draw
+    of every trial:
+    - from about 2**24 trials the first pass's bins are too wide for the
+      keys that can hold the KS maximum to fit the budget, so a pass splits
+      them. Each split adds blocks: the traced peak (workers 2) was 16 MiB
+      at 2**24 trials one-sided in 3 passes; two-sided with no effect it was
+      9 MiB at 2**24 in 2 passes, 14 MiB at 2**25 and 25 MiB at 2**26 in 3,
+      and 36 MiB at 2**28 in 4;
+    - p-values tied at 1.0 by a one-sided shift of about -6 or below, with
+      more than 2**19 trials, put every block on a threshold the deciles
+      test: the blocks whose keys are not needed are counted in a pass of
+      their own, 2 more in all (at 2**22 trials and a shift of -10: 4
+      passes, 13 MiB).
     """
     check_instance(config, SimConfig, "config")
     design = config.design
-    n, shift, tail = config.num_trials, design.noncentrality, design.tail
-    # The one per-trial allocation: each chunk draws into its own slice, then
-    # negates how extreme each statistic is, so the ascending sort below puts
-    # the p-values in ascending order, and the PIT values too where p-values tie.
-    try:
-        buf = np.empty(n)
-    except MemoryError:
-        raise DomainError(f"cannot allocate the {8 * n} bytes that num_trials={n} needs") from None
+    shift, tail = design.noncentrality, design.tail
 
-    def draw(start: int) -> None:
-        part = buf[start:start + CHUNK_SIZE]
-        _chunk_rng(config.seed, start // CHUNK_SIZE).standard_normal(out=part)
-        part += shift
-        np.negative(tail.extremity(part), out=part)
+    def draw(start: int, out: np.ndarray) -> None:
+        # minus how extreme each statistic is: ascending keys are ascending p-values,
+        # and ascending PIT values where p-values tie
+        _chunk_rng(config.seed, start // CHUNK_SIZE).standard_normal(out=out)
+        out += shift
+        np.negative(tail.extremity(out), out=out)
 
-    for _ in _map_chunks(draw, n, workers):  # each chunk has filled its slice
-        pass
-    buf.sort()
-    deciles, at_deciles, ks = _summarize(buf, shift, tail)
+    deciles, at_deciles, ks = _summarize(draw, config.num_trials, shift, tail, workers)
     return PValueSimSummary(
-        num_trials=n,
+        num_trials=config.num_trials,
         deciles=deciles,
         cdf_at_reference_deciles=at_deciles,
         supnorm_vs_reference=ks,

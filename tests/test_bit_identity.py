@@ -8,10 +8,12 @@ p-value ECDF was read off the reference-CDF values; the simulate_pvalues
 values at 1, 2 and 2 * CHUNK_SIZE + 12345 trials were recorded while the
 p-values were still gathered by concatenation and a stable argsort. Any
 change to how the kernels or the simulators are evaluated must leave these
-outputs bit for bit. The p-value summary, which evaluates the kernel only
-where its fields can change, is also held to the pass over every trial that
-it replaced, kept here as the reference, on random and on crafted sorted
-buffers whose values fall out of order at the ulp scale. The digest of a seeded
+outputs bit for bit. The p-value summary, which keeps only the keys of the
+blocks that can change a field and evaluates the kernel only there, is also
+held to the pass over every sorted trial that it replaced, kept here as the
+reference: on random keys, on keys tied by a shift past the noise, on crafted
+keys whose values fall out of order at the ulp scale, and with a budget of kept
+keys so small that further passes must split the blocks. The digest of a seeded
 sweep of the scalar kernels and of the curves built on them was recorded before
 the public kernels checked their arguments once and handed the solvers their
 private cores and one Student-t law per df, and re-recorded when the coupled
@@ -442,7 +444,8 @@ def _dense_summary(buf, shift, tail):
     for start in range(0, n, CHUNK_SIZE):
         part = buf[start:start + CHUNK_SIZE]
         stat = -part
-        ref = tail.rejection(stat, shift, _normal_cdf_vec)
+        with np.errstate(over="ignore"):  # -|stat| - shift past the floats: -inf, cdf 0
+            ref = tail.rejection(stat, shift, _normal_cdf_vec)
         i = np.arange(start + 1, start + len(part) + 1, dtype=np.float64)
         ks.append(float(np.max(np.maximum(i / n - ref, ref - (i - 1.0) / n))))
         at_deciles.append([int(np.count_nonzero(ref <= k / 10.0)) for k in range(1, 10)])
@@ -452,19 +455,82 @@ def _dense_summary(buf, shift, tail):
             max(ks))
 
 
+def _summary_of(keys, shift, tail, workers=1):
+    # The summary of the keys as simulate_pvalues makes it, each pass drawing them
+    # chunk by chunk in the order given.
+    def draw(start, out):
+        out[...] = keys[start:start + out.size]
+
+    return montecarlo._summarize(draw, keys.size, shift, tail, workers)
+
+
 def test_summary_equals_the_dense_pass_on_random_configs():
     rng = np.random.default_rng(20261018)
     configs = [(n, tail, effect) for n in (1, 2, 3, CHUNK_SIZE - 1, CHUNK_SIZE + 1)
                for tail in Tail for effect in (0.0, 3.5, -3.2)]
-    while len(configs) < 210:
+    # shifts past the noise: the keys take a few values, with heavy ties
+    configs += [(10_000, Tail.ONE_SIDED_UPPER, 1e16), (10_000, Tail.ONE_SIDED_UPPER, 1e17),
+                (10_000, Tail.TWO_SIDED, 1.7e308)]
+    while len(configs) < 213:
         n = int(np.exp(rng.uniform(0.0, np.log(1 << 17))))
         effect = rng.choice([0.0, rng.uniform(-1.5, 1.5), rng.choice([-1, 1]) * rng.uniform(3, 6)])
         configs.append((n, rng.choice(list(Tail)), effect * math.sqrt(rng.integers(1, 11))))
     wrong = []
-    for n, tail, shift in configs:
-        buf = np.sort(-tail.extremity(rng.standard_normal(n) + shift))  # as simulate_pvalues sorts
-        if montecarlo._summarize(buf, shift, tail) != _dense_summary(buf, shift, tail):
+    for i, (n, tail, shift) in enumerate(configs):
+        keys = -tail.extremity(rng.standard_normal(n) + shift)  # as simulate_pvalues draws them
+        if _summary_of(keys, shift, tail, 1 + i % 2) != _dense_summary(np.sort(keys), shift, tail):
             wrong.append((n, tail, shift))
+    assert not wrong
+
+
+@pytest.mark.parametrize("budget", [0, 100])
+@pytest.mark.parametrize("n, tail, shift", [(3001, Tail.ONE_SIDED_UPPER, 0.4),
+                                            (CHUNK_SIZE + 7, Tail.TWO_SIDED, 1.3),
+                                            (20_000, Tail.ONE_SIDED_UPPER, 1e12),
+                                            (5000, Tail.ONE_SIDED_UPPER, 1e16)])
+def test_summary_equals_the_dense_pass_where_passes_split_the_blocks(monkeypatch, budget, n,
+                                                                       tail, shift):
+    # More keys to keep than the budget allows: each further pass splits the blocks the
+    # summary needs, down to blocks of one value, which keep no key.
+    monkeypatch.setattr(montecarlo, "_KEPT_BUDGET", budget)
+    keys = -tail.extremity(np.random.default_rng(n).standard_normal(n) + shift)
+    assert _summary_of(keys, shift, tail, 2) == _dense_summary(np.sort(keys), shift, tail)
+
+
+def test_summary_equals_the_dense_pass_where_saturated_pvalues_pass_the_budget(monkeypatch):
+    # A shift of -10 saturates the p-values at 1.0, so every block straddles the
+    # thresholds the deciles test and the blocks to read hold more than _KEPT_BUDGET
+    # keys: those whose keys the summary does not need are counted in a pass of their own.
+    passes = []
+    counted_in_pass = montecarlo._counted_in_pass
+
+    def spy(*args):
+        passes.append(args)
+        return counted_in_pass(*args)
+
+    monkeypatch.setattr(montecarlo, "_counted_in_pass", spy)
+    n = montecarlo._KEPT_BUDGET + 70_000
+    keys = -np.random.default_rng(n).standard_normal(n) + 10.0
+    assert (_summary_of(keys, -10.0, Tail.ONE_SIDED_UPPER, 2)
+            == _dense_summary(np.sort(keys), -10.0, Tail.ONE_SIDED_UPPER))
+    assert passes
+
+
+def test_summary_equals_the_dense_pass_under_random_budgets(monkeypatch):
+    # Keys tied by huge shifts, p-values saturated at 1 by large negative ones, and
+    # budgets from none to more than every key: stored, split and counted blocks mix.
+    rng = np.random.default_rng(20261019)
+    wrong = []
+    for i in range(60):
+        n = int(np.exp(rng.uniform(0.0, np.log(30_000))))
+        tail = rng.choice(list(Tail))
+        shift = rng.choice([0.0, rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(3, 40),
+                            rng.choice([-1, 1]) * 10 ** rng.uniform(10, 308)])
+        budget = int(rng.choice([0, 10, 100, 1000, n]))
+        monkeypatch.setattr(montecarlo, "_KEPT_BUDGET", budget)
+        keys = -tail.extremity(rng.standard_normal(n) + shift)
+        if _summary_of(keys, shift, tail, 1 + i % 2) != _dense_summary(np.sort(keys), shift, tail):
+            wrong.append((n, tail, shift, budget))
     assert not wrong
 
 
@@ -491,10 +557,11 @@ def test_summary_holds_where_reference_values_cross_a_tenth_out_of_order(offset)
     ref = Tail.TWO_SIDED.rejection(-_CROSSING, _CROSSING_SHIFT, _normal_cdf_vec)
     above = np.flatnonzero(ref > 0.9)
     assert above.size and np.any(ref[above[0]:] <= 0.9)
-    # the first value above 0.9 sits at the coarse position 640, or next to it
+    # the first value above 0.9 sits at position 640, or next to it
     at = 640 + offset - above[0]
     buf = _crafted(np.random.default_rng(offset + 5), _CROSSING, at, 3001, 0.0)
-    summary = montecarlo._summarize(buf, _CROSSING_SHIFT, Tail.TWO_SIDED)
+    keys = np.random.default_rng(offset + 50).permutation(buf)
+    summary = _summary_of(keys, _CROSSING_SHIFT, Tail.TWO_SIDED)
     assert summary == _dense_summary(buf, _CROSSING_SHIFT, Tail.TWO_SIDED)
 
 
@@ -507,7 +574,7 @@ _INVERTED = _ulps(-1.2815515655446004, 200)
                                      (6400, 3200)])
 @pytest.mark.parametrize("shift", [0.0, 0.7])
 def test_summary_holds_where_pvalues_invert_at_a_decile_rank(n, rank, shift):
-    # a decile reads rank (6400: at 3839.4 and 3199.5); 640 and 1280 are coarse positions
+    # a decile reads rank (6400: at 3839.4 and 3199.5)
     below = np.floor((n - 1) * (np.arange(1, 10) / 10.0))
     assert rank in below or rank in below + 1
     p = Tail.ONE_SIDED_UPPER.p_value(-_INVERTED, _normal_cdf_vec)
@@ -515,7 +582,8 @@ def test_summary_holds_where_pvalues_invert_at_a_decile_rank(n, rank, shift):
     buf = _crafted(np.random.default_rng(n + rank), _INVERTED, rank - first, n, 4.0)
     p_all = Tail.ONE_SIDED_UPPER.p_value(-buf, _normal_cdf_vec)
     assert np.sort(p_all)[rank] != p_all[rank]
-    summary = montecarlo._summarize(buf, shift, Tail.ONE_SIDED_UPPER)
+    summary = _summary_of(np.random.default_rng(rank).permutation(buf), shift,
+                          Tail.ONE_SIDED_UPPER)
     assert summary == _dense_summary(buf, shift, Tail.ONE_SIDED_UPPER)
 
 

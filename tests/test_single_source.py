@@ -5,7 +5,7 @@ Monte Carlo array kernel evaluates the same rational pieces), the open-unit-inte
 requirement is spelled out only in the validator in errors.py, and the
 two-sided critical value -quantile(alpha/2), the two-sided p-value and the
 one-/two-sided choice itself only in Tail. Power is never a complement,
-simulate_pvalues sorts its one buffer in place instead of gathering copies, and
+simulate_pvalues sorts the keys it keeps in place instead of gathering copies, and
 the CLI turns list and grid text into values only through argparse and builds
 a ScreeningParams only from a fixed --power. The normal/Student-t choice of the
 severity reference law is made in one place, and decision_cost, like
