@@ -7,10 +7,11 @@ The count simulators sum their per-chunk counts in chunk order.
 simulate_pvalues makes two passes over the same (seed, chunk) streams, so both
 see the same trials: the first counts every trial's sort key into fixed bins,
 the second keeps only the keys of the bins that can hold a decile's order
-statistic, a crossing of an ECDF threshold or the KS maximum. Where those bins
-hold more keys than a fixed budget, a further pass over the same streams splits
-them instead, or counts the keys of those only counted, so no memory is held
-per trial. The summary then evaluates the Gaussian kernel at the bin edges and
+statistic, a crossing of an ECDF threshold or the KS maximum. The kept keys
+are what grows with the trial count: the traced peak stayed under 9 MiB up to
+2**23 trials, then grew to about 2.2 B per trial (19 MiB at 2**24 one-sided,
+160 MiB at 2**26 two-sided), and up to 8 B per trial where one-sided p-values
+tie at 1.0. The summary then evaluates the Gaussian kernel at the bin edges and
 on the kept keys, and every field is the float a pass over all trials, sorted,
 would give. Serial and parallel runs are therefore identical bit for bit and
 the only state is the (seed, chunk_index) pair. The generator family is
@@ -208,23 +209,8 @@ _SLACK = 2.0 ** -40
 
 # The first pass counts keys into at most _MAX_BINS bins over the keys of statistics
 # within _Z_RANGE of their centre (about 1e-15 of them lie beyond, in two end bins).
-# The summary stores at most _KEPT_BUDGET keys; where the blocks it needs hold more,
-# a pass splits those blocks instead.
 _MAX_BINS = 1 << 17
 _Z_RANGE = 8.0
-_KEPT_BUDGET = 1 << 19
-
-_LOW_63 = np.int64(2 ** 63 - 1)
-
-
-def _ordered(x: np.ndarray) -> np.ndarray:
-    # The doubles as int64 in the same order, -0.0 taken as +0.0; _unordered inverts it.
-    bits = (x + 0.0).view(np.int64)
-    return bits ^ ((bits >> 63) & _LOW_63)
-
-
-def _unordered(u: np.ndarray) -> np.ndarray:
-    return (u ^ ((u >> 63) & _LOW_63)).view(np.float64)
 
 
 class _Bins:
@@ -266,35 +252,19 @@ class _Bins:
 
 
 class _Partition:
-    """The keys cut into blocks of consecutive keys.
+    """The keys cut into runs of first-pass bins, the blocks.
 
     Block i holds the sizes[i] keys from edges[i] up to edges[i + 1] (the last block
     up to top, inclusive); edges[0] and top are the least and the greatest key.
-    of_bin maps each first-pass bin to the one block that holds it, or to -1 where
-    the bin is split among blocks. A block one double wide holds a single value; one
-    that holds no key counts as one too.
+    of_bin maps each first-pass bin to the block that holds it, the bins below the
+    first filled one to block 0. A block one double wide holds a single value.
     """
 
     def __init__(self, edges, sizes, top, of_bin):
         self.edges, self.sizes, self.top, self.of_bin = edges, sizes, top, of_bin
         self.positions = np.append(0, np.cumsum(sizes))
-        self.upper = np.append(edges[1:], np.nextafter(top, np.inf))  # past each block's keys
-        self.single = (np.nextafter(edges, np.inf) >= self.upper) | (sizes == 0)
-
-    def in_play(self, wanted: np.ndarray) -> np.ndarray:
-        # the bins that can hold a key of a wanted block
-        return (self.of_bin < 0) | wanted[self.of_bin]
-
-    def picked(self, keys, bins_of_keys, mask, in_play):
-        # The keys whose bin is in play, and the block of each: from its bin, and by
-        # search where the bin is split.
-        np.take(in_play, bins_of_keys, out=mask, mode="clip")
-        picked = keys[mask]
-        blocks = self.of_bin[bins_of_keys[mask]]
-        split = blocks < 0
-        if split.any():
-            blocks[split] = np.searchsorted(self.edges, picked[split], side="right") - 1
-        return picked, blocks
+        upper = np.append(edges[1:], np.nextafter(top, np.inf))  # past each block's keys
+        self.single = np.nextafter(edges, np.inf) >= upper
 
 
 def _pass(draw, n: int, workers: int, bins: _Bins, fn, make=lambda: None):
@@ -320,13 +290,6 @@ def _pass(draw, n: int, workers: int, bins: _Bins, fn, make=lambda: None):
     return _map_chunks(run_chunk, n, workers), states
 
 
-def _summed(states: list) -> np.ndarray:
-    # the threads' counts, added into the first
-    for counts in states[1:]:
-        states[0] += counts
-    return states[0]
-
-
 def _first_partition(draw, n: int, workers: int, bins: _Bins) -> _Partition:
     # The first pass: each thread counts its keys into the bins, and the blocks are runs
     # of bins, a new one starting wherever the count of keys before a bin passes a
@@ -340,7 +303,7 @@ def _first_partition(draw, n: int, workers: int, bins: _Bins) -> _Partition:
     low, top = math.inf, -math.inf
     for chunk_low, chunk_top in chunks:
         low, top = min(low, chunk_low), max(top, chunk_top)
-    counts = _summed(states)
+    counts = sum(states)
     filled = np.flatnonzero(counts)
     before = np.cumsum(counts[filled]) - counts[filled]
     starts = filled[np.append(True, np.diff(before // _STRIDE) > 0)]
@@ -348,72 +311,9 @@ def _first_partition(draw, n: int, workers: int, bins: _Bins) -> _Partition:
     edges[0] = low
     sizes = np.add.reduceat(counts, starts)
     of_bin = np.zeros(counts.size, dtype=np.int32)
-    of_bin[starts] = 1
+    of_bin[starts[1:]] = 1
     np.cumsum(of_bin, out=of_bin)
-    of_bin -= 1
     return _Partition(edges, sizes, top, of_bin)
-
-
-def _refined(draw, n: int, workers: int, bins: _Bins, part: _Partition,
-             targets: np.ndarray) -> _Partition:
-    # A pass that splits each target block into up to 2**bits sub-bins of one width, a
-    # power of two, in _ordered key space. Each sub-bin that holds keys becomes a block,
-    # and so does each run of empty ones after it, holding no key: a target's keys end in
-    # blocks narrower by 2**bits, so a block is one double wide after a bounded number of
-    # passes. The summary needs it from about 2**24 trials, where the blocks that can
-    # hold the KS maximum hold more keys than _KEPT_BUDGET.
-    chosen = np.flatnonzero(targets)
-    low = _ordered(part.edges[chosen])
-    width = (_ordered(part.upper[chosen]) - low).view(np.uint64)
-    # about one sub-bin per _STRIDE keys of a target, at least 16, and _MAX_BINS in all
-    most = max(1, (_MAX_BINS // chosen.size).bit_length() - 1)
-    bits = [min(most, max(16, int(size) // _STRIDE).bit_length()) for size in part.sizes[chosen]]
-    shifts = np.array([max(0, int(w - 1).bit_length() - b) for w, b in zip(width, bits)],
-                      dtype=np.uint64)
-    sub_counts = ((width - 1) >> shifts).astype(np.int64) + 1
-    offsets = np.cumsum(sub_counts) - sub_counts
-    target_of = np.full(part.sizes.size, -1)
-    target_of[chosen] = np.arange(chosen.size)
-    in_play = part.in_play(targets)
-
-    def count(keys, bins_of_keys, mask, counts):
-        candidates, of = part.picked(keys, bins_of_keys, mask, in_play)
-        t = target_of[of]
-        hit = t >= 0
-        t = t[hit]
-        sub = (_ordered(candidates[hit]) - low[t]).view(np.uint64) >> shifts[t]
-        np.add.at(counts, offsets[t] + sub.astype(np.int64), 1)
-
-    chunks, states = _pass(draw, n, workers, bins, count,
-                           lambda: np.zeros(int(sub_counts.sum()), dtype=np.int64))
-    for _ in chunks:
-        pass
-    counts = _summed(states)
-    filled = np.flatnonzero(counts)
-    owner = np.searchsorted(offsets, filled, side="right") - 1  # the target of each sub-bin
-    # each filled sub-bin from `start` to `end`, offsets from its target's least key
-    step = np.left_shift(np.uint64(1), shifts[owner])
-    start = (filled - offsets[owner]).astype(np.uint64) << shifts[owner]
-    end = np.where(start >= width[owner] - step, width[owner], start + step)
-    last = np.append(owner[1:] != owner[:-1], True)
-    gap = end < np.where(last, width[owner], np.append(start[1:], 0))
-    # the new blocks: every other block as it was, each target replaced by its sub-bins
-    blocks_of_filled = 1 + gap.astype(np.int64)
-    per_block = np.ones(part.sizes.size, dtype=np.int64)
-    per_block[chosen] = np.bincount(owner, weights=blocks_of_filled, minlength=chosen.size)
-    first = np.cumsum(per_block) - per_block
-    edges = np.empty(per_block.sum())
-    sizes = np.zeros(per_block.sum(), dtype=np.int64)
-    others = ~targets
-    edges[first[others]], sizes[first[others]] = part.edges[others], part.sizes[others]
-    before = np.cumsum(blocks_of_filled) - blocks_of_filled
-    at = first[chosen][owner] + before - before[np.searchsorted(owner, owner)]
-    base = low[owner].view(np.uint64)
-    edges[at], sizes[at] = _unordered((base + start).view(np.int64)), counts[filled]
-    edges[at[gap] + 1] = _unordered((base[gap] + end[gap]).view(np.int64))
-    of_bin = np.where(part.of_bin >= 0, first[part.of_bin], -1)
-    of_bin[(part.of_bin >= 0) & targets[part.of_bin]] = -1
-    return _Partition(edges, sizes, part.top, of_bin)
 
 
 def _brackets(ends: np.ndarray, single: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -519,19 +419,18 @@ def _quantiles(n: int, q: np.ndarray, order_statistics) -> np.ndarray:
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _needed(part: _Partition, n: int, ref_ends, p_ends) -> tuple[np.ndarray, np.ndarray]:
-    # The blocks the summary can read, and among them those whose keys it needs: the
-    # blocks that hold one of the 18 ranks the deciles read or whose KS bound passes
-    # the best lower bound. The others straddle a reference tenth or a threshold the
-    # order statistics can test, by brackets widened by _SLACK once more (a block cut
-    # into smaller ones keeps its values within them); they are only counted.
+def _needed(part: _Partition, n: int, ref_ends, p_ends) -> np.ndarray:
+    # The blocks whose keys the summary can read: those that hold one of the 18 ranks
+    # the deciles read or whose KS bound passes the best lower bound, and those that
+    # straddle a reference tenth or a threshold the order statistics can test, by
+    # brackets widened by _SLACK once more (a block cut into smaller ones keeps its
+    # values within them).
     ref_lo, ref_hi = _brackets(ref_ends, part.single)
     p_lo, p_hi = _brackets(p_ends, part.single)
     held = np.searchsorted(part.positions, np.append(*_ranks(n, _TENTHS)[:2]), side="right") - 1
     bound, lower = _ks_bounds(part.positions, ref_lo, ref_hi)
-    keys = bound > lower.max()
-    keys[held] = True
-    read = keys.copy()
+    read = bound > lower.max()
+    read[held] = True
     p_lo, p_hi = p_lo * (1.0 - _SLACK), p_hi * (1.0 + _SLACK)
     for lo, hi, t_lo, t_hi in (
             (ref_lo * (1.0 - _SLACK), ref_hi * (1.0 + _SLACK), _TENTHS, _TENTHS),
@@ -539,25 +438,7 @@ def _needed(part: _Partition, n: int, ref_ends, p_ends) -> tuple[np.ndarray, np.
              p_hi[held] * (1.0 + _SLACK))):
         for a, b in zip(*_straddling(lo, hi, t_lo, t_hi)):
             read[a:b] = True
-    return read, keys
-
-
-def _counted_in_pass(draw, n: int, workers: int, bins: _Bins, part: _Partition,
-                     blocks: np.ndarray, law_at, thresholds: np.ndarray) -> np.ndarray:
-    # #(law_at(key) <= t) over the keys of the given blocks, for each threshold t, from a
-    # pass that keeps no key. The summary needs it where p-values tie at 1.0 (a one-sided
-    # shift of about -6 or below) over more than _KEPT_BUDGET keys: then every block
-    # straddles the thresholds the deciles test, and no split can separate them.
-    wanted = np.zeros(part.sizes.size, dtype=bool)
-    wanted[blocks] = True
-    in_play = part.in_play(wanted)
-
-    def count(keys, bins_of_keys, mask, state):
-        candidates, of = part.picked(keys, bins_of_keys, mask, in_play)
-        values = np.sort(law_at(candidates[wanted[of]]))
-        return np.searchsorted(values, thresholds, side="right")
-
-    return sum(_pass(draw, n, workers, bins, count)[0])
+    return read
 
 
 def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
@@ -580,33 +461,25 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
             out[s:s + (1 << 13)] = law(-keys[s:s + (1 << 13)])
         return out
 
-    # Store the keys of every block the summary can read, or else of those it needs the
-    # keys of, counting the others in a pass when it reads them; where even those are
-    # too many, split them.
+    # Pass 1 cuts the keys into blocks; the keep pass stores the keys of every block the
+    # summary can read, in chunk order, then sorts them.
     bins = _Bins(n, shift, tail)
     part = _first_partition(draw, n, workers, bins)
-    while True:
-        ends = np.append(part.edges, part.top)
-        ref_ends, p_ends = at(reference_law, ends), at(p_law, ends)
-        read, keys = _needed(part, n, ref_ends, p_ends)
-        stored = read & ~part.single
-        if part.sizes[stored].sum() > _KEPT_BUDGET:
-            stored = keys & ~part.single
-            if part.sizes[stored].sum() > _KEPT_BUDGET:
-                part = _refined(draw, n, workers, bins, part, stored)
-                continue
-        break
-    counted_only = read & ~stored & ~part.single
-
-    # The last pass keeps the keys of the stored blocks, in chunk order, then sorts them.
-    in_play = part.in_play(stored)
+    ends = np.append(part.edges, part.top)
+    ref_ends, p_ends = at(reference_law, ends), at(p_law, ends)
+    stored = _needed(part, n, ref_ends, p_ends) & ~part.single
+    in_play = stored[part.of_bin]  # by bin
 
     def keep(keys, bins_of_keys, mask, state):
-        candidates, of = part.picked(keys, bins_of_keys, mask, in_play)
-        return candidates[stored[of]]
+        return keys[np.take(in_play, bins_of_keys, out=mask, mode="clip")]
 
-    kept = np.empty(part.sizes[stored].sum())
-    if kept.size:  # ties past the noise can leave only blocks of one value, whose keys are known
+    size = int(part.sizes[stored].sum())
+    try:
+        kept = np.empty(size)
+    except MemoryError:
+        raise DomainError(f"cannot allocate the {8 * size} bytes that num_trials={n} "
+                          f"needs") from None
+    if size:  # ties past the noise can leave only blocks of one value, whose keys are known
         filled = 0
         for piece in _pass(draw, n, workers, bins, keep)[0]:
             kept[filled:filled + piece.size] = piece
@@ -644,8 +517,8 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
             return at(law, keys_at(j))
 
         def counted(blocks, thresholds):
-            # a block of one value counts whole, from its law at that value; of the others,
-            # the stored ones are read and the rest counted in a pass
+            # a block of one value counts whole, from its law at that value; the others
+            # are read
             one = blocks[single[blocks]]
             ordered = np.sort(thresholds)
             whole = np.zeros(ordered.size + 1, dtype=np.int64)  # by the least threshold >= value
@@ -653,14 +526,9 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
                       edges[one + 1] - edges[one])
             counts = np.cumsum(whole)[np.searchsorted(ordered, thresholds)]
             blocks = blocks[~single[blocks]]
-            far = counted_only[of_block[blocks]]
-            near = blocks[~far]
-            for s in range(0, near.size, _BLOCKS_PER_BATCH):
-                found = np.sort(values(_blocks(edges, near[s:s + _BLOCKS_PER_BATCH])))
+            for s in range(0, blocks.size, _BLOCKS_PER_BATCH):
+                found = np.sort(values(_blocks(edges, blocks[s:s + _BLOCKS_PER_BATCH])))
                 counts += np.searchsorted(found, thresholds, side="right")
-            if far.any():
-                counts += _counted_in_pass(draw, n, workers, bins, part, of_block[blocks[far]],
-                                           lambda keys: at(law, keys), thresholds)
             return counts
 
         return values, counted
@@ -688,13 +556,11 @@ class PValueSimSummary:
     supnorm_vs_reference: Kolmogorov-Smirnov distance between the empirical
         CDF and the reference CDF (uniform when delta = 0).
 
-    No memory is held per trial: the trials are drawn twice from the same
-    streams, counted into fixed bins the first time, and the second time only
-    the keys of the few bins that can change a field are kept, at most 2**19
-    of them. Where those bins hold more, a further pass splits them, or counts
-    the keys of the bins that are only counted. Every field is the value a
-    pass over all trials would give, but the Gaussian kernel runs only at the
-    bin edges and on the kept keys.
+    The trials are drawn twice from the same streams: counted into fixed bins
+    the first time, and the second time only the keys of the bins that can
+    change a field are kept. Every field is the value a pass over all trials
+    would give, but the Gaussian kernel runs only at the bin edges and on the
+    kept keys.
     """
 
     num_trials: int
@@ -713,21 +579,14 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     null-uniformity check); prior_null plays no role here.
 
     Each worker holds a few chunk-sized buffers and the bin counts, and the
-    summary at most 2**19 kept keys plus a few arrays per block. Outside the
-    two cases below, two passes suffice up to 2**23 trials and the traced
-    peak stayed under 9 MiB. The two cases cost further passes, each a draw
-    of every trial:
-    - from about 2**24 trials the first pass's bins are too wide for the
-      keys that can hold the KS maximum to fit the budget, so a pass splits
-      them. Each split adds blocks: the traced peak (workers 2) was 16 MiB
-      at 2**24 trials one-sided in 3 passes; two-sided with no effect it was
-      9 MiB at 2**24 in 2 passes, 14 MiB at 2**25 and 25 MiB at 2**26 in 3,
-      and 36 MiB at 2**28 in 4;
-    - p-values tied at 1.0 by a one-sided shift of about -6 or below, with
-      more than 2**19 trials, put every block on a threshold the deciles
-      test: the blocks whose keys are not needed are counted in a pass of
-      their own, 2 more in all (at 2**22 trials and a shift of -10: 4
-      passes, 13 MiB).
+    summary the kept keys plus a few arrays per block. The traced peak
+    (workers 2) stayed under 9 MiB up to 2**23 trials. From there the kept
+    keys grow to about 2.2 B per trial: 19 MiB at 2**24 trials one-sided,
+    160 MiB at 2**26 two-sided. Where a one-sided shift of about -6 or below
+    ties the p-values at 1.0, every block straddles a threshold the deciles
+    test and up to 8 B per trial are kept (46 MiB at 2**22 trials and a
+    shift of -10). A kept-key array that cannot be allocated raises
+    DomainError.
     """
     check_instance(config, SimConfig, "config")
     design = config.design

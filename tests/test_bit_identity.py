@@ -11,9 +11,9 @@ change to how the kernels or the simulators are evaluated must leave these
 outputs bit for bit. The p-value summary, which keeps only the keys of the
 blocks that can change a field and evaluates the kernel only there, is also
 held to the pass over every sorted trial that it replaced, kept here as the
-reference: on random keys, on keys tied by a shift past the noise, on crafted
-keys whose values fall out of order at the ulp scale, and with a budget of kept
-keys so small that further passes must split the blocks. The digest of a seeded
+reference: on random keys, on keys tied by a shift past the noise, on p-values
+saturated at 1.0 by a large negative shift, and on crafted keys whose values
+fall out of order at the ulp scale. The digest of a seeded
 sweep of the scalar kernels and of the curves built on them was recorded before
 the public kernels checked their arguments once and handed the solvers their
 private cores and one Student-t law per df, and re-recorded when the coupled
@@ -483,42 +483,32 @@ def test_summary_equals_the_dense_pass_on_random_configs():
     assert not wrong
 
 
-@pytest.mark.parametrize("budget", [0, 100])
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n, tail, shift", [(3001, Tail.ONE_SIDED_UPPER, 0.4),
                                             (CHUNK_SIZE + 7, Tail.TWO_SIDED, 1.3),
                                             (20_000, Tail.ONE_SIDED_UPPER, 1e12),
                                             (5000, Tail.ONE_SIDED_UPPER, 1e16)])
-def test_summary_equals_the_dense_pass_where_passes_split_the_blocks(monkeypatch, budget, n,
-                                                                       tail, shift):
-    # More keys to keep than the budget allows: each further pass splits the blocks the
-    # summary needs, down to blocks of one value, which keep no key.
-    monkeypatch.setattr(montecarlo, "_KEPT_BUDGET", budget)
+def test_summary_equals_the_dense_pass_where_passes_split_the_blocks(n, tail, shift, workers):
+    # Inputs whose blocks a kept-key budget once split pass after pass: the summary now
+    # keeps every block it can read whole, in one keep pass after the partition pass.
     keys = -tail.extremity(np.random.default_rng(n).standard_normal(n) + shift)
-    assert _summary_of(keys, shift, tail, 2) == _dense_summary(np.sort(keys), shift, tail)
+    assert _summary_of(keys, shift, tail, workers) == _dense_summary(np.sort(keys), shift, tail)
 
 
-def test_summary_equals_the_dense_pass_where_saturated_pvalues_pass_the_budget(monkeypatch):
+def test_summary_equals_the_dense_pass_where_saturated_pvalues_pass_the_budget():
     # A shift of -10 saturates the p-values at 1.0, so every block straddles the
-    # thresholds the deciles test and the blocks to read hold more than _KEPT_BUDGET
-    # keys: those whose keys the summary does not need are counted in a pass of their own.
-    passes = []
-    counted_in_pass = montecarlo._counted_in_pass
-
-    def spy(*args):
-        passes.append(args)
-        return counted_in_pass(*args)
-
-    monkeypatch.setattr(montecarlo, "_counted_in_pass", spy)
-    n = montecarlo._KEPT_BUDGET + 70_000
+    # thresholds the deciles test and the blocks to read hold every one of the
+    # 2**19 + 70,000 keys, more than the 2**19 the summary once kept: all are kept.
+    n = (1 << 19) + 70_000
     keys = -np.random.default_rng(n).standard_normal(n) + 10.0
     assert (_summary_of(keys, -10.0, Tail.ONE_SIDED_UPPER, 2)
             == _dense_summary(np.sort(keys), -10.0, Tail.ONE_SIDED_UPPER))
-    assert passes
 
 
-def test_summary_equals_the_dense_pass_under_random_budgets(monkeypatch):
-    # Keys tied by huge shifts, p-values saturated at 1 by large negative ones, and
-    # budgets from none to more than every key: stored, split and counted blocks mix.
+def test_summary_equals_the_dense_pass_under_random_budgets():
+    # Keys tied by huge shifts and p-values saturated at 1 by large negative ones, over
+    # both tails and at workers 1 and 2: the mix of blocks a kept-key budget from none to
+    # more than every key once stored, split or counted, now all kept or counted whole.
     rng = np.random.default_rng(20261019)
     wrong = []
     for i in range(60):
@@ -526,11 +516,9 @@ def test_summary_equals_the_dense_pass_under_random_budgets(monkeypatch):
         tail = rng.choice(list(Tail))
         shift = rng.choice([0.0, rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(3, 40),
                             rng.choice([-1, 1]) * 10 ** rng.uniform(10, 308)])
-        budget = int(rng.choice([0, 10, 100, 1000, n]))
-        monkeypatch.setattr(montecarlo, "_KEPT_BUDGET", budget)
         keys = -tail.extremity(rng.standard_normal(n) + shift)
         if _summary_of(keys, shift, tail, 1 + i % 2) != _dense_summary(np.sort(keys), shift, tail):
-            wrong.append((n, tail, shift, budget))
+            wrong.append((n, tail, shift))
     assert not wrong
 
 

@@ -243,7 +243,8 @@ def test_workers_are_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected):
 
 # What simulate_pvalues may hold at once up to 2^23 trials: a few chunk-sized buffers per
 # worker, the first pass's bin counts and the blocks made of them, and the kept keys.
-# Beyond, each pass that splits blocks adds blocks (about 36 MiB at 2^28 trials).
+# Beyond, the kept keys grow to about 2.2 B per trial (19 MiB at 2^24 trials one-sided,
+# 160 MiB at 2^26), and up to 8 B per trial where one-sided p-values tie at 1.0.
 # A small call first loads the modules a call imports, which stay loaded.
 _PVALUE_PEAK_BYTES = 10 << 20
 
@@ -295,6 +296,51 @@ def test_simulate_pvalues_reads_the_kernel_at_few_trials(monkeypatch, tail):
     monkeypatch.undo()
     assert summary == simulate_pvalues(config)
     assert 0 < sum(points) <= config.num_trials // 8
+
+
+@pytest.mark.parametrize("trials, effect, tail, passes", [
+    (1, 0.3, Tail.ONE_SIDED_UPPER, 1),  # one key: a block of one value, known from pass 1
+    (10_000, 1e17, Tail.ONE_SIDED_UPPER, 1),  # every key ties past the noise
+    (3001, 0.0, Tail.TWO_SIDED, 2),
+    (2 * CHUNK_SIZE + 7, -0.45, Tail.ONE_SIDED_UPPER, 2),
+    ((1 << 19) + 70_000, -10.0, Tail.ONE_SIDED_UPPER, 2),  # p-values tie at 1.0
+])
+def test_simulate_pvalues_makes_at_most_two_passes(monkeypatch, trials, effect, tail, passes):
+    # Pass 1 counts the keys into bins; the keep pass runs where some block needs keys.
+    calls = []
+    draw_pass = montecarlo._pass
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return draw_pass(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_pass", spy)
+    simulate_pvalues(SimConfig(trials, 3, effect_size=effect, tail=tail), workers=2)
+    assert len(calls) == passes
+
+
+def test_kept_keys_that_cannot_be_allocated_raise_domain_error(monkeypatch):
+    # The first allocation after the summary picks its blocks is the kept keys'; a stub
+    # makes it fail as numpy does where memory runs out.
+    needed = montecarlo._needed
+    sizes = []
+
+    def empty(shape, *args, **kwargs):
+        raise MemoryError
+
+    def choosing(part, *args):
+        read = needed(part, *args)
+        sizes.append(int(part.sizes[read & ~part.single].sum()))
+        monkeypatch.setattr(montecarlo.np, "empty", empty)
+        return read
+
+    monkeypatch.setattr(montecarlo, "_needed", choosing)
+    with pytest.raises(DomainError) as raised:
+        simulate_pvalues(SimConfig(30_000, 2, effect_size=0.2))
+    monkeypatch.undo()
+    assert sizes[0] > 0
+    assert str(raised.value) == (f"cannot allocate the {8 * sizes[0]} bytes that "
+                                 f"num_trials=30000 needs")
 
 
 def test_ks_distance_holds_where_pvalues_tie():
