@@ -60,6 +60,8 @@ def _grid(text: str) -> list[float]:
         raise ValueError(f"grid count outside 1..{MAX_GRID_COUNT}")
     if count == 1:
         return [lo]
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(f"the span of grid {text!r} is wider than a float")
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -154,7 +156,13 @@ def _cmd_cost(args) -> dict | tuple:
     if grid is None:
         lo = min(args.mu0, args.mu1) - 4.0 * args.sigma
         hi = max(args.mu0, args.mu1) + 4.0 * args.sigma
-        grid = [lo + i * (hi - lo) / 100.0 for i in range(101)]
+        if not math.isfinite(hi - lo):
+            raise DomainError(f"the default critical-value grid, the means -+ 4 sigma, spans "
+                              f"{lo!r} to {hi!r}, wider than a float: give it with --c-grid")
+        # i * (hi - lo) can overflow where the span does not: past a span of 1 the product
+        # is taken at 2**-7 scale, where it rounds as it does unscaled
+        e = 7 if hi - lo > 1.0 else 0
+        grid = [lo + math.ldexp(i * math.ldexp(hi - lo, -e) / 100.0, e) for i in range(101)]
     rows = [(c, decision_cost.expected_cost(c, params)) for c in grid]
     return ("critical_value", "expected_cost"), rows
 

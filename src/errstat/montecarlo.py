@@ -9,13 +9,15 @@ see the same trials: the first counts every trial's sort key into fixed bins,
 the second keeps only the keys of the bins that can hold a decile's order
 statistic, a crossing of an ECDF threshold or the KS maximum. The kept keys
 are what grows with the trial count: the traced peak stayed under 9 MiB up to
-2**23 trials, then grew to about 2.2 B per trial (19 MiB at 2**24 one-sided,
-160 MiB at 2**26 two-sided), and up to 8 B per trial where one-sided p-values
-tie at 1.0. The summary then evaluates the Gaussian kernel at the bin edges and
-on the kept keys, and every field is the float a pass over all trials, sorted,
-would give. Serial and parallel runs are therefore identical bit for bit and
-the only state is the (seed, chunk_index) pair. The generator family is
-recorded in every result so outputs are self-describing.
+2**23 trials, then grew to about 2.2 B per trial (17 MiB at 2**24 one-sided,
+151 MiB at 2**26 two-sided), and up to 8 B per trial where one-sided p-values
+tie at 1.0. The summary then evaluates the Gaussian kernel at the block edges,
+on the kept keys of the blocks each field needs, and in the KS search on pieces
+of 64 kept keys; every other block counts whole at its least key. Every field
+is the float a pass over all trials, sorted, would give. Serial and parallel
+runs are therefore identical bit for bit and the only state is the
+(seed, chunk_index) pair. The generator family is recorded in every result so
+outputs are self-describing.
 """
 
 from __future__ import annotations
@@ -186,12 +188,14 @@ def simulate_studies(config: SimConfig, workers: int = 1) -> SimOutcome:
 
 
 # The p-value summary works on the sorted keys (minus how extreme each statistic is) cut
-# into blocks of consecutive keys. It knows each block's size and a key at or below its
-# first one, and evaluates a law (the p-value, or the reference CDF value) there; it
-# reads a block's keys only where the block can change a count, the KS maximum or a
-# decile. Stored blocks are read _STRIDE positions at a time.
+# into blocks of about _STRIDE consecutive keys. It knows each block's size and a key at
+# or below its first one, and evaluates a law (the p-value, or the reference CDF value)
+# there. It reads the exact values of a block's keys only where the block can change an
+# ECDF count or a decile, and counts every other block whole at its least key; the KS
+# distance reads the kept keys in pieces of _STRIDE, only where a piece's bound passes
+# the best value known.
 _STRIDE = 64
-_BLOCKS_PER_BATCH = CHUNK_SIZE // _STRIDE
+_PIECES_PER_BATCH = CHUNK_SIZE // _STRIDE
 _TENTHS = np.arange(1, 10) / 10.0
 
 # Relative slack of every bracket. Both summary laws (the reference CDF value and the
@@ -324,82 +328,29 @@ def _brackets(ends: np.ndarray, single: np.ndarray) -> tuple[np.ndarray, np.ndar
     return lo, hi
 
 
-def _straddling(lo, hi, t_lo, t_hi) -> tuple[np.ndarray, np.ndarray]:
-    # The brackets, widened to running extremes, rise with the block: for thresholds
-    # from t_lo to t_hi the blocks wholly <= t come before `below`, those wholly > t
-    # from `above` on.
+def _straddling(lo, hi, t_lo, t_hi) -> np.ndarray:
+    # The blocks that can hold a value from t_lo to t_hi, for some pair of thresholds.
+    # The brackets, widened to running extremes, rise with the block: the blocks wholly
+    # <= t_lo come before `below`, those wholly > t_hi from `above` on.
     below = np.searchsorted(np.maximum.accumulate(hi), t_lo, side="right")
     above = np.searchsorted(np.minimum.accumulate(lo[::-1])[::-1], t_hi, side="right")
-    return below, above
+    marked = np.zeros(lo.size, dtype=bool)
+    for a, b in zip(below, above):
+        marked[a:b] = True
+    return marked
 
 
 def _blocks(edges: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    # Every position of the given blocks, block b being edges[b] .. edges[b + 1] - 1.
+    # Every index of the given runs, run b being edges[b] .. edges[b + 1] - 1.
     starts, sizes = edges[blocks], edges[blocks + 1] - edges[blocks]
     return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
-def _count_at_most(edges, lo, hi, counted, thresholds) -> np.ndarray:
-    # #(law(j) <= t) over every position j, exactly, for each threshold t. Only the
-    # blocks that straddle a threshold are read, each once for all thresholds, by
-    # counted(blocks, thresholds).
-    below, above = _straddling(lo, hi, thresholds, thresholds)
-    read = np.zeros(lo.size, dtype=bool)
-    for a, b in zip(below, above):
-        read[a:b] = True
-    unread = np.where(read, 0, np.diff(edges))
-    # the unread positions before `below`, and the read ones at most t
-    return np.append(0, np.cumsum(unread))[below] + counted(np.flatnonzero(read), thresholds)
-
-
-def _ks_bounds(edges, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    # Upper and lower bounds, per block, of the largest KS term at its positions; both
-    # are -inf for a block of no position.
-    n = edges[-1]
-    first, past = edges[:-1] / n, edges[1:] / n
-    held = past > first
-    return (np.where(held, np.maximum(past - lo, hi - first), -np.inf),
-            np.where(held, np.maximum(lo - first, past - hi), -np.inf))
-
-
-def _ks_distance(edges, lo, hi, law) -> float:
-    # max over the 1-based ranks i of max(i/n - ref, ref - (i-1)/n). A block is read
-    # only if its bound exceeds the largest value known before it.
-    n = edges[-1]
-
-    def distance(j, ref):
-        i = j + 1.0
-        return np.maximum(i / n - ref, ref - (i - 1.0) / n)
-
-    bound, lower = _ks_bounds(edges, lo, hi)
-    best = lower.max()
-    blocks = np.flatnonzero(bound > best)
-    for s in range(0, blocks.size, _BLOCKS_PER_BATCH):
-        batch = blocks[s:s + _BLOCKS_PER_BATCH]
-        batch = batch[bound[batch] > best]
-        if batch.size:
-            j = _blocks(edges, batch)
-            best = max(best, distance(j, law(j)).max())
-    return float(best)
-
-
-def _order_statistics(edges, lo, hi, law, counted, ranks) -> np.ndarray:
-    # The values at the given 0-based ranks of law over all positions, sorted by value.
-    # The rank-r value lies within _SLACK of law(r), and is law(r) unless the exact counts
-    # show a value on the wrong side of it; then a bisection over the doubles between the
-    # brackets finds the least t with #(law <= t) > r.
-    v = law(ranks)
-    counts = _count_at_most(edges, lo, hi, counted, np.append(v, np.nextafter(v, -np.inf)))
-    wrong = np.flatnonzero((counts[:v.size] <= ranks) | (counts[v.size:] > ranks))
-    if wrong.size:
-        low = (v[wrong] * (1.0 - _SLACK)).view(np.int64) - 1  # #(law <= low) <= rank
-        high = (v[wrong] * (1.0 + _SLACK)).view(np.int64)  # #(law <= high) > rank
-        while np.any(high - low > 1):
-            mid = (low + high) // 2
-            above = _count_at_most(edges, lo, hi, counted, mid.view(np.float64)) > ranks[wrong]
-            low, high = np.where(above, low, mid), np.where(above, mid, high)
-        v[wrong] = high.view(np.float64)
-    return v
+def _ks_bounds(first, past, n: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    # Upper and lower bounds of the largest KS term over positions first .. past - 1,
+    # per run of positions whose reference values lie in lo .. hi.
+    first, past = first / n, past / n
+    return np.maximum(past - lo, hi - first), np.maximum(lo - first, past - hi)
 
 
 def _ranks(n: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -419,26 +370,22 @@ def _quantiles(n: int, q: np.ndarray, order_statistics) -> np.ndarray:
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _needed(part: _Partition, n: int, ref_ends, p_ends) -> np.ndarray:
-    # The blocks whose keys the summary can read: those that hold one of the 18 ranks
-    # the deciles read or whose KS bound passes the best lower bound, and those that
-    # straddle a reference tenth or a threshold the order statistics can test, by
-    # brackets widened by _SLACK once more (a block cut into smaller ones keeps its
-    # values within them).
+def _needed(part: _Partition, n: int, ref_ends, p_ends) -> tuple[np.ndarray, ...]:
+    # The blocks whose keys each field reads: those that straddle a reference tenth;
+    # those that hold one of the 18 ranks the deciles read, or a value that can fall
+    # within those blocks' brackets; and the KS candidates, whose bound passes the best
+    # lower bound. The brackets are widened by _SLACK once more, so that every other
+    # block lies on one side of each threshold, its least key included.
     ref_lo, ref_hi = _brackets(ref_ends, part.single)
     p_lo, p_hi = _brackets(p_ends, part.single)
     held = np.searchsorted(part.positions, np.append(*_ranks(n, _TENTHS)[:2]), side="right") - 1
-    bound, lower = _ks_bounds(part.positions, ref_lo, ref_hi)
-    read = bound > lower.max()
-    read[held] = True
     p_lo, p_hi = p_lo * (1.0 - _SLACK), p_hi * (1.0 + _SLACK)
-    for lo, hi, t_lo, t_hi in (
-            (ref_lo * (1.0 - _SLACK), ref_hi * (1.0 + _SLACK), _TENTHS, _TENTHS),
-            (p_lo, p_hi, np.nextafter(p_lo[held] * (1.0 - _SLACK), -np.inf),
-             p_hi[held] * (1.0 + _SLACK))):
-        for a, b in zip(*_straddling(lo, hi, t_lo, t_hi)):
-            read[a:b] = True
-    return read
+    ranks = _straddling(p_lo, p_hi, np.nextafter(p_lo[held] * (1.0 - _SLACK), -np.inf),
+                        p_hi[held] * (1.0 + _SLACK))
+    ranks[held] = True
+    bound, lower = _ks_bounds(part.positions[:-1], part.positions[1:], n, ref_lo, ref_hi)
+    return (_straddling(ref_lo * (1.0 - _SLACK), ref_hi * (1.0 + _SLACK), _TENTHS, _TENTHS),
+            ranks, bound > lower.max())
 
 
 def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
@@ -467,7 +414,8 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
     part = _first_partition(draw, n, workers, bins)
     ends = np.append(part.edges, part.top)
     ref_ends, p_ends = at(reference_law, ends), at(p_law, ends)
-    stored = _needed(part, n, ref_ends, p_ends) & ~part.single
+    tenths, ranks, ks = _needed(part, n, ref_ends, p_ends)
+    stored = (tenths | ranks | ks) & ~part.single
     in_play = stored[part.of_bin]  # by bin
 
     def keep(keys, bins_of_keys, mask, state):
@@ -486,60 +434,59 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
             filled += piece.size
         kept.sort()
 
-    # The summary's blocks: each stored block cut every _STRIDE positions, the others whole.
     chosen = np.flatnonzero(stored)
     sizes = part.sizes[chosen]
-    kept_first = np.cumsum(sizes) - sizes
-    cuts = (sizes - 1) // _STRIDE
-    step = _STRIDE * (np.arange(cuts.sum()) - np.repeat(np.cumsum(cuts) - cuts, cuts) + 1)
-    cut_keys = kept[np.repeat(kept_first, cuts) + step]
-    cut_at = np.searchsorted(part.positions, np.repeat(part.positions[chosen], cuts) + step)
-    edges = np.insert(part.positions, cut_at, np.repeat(part.positions[chosen], cuts) + step)
-    single = np.insert(part.single, cut_at, False)
-    ref_lo, ref_hi = _brackets(np.insert(ref_ends, cut_at, at(reference_law, cut_keys)), single)
-    p_lo, p_hi = _brackets(np.insert(p_ends, cut_at, at(p_law, cut_keys)), single)
-    kept_at = np.full(part.sizes.size, -1)
-    kept_at[chosen] = kept_first
-    pieces = np.ones(part.sizes.size, dtype=np.int64)
-    pieces[chosen] += cuts
-    of_block = np.repeat(np.arange(part.sizes.size), pieces)  # the block each one is cut from
+    kept_first = np.cumsum(sizes) - sizes  # where each stored block starts in kept
+    offset = part.positions[chosen] - kept_first  # from a kept index to the key's position
 
-    def keys_at(j):
-        # the key at each position j: a stored key, or the value of a one-value block
-        block = np.searchsorted(part.positions, j, side="right") - 1
-        keys = np.where(part.single[block], part.edges[block], np.nan)
-        hit = kept_at[block] >= 0
-        keys[hit] = kept[kept_at[block[hit]] + j[hit] - part.positions[block[hit]]]
-        return keys
+    def tally(law, law_ends, marked):
+        # The distinct values of law over all keys, ascending, and how many keys are at
+        # most each. The kept keys of the marked blocks give their exact values, tallied
+        # a chunk of kept keys at a time; every other block counts whole at its least
+        # key, whose value lies on the same side as the block's values of every
+        # threshold the summary tests.
+        whole = ~(marked & stored)
+        values, counts = law_ends[:-1][whole], part.sizes[whole]
+        exact = np.repeat(marked[chosen], sizes)  # by kept key
+        for s in range(0, size, CHUNK_SIZE):
+            keys = kept[s:s + CHUNK_SIZE][exact[s:s + CHUNK_SIZE]]
+            if keys.size:
+                found, found_counts = np.unique(at(law, keys), return_counts=True)
+                values, counts = np.append(values, found), np.append(counts, found_counts)
+        distinct = np.unique(values)
+        at_most = np.zeros(distinct.size, dtype=np.int64)
+        np.add.at(at_most, np.searchsorted(distinct, values), counts)
+        return distinct, np.cumsum(at_most)
 
-    def reader(law):
-        def values(j):
-            return at(law, keys_at(j))
+    reference, ref_at_most = tally(reference_law, ref_ends, tenths)
+    at_deciles = np.append(0, ref_at_most)[np.searchsorted(reference, _TENTHS, side="right")]
+    p_values, p_at_most = tally(p_law, p_ends, ranks)
+    deciles = _quantiles(n, _TENTHS,
+                         lambda r: p_values[np.searchsorted(p_at_most, r, side="right")])
 
-        def counted(blocks, thresholds):
-            # a block of one value counts whole, from its law at that value; the others
-            # are read
-            one = blocks[single[blocks]]
-            ordered = np.sort(thresholds)
-            whole = np.zeros(ordered.size + 1, dtype=np.int64)  # by the least threshold >= value
-            np.add.at(whole, np.searchsorted(ordered, at(law, part.edges[of_block[one]])),
-                      edges[one + 1] - edges[one])
-            counts = np.cumsum(whole)[np.searchsorted(ordered, thresholds)]
-            blocks = blocks[~single[blocks]]
-            for s in range(0, blocks.size, _BLOCKS_PER_BATCH):
-                found = np.sort(values(_blocks(edges, blocks[s:s + _BLOCKS_PER_BATCH])))
-                counts += np.searchsorted(found, thresholds, side="right")
-            return counts
+    # KS: max over the 1-based ranks i of max(i/n - ref, ref - (i-1)/n), from the
+    # partition's best lower bound (exact in a one-value block) and the pieces of _STRIDE
+    # consecutive kept keys whose bound passes the best value known.
+    def position(i):
+        # the position among all keys of kept[i]
+        return i + offset[np.searchsorted(kept_first, i, side="right") - 1]
 
-        return values, counted
-
-    reference, ref_counted = reader(reference_law)
-    p_value, p_counted = reader(p_law)
-    at_deciles = _count_at_most(edges, ref_lo, ref_hi, ref_counted, _TENTHS)
-    deciles = _quantiles(n, _TENTHS, lambda ranks: _order_statistics(edges, p_lo, p_hi, p_value,
-                                                                     p_counted, ranks))
+    piece_ends = np.append(np.arange(0, size, _STRIDE), size)
+    refs = np.append(at(reference_law, kept[piece_ends[:-1]]), ref_ends[-1])
+    bound = _ks_bounds(position(piece_ends[:-1]), position(piece_ends[1:] - 1) + 1, n,
+                       *_brackets(refs, np.zeros(refs.size - 1, dtype=bool)))[0]
+    best = _ks_bounds(part.positions[:-1], part.positions[1:], n,
+                      *_brackets(ref_ends, part.single))[1].max()
+    pieces = np.flatnonzero(bound > best)
+    for s in range(0, pieces.size, _PIECES_PER_BATCH):
+        batch = pieces[s:s + _PIECES_PER_BATCH]
+        batch = batch[bound[batch] > best]
+        if batch.size:
+            i = _blocks(piece_ends, batch)
+            rank, value = position(i) + 1.0, at(reference_law, kept[i])
+            best = max(best, np.maximum(rank / n - value, value - (rank - 1.0) / n).max())
     return (tuple(float(v) for v in deciles), tuple(int(k) / n for k in at_deciles),
-            _ks_distance(edges, ref_lo, ref_hi, reference))
+            float(best))
 
 
 @dataclass(frozen=True)
@@ -558,9 +505,13 @@ class PValueSimSummary:
 
     The trials are drawn twice from the same streams: counted into fixed bins
     the first time, and the second time only the keys of the bins that can
-    change a field are kept. Every field is the value a pass over all trials
-    would give, but the Gaussian kernel runs only at the bin edges and on the
-    kept keys.
+    change a field are kept. The ECDF counts and the deciles take exact values
+    on the kept keys of the few blocks each needs, and count every other block
+    whole at its least key, which lies on the same side of every threshold they
+    test. The KS distance reads the kept keys in pieces of 64, only where a
+    piece's bound passes the best value known. Every field is the value a pass
+    over all trials would give, but the Gaussian kernel runs only at the block
+    edges and on some of the kept keys.
     """
 
     num_trials: int
@@ -581,10 +532,10 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     Each worker holds a few chunk-sized buffers and the bin counts, and the
     summary the kept keys plus a few arrays per block. The traced peak
     (workers 2) stayed under 9 MiB up to 2**23 trials. From there the kept
-    keys grow to about 2.2 B per trial: 19 MiB at 2**24 trials one-sided,
-    160 MiB at 2**26 two-sided. Where a one-sided shift of about -6 or below
+    keys grow to about 2.2 B per trial: 17 MiB at 2**24 trials one-sided,
+    151 MiB at 2**26 two-sided. Where a one-sided shift of about -6 or below
     ties the p-values at 1.0, every block straddles a threshold the deciles
-    test and up to 8 B per trial are kept (46 MiB at 2**22 trials and a
+    test and up to 8 B per trial are kept (43 MiB at 2**22 trials and a
     shift of -10). A kept-key array that cannot be allocated raises
     DomainError.
     """

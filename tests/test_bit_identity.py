@@ -487,10 +487,14 @@ def test_summary_equals_the_dense_pass_on_random_configs():
 @pytest.mark.parametrize("n, tail, shift", [(3001, Tail.ONE_SIDED_UPPER, 0.4),
                                             (CHUNK_SIZE + 7, Tail.TWO_SIDED, 1.3),
                                             (20_000, Tail.ONE_SIDED_UPPER, 1e12),
-                                            (5000, Tail.ONE_SIDED_UPPER, 1e16)])
+                                            (5000, Tail.ONE_SIDED_UPPER, 1e16),
+                                            (70_001, Tail.ONE_SIDED_UPPER, 3e14),
+                                            (70_001, Tail.TWO_SIDED, 2e15)])
 def test_summary_equals_the_dense_pass_where_passes_split_the_blocks(n, tail, shift, workers):
     # Inputs whose blocks a kept-key budget once split pass after pass: the summary now
     # keeps every block it can read whole, in one keep pass after the partition pass.
+    # At 70,001 keys and shifts of 3e14 and 2e15 most blocks hold one value and count
+    # whole, next to blocks read exactly at the deciles.
     keys = -tail.extremity(np.random.default_rng(n).standard_normal(n) + shift)
     assert _summary_of(keys, shift, tail, workers) == _dense_summary(np.sort(keys), shift, tail)
 

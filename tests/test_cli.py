@@ -186,6 +186,21 @@ def test_cost_curve_rows_match_library():
         assert cost == pytest.approx(expected_cost(c, params), rel=1e-9)
 
 
+def test_cost_default_grid_holds_where_its_span_nears_the_float_maximum():
+    # 100 * (hi - lo) overflows at sigma 1e306, but neither the span nor a point does
+    _, rows = parse_csv(run_cli("cost", "--sigma", "1e306").stdout)
+    assert len(rows) == 101
+    assert all(math.isfinite(c) and math.isfinite(cost) for c, cost in rows)
+    assert rows[0][0] == -4e306 and rows[50][0] == 0.0 and rows[-1][0] == 4e306
+
+
+@pytest.mark.parametrize("argv", [["--sigma", "1e308"], ["--mu0=-1e308", "--mu1", "1e308"]])
+def test_cost_default_grid_past_the_floats_asks_for_c_grid(argv, capsys):
+    code, err = main_exit(["cost", *argv], capsys)
+    assert code == 2
+    assert err.startswith("error: the default critical-value grid") and "--c-grid" in err, err
+
+
 def test_cost_alpha_map_round_trip():
     proc = run_cli("cost", "--alpha-map", "--alphas", "0.05,0.1,0.5")
     _, rows = parse_csv(proc.stdout)
@@ -429,7 +444,7 @@ LIST_AND_GRID_OPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("text", ["", "0:1", "1:2:0", "a,b"])
+@pytest.mark.parametrize("text", ["", "0:1", "1:2:0", "a,b", "1e308:-1e308:3"])
 @pytest.mark.parametrize("prefix", LIST_AND_GRID_OPTIONS, ids=lambda p: f"{p[0]}{p[-1]}")
 def test_malformed_list_or_grid_is_a_usage_error(prefix, text, capsys):
     code, err = main_exit([*prefix, text], capsys)

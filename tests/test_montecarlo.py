@@ -243,8 +243,8 @@ def test_workers_are_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected):
 
 # What simulate_pvalues may hold at once up to 2^23 trials: a few chunk-sized buffers per
 # worker, the first pass's bin counts and the blocks made of them, and the kept keys.
-# Beyond, the kept keys grow to about 2.2 B per trial (19 MiB at 2^24 trials one-sided,
-# 160 MiB at 2^26), and up to 8 B per trial where one-sided p-values tie at 1.0.
+# Beyond, the kept keys grow to about 2.2 B per trial (17 MiB at 2^24 trials one-sided,
+# 151 MiB at 2^26), and up to 8 B per trial where one-sided p-values tie at 1.0.
 # A small call first loads the modules a call imports, which stay loaded.
 _PVALUE_PEAK_BYTES = 10 << 20
 
@@ -329,10 +329,10 @@ def test_kept_keys_that_cannot_be_allocated_raise_domain_error(monkeypatch):
         raise MemoryError
 
     def choosing(part, *args):
-        read = needed(part, *args)
-        sizes.append(int(part.sizes[read & ~part.single].sum()))
+        masks = needed(part, *args)  # per field; the keys of their union are kept
+        sizes.append(int(part.sizes[np.logical_or.reduce(masks) & ~part.single].sum()))
         monkeypatch.setattr(montecarlo.np, "empty", empty)
-        return read
+        return masks
 
     monkeypatch.setattr(montecarlo, "_needed", choosing)
     with pytest.raises(DomainError) as raised:
