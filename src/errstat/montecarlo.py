@@ -10,14 +10,16 @@ the second keeps only the keys of the bins that can hold a decile's order
 statistic, a crossing of an ECDF threshold or the KS maximum. The kept keys
 are what grows with the trial count: the traced peak stayed under 9 MiB up to
 2**23 trials, then grew to about 2.2 B per trial (17 MiB at 2**24 one-sided,
-151 MiB at 2**26 two-sided), and up to 8 B per trial where one-sided p-values
-tie at 1.0. The summary then evaluates the Gaussian kernel at the block edges,
-on the kept keys of the blocks each field needs, and in the KS search on pieces
-of 64 kept keys; every other block counts whole at its least key. Every field
-is the float a pass over all trials, sorted, would give. Serial and parallel
-runs are therefore identical bit for bit and the only state is the
-(seed, chunk_index) pair. The generator family is recorded in every result so
-outputs are self-describing.
+151 MiB at 2**26 two-sided). Blocks of one-sided p-values tied at 1.0 count
+whole (7.6 MiB at 2**22 trials and a shift of -10), but shifts of about -6 to
+-9, which crowd the p-values just below 1.0, keep up to about 7.5 B per trial
+(30 MiB at 2**22 trials and a shift of -7.25). The summary then evaluates the
+Gaussian kernel at the block edges, on the kept keys of the blocks each field
+needs, and in the KS search on pieces of 64 kept keys; every other block counts
+whole at its least key. Every field is the float a pass over all trials, sorted,
+would give. Serial and parallel runs are therefore identical bit for bit and the
+only state is the (seed, chunk_index) pair. The generator family is recorded in
+every result so outputs are self-describing.
 """
 
 from __future__ import annotations
@@ -101,38 +103,32 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
                                                                       spawn_key=(index,))))
 
 
-def _map_chunks(fn, total: int, workers: int) -> Iterator:
-    # Yields fn(start) for each chunk's first trial, in order, on min(workers, chunks, CPUs)
-    # threads. At most 2 * workers futures are pending, read in order, and the caller folds
-    # each result as it comes: memory does not grow with the chunk count, and a thread
-    # that finishes early still takes the next chunk.
+def _map_chunks(fn, total: int, workers: int, make) -> Iterator:
+    # Yields fn(start, count, state) for each chunk's first trial and size, in order, on
+    # min(workers, chunks, CPUs) threads; state is the running thread's own make(), made
+    # on its first chunk. At most 2 * workers futures are pending, read in order, and the
+    # caller folds each result as it comes: memory does not grow with the chunk count,
+    # and a thread that finishes early still takes the next chunk.
     starts = range(0, total, CHUNK_SIZE)
     workers = min(check_int(workers, "workers", 1), len(starts), os.cpu_count() or 1)
+    local = threading.local()
+
+    def run(start):
+        if not hasattr(local, "state"):
+            local.state = make()
+        return fn(start, min(CHUNK_SIZE, total - start), local.state)
+
     if workers == 1:
-        yield from map(fn, starts)
+        yield from map(run, starts)
         return
     pending = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for start in starts:
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
-            pending.append(pool.submit(fn, start))
+            pending.append(pool.submit(run, start))
         while pending:
             yield pending.popleft().result()
-
-
-def _per_thread(make):
-    # A getter of one object per thread, made by make() on the thread's first call.
-    local = threading.local()
-
-    def get():
-        try:
-            return local.value
-        except AttributeError:
-            local.value = make()
-            return local.value
-
-    return get
 
 
 def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first: float,
@@ -142,13 +138,10 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
     # statistic from N(mean, sigma^2) and rejects where tail.rejects(stat, crit).
     # Returns the counts of (first, reject), (first, accept), (second, reject), (second, accept).
     means = np.array([mean_second, mean_first])  # indexed by the first-component flag
-    buffers = _per_thread(lambda: (np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE),
-                                   np.empty(CHUNK_SIZE, dtype=bool)))
 
-    def run_chunk(start: int) -> tuple[int, int, int]:
+    def run_chunk(start: int, count: int, buffers) -> tuple[int, int, int]:
         rng = _chunk_rng(config.seed, start // CHUNK_SIZE)
-        count = min(CHUNK_SIZE, config.num_trials - start)
-        uniform, stat, first = (buf[:count] for buf in buffers())
+        uniform, stat, first = (buf[:count] for buf in buffers)
         np.less(rng.random(out=uniform), p_first, out=first)
         rng.standard_normal(out=stat)
         # Callers keep crit - mean finite, so a statistic that overflows to +-inf lies beyond
@@ -163,8 +156,10 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
                 int(np.count_nonzero(np.logical_and(first, reject, out=reject))))
 
     n_first = n_reject = first_reject = 0
-    for chunk_first, chunk_reject, chunk_first_reject in _map_chunks(run_chunk, config.num_trials,
-                                                                     workers):
+    chunks = _map_chunks(run_chunk, config.num_trials, workers,
+                         lambda: (np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE),
+                                  np.empty(CHUNK_SIZE, dtype=bool)))
+    for chunk_first, chunk_reject, chunk_first_reject in chunks:
         n_first += chunk_first
         n_reject += chunk_reject
         first_reject += chunk_first_reject
@@ -282,16 +277,13 @@ def _pass(draw, n: int, workers: int, bins: _Bins, fn, make=lambda: None):
         return (np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE, dtype=np.int64),
                 np.empty(CHUNK_SIZE, dtype=bool), states[-1])
 
-    scratch = _per_thread(buffers)
-
-    def run_chunk(start):
-        count = min(CHUNK_SIZE, n - start)
-        keys, index, mask, state = scratch()
+    def run_chunk(start, count, scratch):
+        keys, index, mask, state = scratch
         keys, mask = keys[:count], mask[:count]
         draw(start, keys)
         return fn(keys, bins.index(keys, index[:count]), mask, state)
 
-    return _map_chunks(run_chunk, n, workers), states
+    return _map_chunks(run_chunk, n, workers, buffers), states
 
 
 def _first_partition(draw, n: int, workers: int, bins: _Bins) -> _Partition:
@@ -370,22 +362,26 @@ def _quantiles(n: int, q: np.ndarray, order_statistics) -> np.ndarray:
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _needed(part: _Partition, n: int, ref_ends, p_ends) -> tuple[np.ndarray, ...]:
+def _needed(part: _Partition, n: int, ref_lo, ref_hi, p_ends, ks) -> tuple[np.ndarray, ...]:
     # The blocks whose keys each field reads: those that straddle a reference tenth;
     # those that hold one of the 18 ranks the deciles read, or a value that can fall
-    # within those blocks' brackets; and the KS candidates, whose bound passes the best
-    # lower bound. The brackets are widened by _SLACK once more, so that every other
-    # block lies on one side of each threshold, its least key included.
-    ref_lo, ref_hi = _brackets(ref_ends, part.single)
+    # within those blocks' brackets; and the KS candidates, whose upper bound ks[0] passes
+    # the best lower bound in ks[1]. The brackets are widened by _SLACK once more, so that
+    # every other block lies on one side of each threshold, its least key included.
     p_lo, p_hi = _brackets(p_ends, part.single)
     held = np.searchsorted(part.positions, np.append(*_ranks(n, _TENTHS)[:2]), side="right") - 1
     p_lo, p_hi = p_lo * (1.0 - _SLACK), p_hi * (1.0 + _SLACK)
     ranks = _straddling(p_lo, p_hi, np.nextafter(p_lo[held] * (1.0 - _SLACK), -np.inf),
                         p_hi[held] * (1.0 + _SLACK))
     ranks[held] = True
-    bound, lower = _ks_bounds(part.positions[:-1], part.positions[1:], n, ref_lo, ref_hi)
+    # A block whose p-value at its least key is 1.0 holds only p-values of 1.0 where the
+    # upper-tail mass there, 1 - p before rounding, is at most 2^-54 (1 - _SLACK): the
+    # mass falls with the key, misordered by under 8 eps, so it stays below 2^-54 and
+    # 1 - mass rounds to 1.0. Such a block counts whole. Two-sided, the mass is >= 1/2.
+    ones = np.flatnonzero(p_ends[:-1] == 1.0)
+    ranks[ones[_normal_cdf_vec(-part.edges[ones]) <= 2.0 ** -54 * (1.0 - _SLACK)]] = False
     return (_straddling(ref_lo * (1.0 - _SLACK), ref_hi * (1.0 + _SLACK), _TENTHS, _TENTHS),
-            ranks, bound > lower.max())
+            ranks, ks[0] > ks[1].max())
 
 
 def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
@@ -414,7 +410,11 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
     part = _first_partition(draw, n, workers, bins)
     ends = np.append(part.edges, part.top)
     ref_ends, p_ends = at(reference_law, ends), at(p_law, ends)
-    tenths, ranks, ks = _needed(part, n, ref_ends, p_ends)
+    ref = _brackets(ref_ends, part.single)
+    bounds = _ks_bounds(part.positions[:-1], part.positions[1:], n, *ref)
+    best = bounds[1].max()  # the KS search starts here, exact in a one-value block
+    tenths, ranks, ks = _needed(part, n, *ref, p_ends, bounds)
+    del ref, bounds  # per block: not held through the keep pass
     stored = (tenths | ranks | ks) & ~part.single
     in_play = stored[part.of_bin]  # by bin
 
@@ -475,8 +475,6 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
     refs = np.append(at(reference_law, kept[piece_ends[:-1]]), ref_ends[-1])
     bound = _ks_bounds(position(piece_ends[:-1]), position(piece_ends[1:] - 1) + 1, n,
                        *_brackets(refs, np.zeros(refs.size - 1, dtype=bool)))[0]
-    best = _ks_bounds(part.positions[:-1], part.positions[1:], n,
-                      *_brackets(ref_ends, part.single))[1].max()
     pieces = np.flatnonzero(bound > best)
     for s in range(0, pieces.size, _PIECES_PER_BATCH):
         batch = pieces[s:s + _PIECES_PER_BATCH]
@@ -508,10 +506,11 @@ class PValueSimSummary:
     change a field are kept. The ECDF counts and the deciles take exact values
     on the kept keys of the few blocks each needs, and count every other block
     whole at its least key, which lies on the same side of every threshold they
-    test. The KS distance reads the kept keys in pieces of 64, only where a
-    piece's bound passes the best value known. Every field is the value a pass
-    over all trials would give, but the Gaussian kernel runs only at the block
-    edges and on some of the kept keys.
+    test or, where p-values tie at 1.0, holds the block's one value. The KS
+    distance reads the kept keys in pieces of 64, only where a piece's bound
+    passes the best value known. Every field is the value a pass over all
+    trials would give, but the Gaussian kernel runs only at the block edges and
+    on some of the kept keys.
     """
 
     num_trials: int
@@ -533,11 +532,12 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     summary the kept keys plus a few arrays per block. The traced peak
     (workers 2) stayed under 9 MiB up to 2**23 trials. From there the kept
     keys grow to about 2.2 B per trial: 17 MiB at 2**24 trials one-sided,
-    151 MiB at 2**26 two-sided. Where a one-sided shift of about -6 or below
-    ties the p-values at 1.0, every block straddles a threshold the deciles
-    test and up to 8 B per trial are kept (43 MiB at 2**22 trials and a
-    shift of -10). A kept-key array that cannot be allocated raises
-    DomainError.
+    151 MiB at 2**26 two-sided. Blocks whose p-values tie at 1.0 (a one-sided
+    shift of about -9 or below) count whole: 7.6 MiB at 2**22 trials and a
+    shift of -10. Shifts of about -6 to -9 crowd the p-values just below 1.0,
+    where the blocks straddle a threshold the deciles test, and keep up to
+    about 7.5 B per trial (30 MiB at 2**22 trials and a shift of -7.25). A
+    kept-key array that cannot be allocated raises DomainError.
     """
     check_instance(config, SimConfig, "config")
     design = config.design

@@ -579,6 +579,39 @@ def test_summary_holds_where_pvalues_invert_at_a_decile_rank(n, rank, shift):
     assert summary == _dense_summary(buf, shift, Tail.ONE_SIDED_UPPER)
 
 
+# One-sided: the least double key whose upper-tail mass, _normal_cdf_vec(-key), is at most
+# 2^-54 (1 - _SLACK). A block whose least key lies there or above, with a p-value of 1.0
+# there, counts whole; the p-values turn 1.0 61 doubles lower.
+_TIED = 8.292361075813705
+
+
+@pytest.mark.parametrize("offset, whole", [(0, True), (-1, False), (-162, False)])
+def test_summary_holds_where_pvalues_tie_at_one_from_a_blocks_least_key(monkeypatch, offset,
+                                                                        whole):
+    mass = _normal_cdf_vec(-_ulps(_TIED, 1)[:2])
+    assert mass[0] > 2.0 ** -54 * (1.0 - montecarlo._SLACK) >= mass[1]
+    # 401 consecutive doubles from offset doubles off _TIED, the least key and so block 0's,
+    # then random keys above; at -162 the first p-value of 1.0 sits at position 101, next
+    # to the first decile's rank 100
+    run = _ulps(_TIED, 400)[400 + offset:][:401]
+    p = Tail.ONE_SIDED_UPPER.p_value(-run, _normal_cdf_vec)
+    assert np.flatnonzero(p == 1.0)[0] == max(0, -61 - offset) and np.all(p[-offset - 61:] == 1.0)
+    buf = _crafted(np.random.default_rng(-offset), run, 0, 1001, 12.0)
+    needed = montecarlo._needed
+    read = []
+
+    def spy(*args):
+        masks = needed(*args)
+        read.append(bool(masks[1][0]))  # block 0 is read exactly for the deciles
+        return masks
+
+    monkeypatch.setattr(montecarlo, "_needed", spy)
+    summary = _summary_of(np.random.default_rng(1 - offset).permutation(buf), -5.0,
+                          Tail.ONE_SIDED_UPPER)
+    assert read == [not whole]
+    assert summary == _dense_summary(buf, -5.0, Tail.ONE_SIDED_UPPER)
+
+
 def test_quantile_rule_is_numpys():
     rng = np.random.default_rng(11)
     q = np.arange(1, 10) / 10.0

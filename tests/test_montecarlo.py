@@ -244,7 +244,9 @@ def test_workers_are_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected):
 # What simulate_pvalues may hold at once up to 2^23 trials: a few chunk-sized buffers per
 # worker, the first pass's bin counts and the blocks made of them, and the kept keys.
 # Beyond, the kept keys grow to about 2.2 B per trial (17 MiB at 2^24 trials one-sided,
-# 151 MiB at 2^26), and up to 8 B per trial where one-sided p-values tie at 1.0.
+# 151 MiB at 2^26). Blocks of p-values tied at 1.0 count whole (7.6 MiB at 2^22 trials and
+# a one-sided shift of -10); shifts of about -6 to -9 crowd the p-values just below 1.0 and
+# keep up to about 7.5 B per trial (30 MiB at 2^22 trials and a shift of -7.25).
 # A small call first loads the modules a call imports, which stay loaded.
 _PVALUE_PEAK_BYTES = 10 << 20
 
@@ -268,6 +270,22 @@ def test_simulate_pvalues_memory_holds_where_every_key_ties(workers):
     # A shift of -1e16 rounds the noise away: the keys take a few values, each a block of
     # one value with a million positions, which is counted whole and never laid out.
     config = SimConfig(num_trials=1 << 21, seed=9, effect_size=-1e16)
+    simulate_pvalues(SimConfig(CHUNK_SIZE + 1, 9), workers)
+    tracemalloc.start()
+    try:
+        summary = simulate_pvalues(config, workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.deciles == (1.0,) * 9
+    assert peak <= _PVALUE_PEAK_BYTES
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_pvalues_memory_holds_where_pvalues_tie_at_one(workers):
+    # A one-sided shift of -10 ties about 96% of the p-values at 1.0; their blocks count
+    # whole, so only the keys below the tie are kept (it held 42.5 MiB when all were).
+    config = SimConfig(num_trials=1 << 22, seed=9, effect_size=-10.0)
     simulate_pvalues(SimConfig(CHUNK_SIZE + 1, 9), workers)
     tracemalloc.start()
     try:
@@ -360,27 +378,36 @@ def test_chunks_start_without_a_plan_of_all_chunks():
 
     starts = []
 
-    def fn(start):
+    def fn(start, count, state):
         starts.append(start)
         if len(starts) == 3:
             raise Stop
 
     with pytest.raises(Stop):
-        list(montecarlo._map_chunks(fn, 2 ** 50, 1))
+        list(montecarlo._map_chunks(fn, 2 ** 50, 1, lambda: None))
     assert starts == [0, CHUNK_SIZE, 2 * CHUNK_SIZE]
 
 
 def test_parallel_chunks_are_submitted_a_few_at_a_time(monkeypatch):
     # With 2 workers at most 4 chunks are submitted and unfinished at any time,
     # however many chunks the run has, and the results still come in chunk order.
+    # Each chunk gets its size and the state its thread made on its first chunk.
     lock = threading.Lock()
     finished = 0
     in_flight = []
+    made = []
+    seen = set()
 
-    def fn(start):
+    def make():
+        state = object()
+        made.append(state)
+        return state
+
+    def fn(start, count, state):
         nonlocal finished
         with lock:
             finished += 1
+            seen.add((threading.get_ident(), id(state)))
         return start // CHUNK_SIZE
 
     class Counting(ThreadPoolExecutor):
@@ -396,8 +423,16 @@ def test_parallel_chunks_are_submitted_a_few_at_a_time(monkeypatch):
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Counting)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     chunks = 5000
-    assert list(montecarlo._map_chunks(fn, chunks * CHUNK_SIZE, 2)) == list(range(chunks))
+    assert list(montecarlo._map_chunks(fn, chunks * CHUNK_SIZE, 2, make)) == list(range(chunks))
     assert len(in_flight) == chunks and max(in_flight) <= 4
+    # one state per thread, never shared: at most min(workers, chunks, CPUs) of them
+    assert 1 <= len(made) <= 2 and len(seen) == len({state for _, state in seen}) == len(made)
+    for workers in (1, 2, 3):
+        made.clear()
+        sizes = montecarlo._map_chunks(lambda start, count, state: count, 2 * CHUNK_SIZE + 7,
+                                       workers, make)
+        assert list(sizes) == [CHUNK_SIZE, CHUNK_SIZE, 7]
+        assert 1 <= len(made) <= min(workers, 3, 2)
 
 
 @pytest.mark.parametrize("workers, chunks", [(1, 200_000), (2, 20_000)])
@@ -408,8 +443,8 @@ def test_chunk_results_are_consumed_as_they_come(monkeypatch, workers, chunks):
     seen = 0
     tracemalloc.start()
     try:
-        for result in montecarlo._map_chunks(lambda start: (start, start + 1), chunks * CHUNK_SIZE,
-                                             workers):
+        for result in montecarlo._map_chunks(lambda start, count, state: (start, start + 1),
+                                             chunks * CHUNK_SIZE, workers, lambda: None):
             seen += result[1] - result[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
