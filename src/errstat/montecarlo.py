@@ -2,23 +2,23 @@
 
 Determinism contract: trials are split into fixed chunks of 65536; chunk i
 draws from a PCG64 generator seeded with SeedSequence(entropy=seed,
-spawn_key=(i,)). Each worker draws into buffers it allocates once per pass.
-The count simulators sum their per-chunk counts in chunk order.
-simulate_pvalues makes two passes over the same (seed, chunk) streams, so both
-see the same trials: the first counts every trial's sort key into fixed bins,
-the second keeps only the keys of the bins that can hold a decile's order
-statistic, a crossing of an ECDF threshold or the KS maximum. The kept keys
-are what grows with the trial count: the traced peak stayed under 9 MiB up to
-2**23 trials, then grew to about 2.2 B per trial (17 MiB at 2**24 one-sided,
-151 MiB at 2**26 two-sided). Blocks of one-sided p-values tied at 1.0 count
-whole (7.6 MiB at 2**22 trials and a shift of -10), but shifts of about -6 to
--9, which crowd the p-values just below 1.0, keep up to about 7.5 B per trial
-(30 MiB at 2**22 trials and a shift of -7.25). The summary then evaluates the
-Gaussian kernel at the block edges, on the kept keys of the blocks each field
-needs, and in the KS search on pieces of 64 kept keys; every other block counts
-whole at its least key. Every field is the float a pass over all trials, sorted,
-would give. Serial and parallel runs are therefore identical bit for bit and the
-only state is the (seed, chunk_index) pair. The generator family is recorded in
+spawn_key=(i,)). Each worker draws into buffers that the calling thread
+allocates once per pass. The count simulators sum their per-chunk counts in
+chunk order. simulate_pvalues makes two passes over the same (seed, chunk)
+streams, so both see the same trials: the first counts every trial's sort key
+into fixed bins, the second keeps only the keys of the bins that can hold a
+decile's order statistic, a crossing of an ECDF threshold or the KS maximum.
+The kept keys are what grows with the trial count: the traced peak stayed
+under 9 MiB up to 2**23 trials, then grew to about 2.2 B per trial (17 MiB at
+2**24 one-sided, 151 MiB at 2**26 two-sided). One-sided p-values that crowd
+just below 1.0 are bracketed through their upper-tail mass, and blocks of them
+tied at 1.0 count whole: at 2**22 trials the traced peak stays at 5.9 MiB for
+shifts from -5 to -10. The summary then evaluates the Gaussian kernel at the
+block edges, on the kept keys of the blocks each field needs, and in the KS
+search on pieces of 64 kept keys; every other block counts whole at its least
+key. Every field is the float a pass over all trials, sorted, would give.
+Serial and parallel runs are therefore identical bit for bit and the only
+state is the (seed, chunk_index) pair. The generator family is recorded in
 every result so outputs are self-describing.
 """
 
@@ -105,17 +105,21 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 def _map_chunks(fn, total: int, workers: int, make) -> Iterator:
     # Yields fn(start, count, state) for each chunk's first trial and size, in order, on
-    # min(workers, chunks, CPUs) threads; state is the running thread's own make(), made
-    # on its first chunk. At most 2 * workers futures are pending, read in order, and the
+    # min(workers, chunks, CPUs) threads; state is the running thread's own make(). All
+    # the states are made here, on the calling thread, before the first chunk, and each
+    # thread takes one on its first chunk: a buffer made on a pool thread lands in that
+    # thread's malloc arena, which holds on to its pages after the pass and so raises the
+    # process's peak RSS. At most 2 * workers futures are pending, read in order, and the
     # caller folds each result as it comes: memory does not grow with the chunk count,
     # and a thread that finishes early still takes the next chunk.
     starts = range(0, total, CHUNK_SIZE)
     workers = min(check_int(workers, "workers", 1), len(starts), os.cpu_count() or 1)
+    free = [make() for _ in range(workers)]
     local = threading.local()
 
     def run(start):
         if not hasattr(local, "state"):
-            local.state = make()
+            local.state = free.pop()  # atomic: one state per thread, never shared
         return fn(start, min(CHUNK_SIZE, total - start), local.state)
 
     if workers == 1:
@@ -312,10 +316,11 @@ def _first_partition(draw, n: int, workers: int, bins: _Bins) -> _Partition:
     return _Partition(edges, sizes, top, of_bin)
 
 
-def _brackets(ends: np.ndarray, single: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _brackets(ends: np.ndarray, single: np.ndarray,
+              slack: float = _SLACK) -> tuple[np.ndarray, np.ndarray]:
     # Bounds on every value in each block, from the values at its least key and at the
     # next block's (at the greatest key, for the last block); exact in a one-value block.
-    lo, hi = ends[:-1] * (1.0 - _SLACK), ends[1:] * (1.0 + _SLACK)
+    lo, hi = ends[:-1] * (1.0 - slack), ends[1:] * (1.0 + slack)
     lo[single] = hi[single] = ends[:-1][single]
     return lo, hi
 
@@ -366,20 +371,34 @@ def _needed(part: _Partition, n: int, ref_lo, ref_hi, p_ends, ks) -> tuple[np.nd
     # The blocks whose keys each field reads: those that straddle a reference tenth;
     # those that hold one of the 18 ranks the deciles read, or a value that can fall
     # within those blocks' brackets; and the KS candidates, whose upper bound ks[0] passes
-    # the best lower bound in ks[1]. The brackets are widened by _SLACK once more, so that
-    # every other block lies on one side of each threshold, its least key included.
-    p_lo, p_hi = _brackets(p_ends, part.single)
+    # the best lower bound in ks[1]. The brackets are widened by _SLACK once more, the
+    # thresholds by one _SLACK beyond that, so that every other block lies on one side of
+    # each threshold, its least key included.
+    #
+    # Only one-sided keys are positive, and there p is the upper-tail mass
+    # _normal_cdf_vec(-key) taken from 1.0 with one rounding. The mass falls with the key,
+    # misordered by under 8 eps relative, and 1 - mass rounds monotonically, so a block of
+    # positive keys is bracketed through its mass. A relative bracket there would be about
+    # 2^-40 wide in p and swallow the gaps between p-values crowded just below 1.0.
+    first = np.searchsorted(part.edges, 0.0, side="right")  # the blocks of positive keys
+    mass = _normal_cdf_vec(-np.append(part.edges[first:], part.top))
+    up = ~part.single[first:]
+
+    def p_brackets(slack):
+        lo, hi = _brackets(p_ends, part.single, slack)
+        lo[first:][up] = 1.0 - mass[:-1][up] * (1.0 + slack)
+        hi[first:][up] = 1.0 - mass[1:][up] * (1.0 - slack)
+        return lo, hi
+
     held = np.searchsorted(part.positions, np.append(*_ranks(n, _TENTHS)[:2]), side="right") - 1
-    p_lo, p_hi = p_lo * (1.0 - _SLACK), p_hi * (1.0 + _SLACK)
-    ranks = _straddling(p_lo, p_hi, np.nextafter(p_lo[held] * (1.0 - _SLACK), -np.inf),
-                        p_hi[held] * (1.0 + _SLACK))
+    t_lo, t_hi = (bound[held] for bound in p_brackets(3 * _SLACK))
+    ranks = _straddling(*p_brackets(2 * _SLACK), np.nextafter(t_lo, -np.inf), t_hi)
     ranks[held] = True
-    # A block whose p-value at its least key is 1.0 holds only p-values of 1.0 where the
-    # upper-tail mass there, 1 - p before rounding, is at most 2^-54 (1 - _SLACK): the
-    # mass falls with the key, misordered by under 8 eps, so it stays below 2^-54 and
-    # 1 - mass rounds to 1.0. Such a block counts whole. Two-sided, the mass is >= 1/2.
-    ones = np.flatnonzero(p_ends[:-1] == 1.0)
-    ranks[ones[_normal_cdf_vec(-part.edges[ones]) <= 2.0 ** -54 * (1.0 - _SLACK)]] = False
+    # A block whose bracket is one value holds only that value, which its least key has
+    # too: it counts whole. Besides the blocks one double wide, these are the blocks of
+    # p-values tied at 0.0, and those tied at 1.0, whose mass widened by _SLACK is at
+    # most 2^-54, so that 1 - mass rounds to 1.0.
+    ranks[np.equal(*p_brackets(_SLACK))] = False
     return (_straddling(ref_lo * (1.0 - _SLACK), ref_hi * (1.0 + _SLACK), _TENTHS, _TENTHS),
             ranks, ks[0] > ks[1].max())
 
@@ -532,12 +551,12 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     summary the kept keys plus a few arrays per block. The traced peak
     (workers 2) stayed under 9 MiB up to 2**23 trials. From there the kept
     keys grow to about 2.2 B per trial: 17 MiB at 2**24 trials one-sided,
-    151 MiB at 2**26 two-sided. Blocks whose p-values tie at 1.0 (a one-sided
-    shift of about -9 or below) count whole: 7.6 MiB at 2**22 trials and a
-    shift of -10. Shifts of about -6 to -9 crowd the p-values just below 1.0,
-    where the blocks straddle a threshold the deciles test, and keep up to
-    about 7.5 B per trial (30 MiB at 2**22 trials and a shift of -7.25). A
-    kept-key array that cannot be allocated raises DomainError.
+    151 MiB at 2**26 two-sided. One-sided shifts of about -6 or below crowd
+    the p-values just below 1.0, or tie them at 1.0; the summary brackets
+    them through their upper-tail mass, so few blocks straddle a threshold
+    the deciles test, and blocks tied at 1.0 count whole: at 2**22 trials
+    the peak stays at 5.9 MiB for shifts from -5 to -10. A kept-key array
+    that cannot be allocated raises DomainError.
     """
     check_instance(config, SimConfig, "config")
     design = config.design
@@ -590,10 +609,14 @@ def simulate_expected_cost(c: float, params: CostParams, config: SimConfig,
     e = math.frexp(max(costs))[1]
     cost1, cost2 = (math.ldexp(cost, -e) for cost in costs)
     mean = (cost1 * n_fr + cost2 * n_fa) / n
-    second_moment = (cost1 ** 2 * n_fr + cost2 ** 2 * n_fa) / n
     stderr = None
     if n > 1:
-        sample_var = max(0.0, second_moment - mean * mean) * n / (n - 1)
+        # The sum of squared deviations from the mean, as a sum over the pairs of the three
+        # costs a trial can incur (the third is 0) of n_i n_j (c_i - c_j)^2 / n: every term
+        # is >= 0, so nothing cancels, and the rounded mean never enters.
+        n_0, diff = n - n_fr - n_fa, cost1 - cost2
+        sample_var = (n_fr * n_fa * (diff * diff) + n_fr * n_0 * (cost1 * cost1)
+                      + n_fa * n_0 * (cost2 * cost2)) / (n * (n - 1))
         stderr = unscaled(math.sqrt(sample_var / n), e, "standard error of the cost")
         if stderr == 0.0 < sample_var:
             raise DomainError("the standard error of the cost underflows a float")

@@ -579,9 +579,10 @@ def test_summary_holds_where_pvalues_invert_at_a_decile_rank(n, rank, shift):
     assert summary == _dense_summary(buf, shift, Tail.ONE_SIDED_UPPER)
 
 
-# One-sided: the least double key whose upper-tail mass, _normal_cdf_vec(-key), is at most
-# 2^-54 (1 - _SLACK). A block whose least key lies there or above, with a p-value of 1.0
-# there, counts whole; the p-values turn 1.0 61 doubles lower.
+# One-sided: the least double key whose upper-tail mass, _normal_cdf_vec(-key), widened by
+# _SLACK is at most 2^-54, so that 1 - mass rounds to 1.0 from there up. A block whose least
+# key lies there or above has a bracket of one value, 1.0, and counts whole; the p-values
+# turn 1.0 61 doubles lower.
 _TIED = 8.292361075813705
 
 
@@ -589,7 +590,7 @@ _TIED = 8.292361075813705
 def test_summary_holds_where_pvalues_tie_at_one_from_a_blocks_least_key(monkeypatch, offset,
                                                                         whole):
     mass = _normal_cdf_vec(-_ulps(_TIED, 1)[:2])
-    assert mass[0] > 2.0 ** -54 * (1.0 - montecarlo._SLACK) >= mass[1]
+    assert mass[0] * (1.0 + montecarlo._SLACK) > 2.0 ** -54 >= mass[1] * (1.0 + montecarlo._SLACK)
     # 401 consecutive doubles from offset doubles off _TIED, the least key and so block 0's,
     # then random keys above; at -162 the first p-value of 1.0 sits at position 101, next
     # to the first decile's rank 100

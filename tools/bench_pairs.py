@@ -11,8 +11,9 @@ alternating from pair to pair; each run is `perfbench/run.py --workload W
 --seed S --seconds T --trace 0` in that tree, T being the change's
 BENCHMARK.json run_seconds. The output holds, per seed, workload and
 tree, the median and quartiles of the four gated metrics and every raw value,
-the share of pairs the change won on each metric, and the minor page faults of
-each simulator call in a fresh process of each tree (first and second call).
+the share of pairs the change won on each metric, and the minor page faults and
+the growth of the peak RSS (ru_maxrss) of each simulator call in a fresh process
+of each tree (first and second call).
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ WORKLOADS = ("cli_batch", "lib_curves", "mc_validate")
 PAIRS = 10
 SEEDS = (1, 2)
 
-# Run in a fresh interpreter of one tree: the minor faults of each simulator call,
-# the first and the second time it is made in the process, after one-trial calls have
-# loaded the modules the simulators import.
+# Run in a fresh interpreter of one tree: the minor faults of each simulator call and
+# how far it raised the process's peak RSS (ru_maxrss, KiB on Linux), the first and the
+# second time it is made in the process, after one-trial calls have loaded the modules
+# the simulators import. The peak only rises, so a call that stays under the peak of the
+# calls before it reads 0.
 FAULTS_PROBE = r"""
 import json, resource, sys
 sys.path.insert(0, "src")
@@ -43,10 +46,12 @@ import errstat as es
 es.simulate_studies(es.SimConfig(1, 1), 2)
 es.simulate_pvalues(es.SimConfig(1, 1), 2)
 
-def faults(thunk):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def probe(thunk):
+    before = resource.getrusage(resource.RUSAGE_SELF)
     thunk()
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return {"minor_faults": after.ru_minflt - before.ru_minflt,
+            "maxrss_growth_kib": after.ru_maxrss - before.ru_maxrss}
 
 calls = {}
 for workers in (1, 2):
@@ -57,7 +62,7 @@ for workers in (1, 2):
 for log2 in (20, 22):
     calls[f"simulate_pvalues.2^{log2}.w2"] = lambda t=1 << log2: es.simulate_pvalues(
         es.SimConfig(t, 13, effect_size=0.4, n_per_study=3, tail="two_sided"), 2)
-print(json.dumps({label: [faults(thunk), faults(thunk)] for label, thunk in calls.items()}))
+print(json.dumps({label: [probe(thunk), probe(thunk)] for label, thunk in calls.items()}))
 """
 
 
@@ -129,7 +134,7 @@ def main() -> None:
                         "machine": platform.machine(), "cpus": os.cpu_count(),
                         "platform": platform.platform()},
         "workloads": summary,
-        "minor_faults_per_call": faults,
+        "per_call_in_a_fresh_process": faults,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
