@@ -2,24 +2,26 @@
 
 Determinism contract: trials are split into fixed chunks of 65536; chunk i
 draws from a PCG64 generator seeded with SeedSequence(entropy=seed,
-spawn_key=(i,)). Each worker draws into buffers that the calling thread
-allocates once per pass. The count simulators sum their per-chunk counts in
-chunk order. simulate_pvalues makes two passes over the same (seed, chunk)
-streams, so both see the same trials: the first counts every trial's sort key
-into fixed bins, the second keeps only the keys of the bins that can hold a
-decile's order statistic, a crossing of an ECDF threshold or the KS maximum.
-The kept keys are what grows with the trial count: the traced peak stayed
-under 9 MiB up to 2**23 trials, then grew to about 2.2 B per trial (17 MiB at
-2**24 one-sided, 151 MiB at 2**26 two-sided). One-sided p-values that crowd
-just below 1.0 are bracketed through their upper-tail mass, and blocks of them
-tied at 1.0 count whole: at 2**22 trials the traced peak stays at 5.9 MiB for
-shifts from -5 to -10. The summary then evaluates the Gaussian kernel at the
-block edges, on the kept keys of the blocks each field needs, and in the KS
-search on pieces of 64 kept keys; every other block counts whole at its least
-key. Every field is the float a pass over all trials, sorted, would give.
-Serial and parallel runs are therefore identical bit for bit and the only
-state is the (seed, chunk_index) pair. The generator family is recorded in
-every result so outputs are self-describing.
+spawn_key=(i,)). Worker threads take the chunks from one cursor and draw
+into buffers that the calling thread allocates once per pass. Each folds its
+chunks into a state of its own: exact integer counts, the least and greatest
+key, and kept keys that are sorted after the pass. So the order in which the
+chunks run changes no bit of a result. simulate_pvalues makes two passes over
+the same (seed, chunk) streams, so both see the same trials: the first counts
+every trial's sort key into fixed bins, the second keeps only the keys of the
+bins that can hold a decile's order statistic, a crossing of an ECDF threshold
+or the KS maximum. The kept keys are what grows with the trial count: the
+traced peak stayed under 9 MiB up to 2**23 trials, then grew to about 2.2 B
+per trial (17 MiB at 2**24 one-sided, 151 MiB at 2**26 two-sided). One-sided
+p-values that crowd just below 1.0 are bracketed through their upper-tail
+mass, and blocks of them tied at 1.0 count whole: at 2**22 trials the traced
+peak stays at 5.9 MiB for shifts from -5 to -10. The summary then evaluates
+the Gaussian kernel at the block edges, on the kept keys of the blocks each
+field needs, and in the KS search on pieces of 64 kept keys; every other
+block counts whole at its least key. Every field is the float a pass over all
+trials, sorted, would give. Serial and parallel runs are therefore identical
+bit for bit and the only state is the (seed, chunk_index) pair. The generator
+family is recorded in every result so outputs are self-describing.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
-from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,36 +103,43 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
                                                                       spawn_key=(index,))))
 
 
-def _map_chunks(fn, total: int, workers: int, make) -> Iterator:
-    # Yields fn(start, count, state) for each chunk's first trial and size, in order, on
-    # min(workers, chunks, CPUs) threads; state is the running thread's own make(). All
-    # the states are made here, on the calling thread, before the first chunk, and each
-    # thread takes one on its first chunk: a buffer made on a pool thread lands in that
-    # thread's malloc arena, which holds on to its pages after the pass and so raises the
-    # process's peak RSS. At most 2 * workers futures are pending, read in order, and the
-    # caller folds each result as it comes: memory does not grow with the chunk count,
-    # and a thread that finishes early still takes the next chunk.
-    starts = range(0, total, CHUNK_SIZE)
-    workers = min(check_int(workers, "workers", 1), len(starts), os.cpu_count() or 1)
-    free = [make() for _ in range(workers)]
-    local = threading.local()
+def _map_chunks(fn, total: int, workers: int, make) -> list:
+    # Runs fn(start, buffers, state) on each chunk, state being the running thread's own
+    # make() and buffers its two float64 and one bool buffers cut to the chunk's size, and
+    # returns the states. fn folds the chunk into its state; every fold here is order-free.
+    # min(workers, chunks, CPUs) threads take the chunks from one cursor. The states and
+    # buffers are made on the calling thread: one made on a pool thread lands in that
+    # thread's malloc arena, which keeps its pages after the pass and so raises the peak
+    # RSS. A failure stops the other threads at their next chunk.
+    workers = min(check_int(workers, "workers", 1), -(-total // CHUNK_SIZE), os.cpu_count() or 1)
+    states = [make() for _ in range(workers)]
+    scratch = [(np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE, dtype=bool))
+               for _ in range(workers)]
+    cursor = 0  # the first trial of the next chunk
+    lock = threading.Lock()
 
-    def run(start):
-        if not hasattr(local, "state"):
-            local.state = free.pop()  # atomic: one state per thread, never shared
-        return fn(start, min(CHUNK_SIZE, total - start), local.state)
+    def run(buffers, state):
+        nonlocal cursor
+        while True:
+            with lock:
+                start, cursor = cursor, cursor + CHUNK_SIZE
+            if start >= total:
+                return
+            fn(start, [buf[:total - start] for buf in buffers], state)
 
     if workers == 1:
-        yield from map(run, starts)
-        return
-    pending = deque()
+        run(scratch[0], states[0])
+        return states
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in starts:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(run, start))
-        while pending:
-            yield pending.popleft().result()
+        futures = [pool.submit(run, *pair) for pair in zip(scratch, states)]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            with lock:
+                cursor = total
+    for future in futures:
+        future.result()
+    return states
 
 
 def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first: float,
@@ -143,9 +150,10 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
     # Returns the counts of (first, reject), (first, accept), (second, reject), (second, accept).
     means = np.array([mean_second, mean_first])  # indexed by the first-component flag
 
-    def run_chunk(start: int, count: int, buffers) -> tuple[int, int, int]:
+    def run_chunk(start: int, buffers, counts: np.ndarray) -> None:
+        # adds the chunk's counts of (first, reject, first and reject) to counts
         rng = _chunk_rng(config.seed, start // CHUNK_SIZE)
-        uniform, stat, first = (buf[:count] for buf in buffers)
+        uniform, stat, first = buffers
         np.less(rng.random(out=uniform), p_first, out=first)
         rng.standard_normal(out=stat)
         # Callers keep crit - mean finite, so a statistic that overflows to +-inf lies beyond
@@ -156,17 +164,11 @@ def _mixture_counts(config: SimConfig, workers: int, p_first: float, mean_first:
             # it, which faulted in new pages on every chunk. The indices are 0 and 1.
             stat += means.take(first.view(np.uint8), out=uniform, mode="clip")
         reject = tail.rejects(stat, crit)
-        return (int(np.count_nonzero(first)), int(np.count_nonzero(reject)),
-                int(np.count_nonzero(np.logical_and(first, reject, out=reject))))
+        counts += (np.count_nonzero(first), np.count_nonzero(reject),
+                   np.count_nonzero(np.logical_and(first, reject, out=reject)))
 
-    n_first = n_reject = first_reject = 0
-    chunks = _map_chunks(run_chunk, config.num_trials, workers,
-                         lambda: (np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE),
-                                  np.empty(CHUNK_SIZE, dtype=bool)))
-    for chunk_first, chunk_reject, chunk_first_reject in chunks:
-        n_first += chunk_first
-        n_reject += chunk_reject
-        first_reject += chunk_first_reject
+    n_first, n_reject, first_reject = (int(k) for k in sum(_map_chunks(
+        run_chunk, config.num_trials, workers, lambda: np.zeros(3, dtype=np.int64))))
     second_reject = n_reject - first_reject
     return (first_reject, n_first - first_reject, second_reject,
             config.num_trials - n_first - second_reject)
@@ -238,14 +240,14 @@ class _Bins:
         self.low = float(math.floor(lo * self.scale))
         self.size = int(math.floor(hi * self.scale) - self.low) + 1
 
-    def index(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # The bin of each key, into out (int64); the floats are worked in out's own memory.
-        scaled = out.view(np.float64)
+    def index(self, keys: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+        # The bin of each key (int64), computed in the float buffer scaled and written over it.
         with np.errstate(over="ignore"):  # a key far beyond the range scales to +-inf
             np.multiply(keys, self.scale, out=scaled)
         np.floor(scaled, out=scaled)
         scaled -= self.low - 1.0  # an integer below 2**53 in magnitude, as floor(key * scale) is
         np.clip(scaled, 0.0, self.size + 1.0, out=scaled)
+        out = scaled.view(np.int64)
         np.copyto(out, scaled, casting="unsafe")  # element by element, in place
         return out
 
@@ -270,40 +272,31 @@ class _Partition:
         self.single = np.nextafter(edges, np.inf) >= upper
 
 
-def _pass(draw, n: int, workers: int, bins: _Bins, fn, make=lambda: None):
-    # Draws each chunk's keys into per-thread buffers, bins them and yields
-    # fn(keys, bins_of_keys, mask, state) in chunk order; state is the thread's make().
-    # Returns the generator and the list of the threads' states.
-    states = []
-
-    def buffers():
-        states.append(make())
-        return (np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE, dtype=np.int64),
-                np.empty(CHUNK_SIZE, dtype=bool), states[-1])
-
-    def run_chunk(start, count, scratch):
-        keys, index, mask, state = scratch
-        keys, mask = keys[:count], mask[:count]
+def _pass(draw, n: int, workers: int, bins: _Bins, fn, make=lambda: None) -> list:
+    # Draws each chunk's keys into its thread's buffers, bins them and folds them with
+    # fn(keys, bins_of_keys, mask, state), state being the thread's make(); mask is a
+    # chunk-sized bool buffer. Returns the threads' states.
+    def run_chunk(start, buffers, state):
+        keys, scaled, mask = buffers
         draw(start, keys)
-        return fn(keys, bins.index(keys, index[:count]), mask, state)
+        fn(keys, bins.index(keys, scaled), mask, state)
 
-    return _map_chunks(run_chunk, n, workers, buffers), states
+    return _map_chunks(run_chunk, n, workers, make)
 
 
 def _first_partition(draw, n: int, workers: int, bins: _Bins) -> _Partition:
     # The first pass: each thread counts its keys into the bins, and the blocks are runs
     # of bins, a new one starting wherever the count of keys before a bin passes a
-    # multiple of _STRIDE.
-    def count(keys, bins_of_keys, mask, counts):
-        np.add.at(counts, bins_of_keys, 1)
-        return keys.min(), keys.max()
+    # multiple of _STRIDE. A thread's state is its bin counts and its least and greatest key;
+    # where both zeros are keys either can end up the least, as every law maps them alike.
+    def count(keys, bins_of_keys, mask, state):
+        np.add.at(state[0], bins_of_keys, 1)
+        state[1:] = min(state[1], keys.min()), max(state[2], keys.max())
 
-    chunks, states = _pass(draw, n, workers, bins, count,
-                           lambda: np.zeros(bins.size + 2, dtype=np.int64))
-    low, top = math.inf, -math.inf
-    for chunk_low, chunk_top in chunks:
-        low, top = min(low, chunk_low), max(top, chunk_top)
-    counts = sum(states)
+    states = _pass(draw, n, workers, bins, count,
+                   lambda: [np.zeros(bins.size + 2, dtype=np.int64), math.inf, -math.inf])
+    counts = sum(state[0] for state in states)
+    low, top = min(state[1] for state in states), max(state[2] for state in states)
     filled = np.flatnonzero(counts)
     before = np.cumsum(counts[filled]) - counts[filled]
     starts = filled[np.append(True, np.diff(before // _STRIDE) > 0)]
@@ -424,7 +417,7 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
         return out
 
     # Pass 1 cuts the keys into blocks; the keep pass stores the keys of every block the
-    # summary can read, in chunk order, then sorts them.
+    # summary can read, in whatever order the threads take the chunks, then sorts them.
     bins = _Bins(n, shift, tail)
     part = _first_partition(draw, n, workers, bins)
     ends = np.append(part.edges, part.top)
@@ -437,20 +430,25 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
     stored = (tenths | ranks | ks) & ~part.single
     in_play = stored[part.of_bin]  # by bin
 
-    def keep(keys, bins_of_keys, mask, state):
-        return keys[np.take(in_play, bins_of_keys, out=mask, mode="clip")]
-
     size = int(part.sizes[stored].sum())
     try:
         kept = np.empty(size)
     except MemoryError:
         raise DomainError(f"cannot allocate the {8 * size} bytes that num_trials={n} "
                           f"needs") from None
+    filled = 0
+    lock = threading.Lock()
+
+    def keep(keys, bins_of_keys, mask, state):
+        # writes the chunk's kept keys into the next free slice of kept
+        nonlocal filled
+        count = int(np.count_nonzero(np.take(in_play, bins_of_keys, out=mask, mode="clip")))
+        with lock:
+            start, filled = filled, filled + count
+        np.compress(mask, keys, out=kept[start:start + count])
+
     if size:  # ties past the noise can leave only blocks of one value, whose keys are known
-        filled = 0
-        for piece in _pass(draw, n, workers, bins, keep)[0]:
-            kept[filled:filled + piece.size] = piece
-            filled += piece.size
+        _pass(draw, n, workers, bins, keep)
         kept.sort()
 
     chosen = np.flatnonzero(stored)

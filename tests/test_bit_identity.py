@@ -526,6 +526,27 @@ def test_summary_equals_the_dense_pass_under_random_budgets():
     assert not wrong
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("layout, tail", [("least", Tail.ONE_SIDED_UPPER),
+                                          ("middle", Tail.ONE_SIDED_UPPER),
+                                          ("greatest", Tail.TWO_SIDED)])
+def test_summary_equals_the_dense_pass_where_keys_hold_both_zeros(layout, tail, workers):
+    # Three chunks, each holding 0.0 and -0.0, as the least keys, around the median or as
+    # the greatest keys. The threads fold their least and greatest keys and write the kept
+    # keys in the order they take the chunks, so either zero can come first in each; every
+    # law maps both zeros to the same value, and the summary holds bit for bit.
+    rng = np.random.default_rng(20261020)
+    n = 3 * CHUNK_SIZE - 100
+    keys = rng.standard_normal(n)
+    keys = {"least": np.abs(keys), "middle": keys, "greatest": -np.abs(keys)}[layout]
+    for start in range(0, n, CHUNK_SIZE):
+        zeros = start + rng.choice(min(CHUNK_SIZE, n - start), 200, replace=False)
+        keys[zeros] = np.tile([0.0, -0.0], 100)
+    assert np.count_nonzero(np.signbit(keys[keys == 0.0])) == 300
+    summary = _summary_of(keys, 0.0, tail, workers)
+    assert repr(summary) == repr(_dense_summary(np.sort(keys), 0.0, tail))
+
+
 def _crafted(rng, block, at, n, high):
     # n sorted keys with the block of keys at positions at .. at + block.size - 1, and
     # random keys below it and between it and high

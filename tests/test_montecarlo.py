@@ -1,6 +1,8 @@
 import math
+import operator
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -383,111 +385,133 @@ def test_chunks_start_without_a_plan_of_all_chunks():
 
     starts = []
 
-    def fn(start, count, state):
+    def fn(start, buffers, state):
         starts.append(start)
         if len(starts) == 3:
             raise Stop
 
     with pytest.raises(Stop):
-        list(montecarlo._map_chunks(fn, 2 ** 50, 1, lambda: None))
+        montecarlo._map_chunks(fn, 2 ** 50, 1, lambda: None)
     assert starts == [0, CHUNK_SIZE, 2 * CHUNK_SIZE]
 
 
 def test_parallel_chunks_are_submitted_a_few_at_a_time(monkeypatch):
-    # With 2 workers at most 4 chunks are submitted and unfinished at any time,
-    # however many chunks the run has, and the results still come in chunk order.
-    # Each chunk gets its size and its thread's state, one of min(workers, chunks, CPUs)
-    # states all made on the calling thread, so that no pool thread's arena holds them.
+    # The pool gets one task per thread, not one per chunk, and every chunk runs once, on
+    # its thread's buffers cut to its size. min(workers, chunks, CPUs) states are made, all
+    # on the calling thread, so that no pool thread's arena holds them, and come back.
     lock = threading.Lock()
-    finished = 0
-    in_flight = []
+    ran = []
     made = []
     makers = set()
-    seen = set()
+    submitted = []
 
     def make():
-        state = object()
-        made.append(state)
+        made.append([])
         makers.add(threading.get_ident())
-        return state
+        return made[-1]
 
-    def fn(start, count, state):
-        nonlocal finished
+    def fn(start, buffers, state):
+        assert [buf.dtype for buf in buffers] == [np.float64, np.float64, bool]
+        assert len({buf.size for buf in buffers}) == 1
         with lock:
-            finished += 1
-            seen.add((threading.get_ident(), id(state)))
-        return start // CHUNK_SIZE
+            ran.append((start, buffers[0].size))
+        state.append(start)
 
     class Counting(ThreadPoolExecutor):
-        submitted = 0
-
         def submit(self, *args):
-            future = super().submit(*args)
-            self.submitted += 1
-            with lock:
-                in_flight.append(self.submitted - finished)
-            return future
+            submitted.append(args)
+            return super().submit(*args)
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Counting)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-    chunks = 5000
-    assert list(montecarlo._map_chunks(fn, chunks * CHUNK_SIZE, 2, make)) == list(range(chunks))
-    assert len(in_flight) == chunks and max(in_flight) <= 4
-    # one state per thread, never shared
-    assert len(made) == 2 and len(seen) == len({state for _, state in seen}) <= len(made)
-    assert {state for _, state in seen} <= {id(state) for state in made}
-    for workers, cpus in ((1, 2), (2, 2), (3, 2), (3, 4), (4, 4)):
+    edge = 2 * CHUNK_SIZE + 7
+    for workers, cpus, total in ((2, 2, 5000 * CHUNK_SIZE), (1, 2, edge), (2, 2, edge),
+                                 (3, 2, edge), (3, 4, edge), (4, 4, edge)):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        made.clear()
-        sizes = montecarlo._map_chunks(lambda start, count, state: count, 2 * CHUNK_SIZE + 7,
-                                       workers, make)
-        assert list(sizes) == [CHUNK_SIZE, CHUNK_SIZE, 7]
-        assert len(made) == min(workers, 3, cpus)
+        for record in (made, ran, submitted):
+            record.clear()
+        states = montecarlo._map_chunks(fn, total, workers, make)
+        starts = range(0, total, CHUNK_SIZE)
+        assert sorted(ran) == [(start, min(CHUNK_SIZE, total - start)) for start in starts]
+        # each chunk folded into the state of the thread that ran it
+        assert sorted(start for state in states for start in state) == list(starts)
+        threads = min(workers, len(starts), cpus)
+        assert len(made) == len(states) == threads and all(map(operator.is_, states, made))
+        assert len(submitted) == (threads if threads > 1 else 0)
     assert makers == {threading.get_ident()}
 
 
 def test_threads_take_one_state_each_under_contention(monkeypatch):
     # More threads than cores, switching as often as the interpreter allows: each of the 8
-    # threads takes its own one of the 8 states made before the first chunk.
+    # threads takes its own one of the 8 states made before the first chunk, and its own
+    # buffers.
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
     made = []
+    used = []
 
     def make():
         made.append(object())
         return made[-1]
 
+    def fn(start, buffers, state):
+        used.append((threading.get_ident(), id(state), id(buffers[0].base)))
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        used = list(montecarlo._map_chunks(
-            lambda start, count, state: (threading.get_ident(), id(state)), 2000 * CHUNK_SIZE,
-            8, make))
+        states = montecarlo._map_chunks(fn, 2000 * CHUNK_SIZE, 8, make)
     finally:
         sys.setswitchinterval(interval)
-    assert len(used) == 2000 and len(made) == 8
-    states_of = {}
-    for thread, state in used:
-        states_of.setdefault(thread, set()).add(state)
-    assert all(len(states) == 1 for states in states_of.values())
-    assert len({state for _, state in used}) == len(states_of)
+    assert len(used) == 2000 and len(made) == 8 and states == made
+    taken_by = {}
+    for thread, state, buffer in used:
+        taken_by.setdefault(thread, set()).add((state, buffer))
+    assert all(len(taken) == 1 for taken in taken_by.values())
+    for part in (0, 1):
+        assert len({taken[part] for thread, *taken in used}) == len(taken_by)
 
 
 @pytest.mark.parametrize("workers, chunks", [(1, 200_000), (2, 20_000)])
 def test_chunk_results_are_consumed_as_they_come(monkeypatch, workers, chunks):
-    # The count simulators fold each chunk's result into running sums, so the chunk
-    # runner holds O(workers) results, not one per chunk (a list of them passes 1 MiB).
+    # Each chunk folds into its thread's state, so the chunk runner holds its threads'
+    # buffers and states, not one result per chunk (a list of them passes 1 MiB).
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-    seen = 0
+
+    def fn(start, buffers, state):
+        state[0] += 1
+
+    buffers = workers * 17 * CHUNK_SIZE  # two float64 and one bool buffer per thread
     tracemalloc.start()
     try:
-        for result in montecarlo._map_chunks(lambda start, count, state: (start, start + 1),
-                                             chunks * CHUNK_SIZE, workers, lambda: None):
-            seen += result[1] - result[0]
+        states = montecarlo._map_chunks(fn, chunks * CHUNK_SIZE, workers, lambda: [0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert seen == chunks
-    assert peak < 1 << 20
+    assert sum(state[0] for state in states) == chunks
+    assert peak < buffers + (1 << 20)
+
+
+def test_a_failing_chunk_stops_the_other_threads(monkeypatch):
+    # The tenth chunk to start raises in one of two threads over 2**50 trials: the failure
+    # reaches the caller, and at most three chunks more start. Each chunk sleeps, as a
+    # chunk's numpy work lets go of the interpreter lock.
+    class Stop(Exception):
+        pass
+
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    lock = threading.Lock()
+    starts = []
+
+    def fn(start, buffers, state):
+        with lock:
+            starts.append(start)
+            count = len(starts)
+        if count == 10 or count > 13:  # a runner that does not stop its threads fails, not hangs
+            raise Stop
+        time.sleep(1e-3)
+
+    with pytest.raises(Stop):
+        montecarlo._map_chunks(fn, 2 ** 50, 2, lambda: None)
+    assert 10 <= len(starts) <= 13
 
 
 # The simulators at the edges of their inputs give finite numbers, None where a value is

@@ -9,9 +9,11 @@ simulate_pvalues sorts the keys it keeps in place instead of gathering copies, a
 the CLI turns list and grid text into values only through argparse and builds
 a ScreeningParams only from a fixed --power. The normal/Student-t choice of the
 severity reference law is made in one place, and decision_cost, like
-montecarlo, takes its critical values from Tail. Each public name is listed
-once in the package's table of exports, numpy is imported by montecarlo
-alone, and a bare `import errstat` loads neither typing nor pathlib. No
+montecarlo, takes its critical values from Tail. The chunk runner alone
+starts the simulators' threads and makes their chunk buffers. Each public
+name is listed once in the package's table of exports, numpy is imported by
+montecarlo alone, and a bare `import errstat` loads neither typing nor
+pathlib. No
 validator is handed a complement 1.0 - p: a check guards what the caller
 passed, and a level the code computed is never checked again.
 """
@@ -68,6 +70,15 @@ def test_reference_law_is_chosen_once():
 @pytest.mark.parametrize("text", ["argsort", "concatenate"])
 def test_pvalues_are_sorted_in_place_not_gathered(text):
     assert text not in (SRC / "montecarlo.py").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text", ["ThreadPoolExecutor(", "np.empty(CHUNK_SIZE"])
+def test_chunk_threads_and_buffers_are_made_only_by_the_chunk_runner(text):
+    source = (SRC / "montecarlo.py").read_text(encoding="utf-8")
+    runner = next(node for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_map_chunks")
+    inside = ast.get_source_segment(source, runner).count(text)
+    assert inside and source.count(text) == inside
 
 
 def test_tail_members_are_compared_only_inside_tail():

@@ -18,8 +18,8 @@ import pytest
 from scipy.stats import norm
 
 from errstat import (AlternativeSpec, GaussianTestModel, Tail, cdf_under_alternative,
-                     combined_fpr_curve, normal_cdf, normal_quantile, power,
-                     student_t_quantile, type2_error)
+                     combined_fpr_curve, normal_cdf, normal_quantile, pdf_under_alternative,
+                     power, student_t_cdf, student_t_quantile, type2_error)
 from errstat.errors import DomainError
 
 RTOL = 1e-10
@@ -114,11 +114,16 @@ def test_normal_quantile_matches_scipy_into_both_tails():
         assert abs(got - ref) <= 8 * EPS * abs(ref), (p, got, ref, abs(got - ref) / abs(ref))
 
 
+def _t_tail(x, df):
+    # Pr(T > |x|) under Student's t with df degrees of freedom, through the incomplete beta
+    return mpmath.betainc(df / 2, mpmath.mpf(0.5), 0, df / (df + x * x), regularized=True) / 2
+
+
 def _t_quantile_error(x, p, df):
     # |cdf(x) - p| / (|x| pdf(x)) at 40 digits: the relative error in x that the residual implies
     with mpmath.workdps(40):
         x, p, df = mpmath.mpf(x), mpmath.mpf(p), mpmath.mpf(df)
-        tail = mpmath.betainc(df / 2, mpmath.mpf(0.5), 0, df / (df + x * x), regularized=True) / 2
+        tail = _t_tail(x, df)
         cdf = tail if x < 0 else 1 - tail
         pdf = ((1 + x * x / df) ** (-(df + 1) / 2)
                / (mpmath.sqrt(df) * mpmath.beta(df / 2, mpmath.mpf(0.5))))
@@ -152,3 +157,33 @@ def test_student_t_quantile_at_the_float_edge():
 def test_student_t_quantile_upper_tail_near_1():
     p, df = 0.9999999999977589, 444
     assert _t_quantile_error(student_t_quantile(p, df), p, df) <= 1e-10
+
+
+def _upper_quantile(p):
+    # z with Pr(Z > z) = p, for p down to the subnormals
+    return mpmath.findroot(lambda z: mpmath.log(mpmath.ncdf(-z)) - mpmath.log(p), 38.0)
+
+
+# Kernel defects that no other test sees, each against mpmath at 50 digits, with the
+# bound in eps that a double-precision kernel meets.
+@pytest.mark.parametrize("call, truth, eps", [
+    pytest.param(lambda: normal_cdf(-37.5), lambda: mpmath.ncdf(-37.5), 16,
+                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4, PR B: the erfc "
+                                         "tail stops short of the bottom of the range; 0.0 "
+                                         "against 4.6e-308"), id="normal_cdf"),
+    pytest.param(lambda: student_t_cdf(-3.0, 2 ** 53),
+                 lambda: _t_tail(mpmath.mpf(-3), mpmath.mpf(2) ** 53), 256,
+                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 7: log B(df/2, 1/2) "
+                                         "as a difference of lgammas; 5.46e-11 against "
+                                         "1.35e-3"), id="student_t_cdf"),
+    pytest.param(lambda: pdf_under_alternative(1e-320, AlternativeSpec(0.5)),
+                 lambda: mpmath.exp(0.5 * _upper_quantile(mpmath.mpf(1e-320)) - 0.125), 64,
+                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4, PR B: divides by "
+                                         "a subnormal phi(z); 180196154.016 against "
+                                         "180197255.283, relative error 6.1e-6"),
+                 id="pdf_under_alternative"),
+])
+def test_kernel_matches_mpmath_where_it_is_known_to_fail(call, truth, eps):
+    with mpmath.workdps(50):
+        ref = truth()
+        assert abs(mpmath.mpf(call()) - ref) <= eps * EPS * ref
