@@ -14,7 +14,6 @@ simulate is the only command that loads numpy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -212,7 +211,7 @@ def _cmd_analyze(args) -> dict:
         t_pairs, p_pairs = timeseries.t_from_correlation(fit.r, fit.n_pairs)
         t_series, p_series = timeseries.t_from_correlation(fit.r, len(series))
         payload["source"] = {"csv": str(args.csv), "tau": args.tau, "length": len(series)}
-        payload["fit"] = dataclasses.asdict(fit)
+        payload["fit"] = {name: getattr(fit, name) for name in fit._fields}
         payload["lag_correlation"] = {
             "r": fit.r,
             "pair_count_convention": {"n": fit.n_pairs, "t": t_pairs, "p_two_sided_t": p_pairs},

@@ -15,20 +15,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import _normal_cdf, _normal_pdf
 from .error_tradeoff import Tail
-from .errors import (DomainError, check_at_least, check_finite, check_instance, check_open_unit,
-                     check_positive, check_unit)
+from .errors import (DomainError, Record, check_at_least, check_finite, check_instance,
+                     check_open_unit, check_positive, check_unit)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _STATIONARY_TOL = 1e-9  # |gap| of cost_monotonicity_region read as the stationary point
 
 
-@dataclass(frozen=True)
-class CostParams:
+class CostParams(Record):
     """Error costs, prior fraction of good cases, and the two Gaussian laws.
 
     cost_type1: cost of rejecting a good case (type I), >= 0.

@@ -11,12 +11,11 @@ too, so a configuration is built and validated without loading numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import _normal_quantile, normal_cdf, normal_pdf, normal_quantile
-from .errors import (DomainError, InfeasibleParameterError, check_finite, check_instance, check_int,
-                     check_member, check_open_unit, check_positive, check_unit)
+from .errors import (DomainError, InfeasibleParameterError, Record, check_finite, check_instance,
+                     check_int, check_member, check_open_unit, check_positive, check_unit)
 
 
 class Tail(Enum):
@@ -82,8 +81,7 @@ class Tail(Enum):
         return normal_cdf(normal_quantile(q) - mean)
 
 
-@dataclass(frozen=True)
-class GaussianTestModel:
+class GaussianTestModel(Record):
     """One-sample Gaussian test design: effect size delta = mu/sigma and sample count."""
 
     effect_size: float
@@ -102,8 +100,7 @@ class GaussianTestModel:
         return math.sqrt(self.n) * self.effect_size
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Inputs for a batch of simulated studies; identical config -> identical output."""
 
     num_trials: int

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the validators and helpers that raise them.
+"""Exception types, the validators and helpers that raise them, and the frozen record base.
 
 Each type carries the CLI's process exit status as exit_code, so keep the
 hierarchy flat and the meanings distinct: bad parameter values,
@@ -163,3 +163,63 @@ def unscaled(value: float, e: int, name: str) -> float:
         return math.ldexp(value, e)
     except OverflowError:
         raise DomainError(f"the {name} overflows a float") from None
+
+
+
+# --- frozen records --------------------------------------------------------
+
+
+class Record:
+    """Base of the frozen records, whose fields are the class's own annotations.
+
+    A subclass that annotates nothing keeps its base's fields. Arguments bind by position,
+    keyword and class default, then __post_init__ validates them, storing through
+    object.__setattr__. Equality holds only within one class, hash and repr follow the
+    fields, and assignment and deletion raise AttributeError.
+    """
+
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        if names:
+            cls._fields = names
+            cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+            # _values(record): its field values as a tuple, as attrgetter gives for 2 or more
+            cls._values = staticmethod(operator.attrgetter(*names) if len(names) > 1
+                                       else lambda record: (getattr(record, names[0]),))
+
+    def __init__(self, *args, **kwargs):
+        fields, kind = self._fields, type(self).__qualname__
+        values = dict(zip(fields, args))
+        for name in kwargs:
+            if name in values or name not in fields:
+                raise TypeError(f"{kind}() got a repeated or unknown argument {name!r}")
+        values.update(kwargs)
+        if len(values) < len(fields):
+            values = self._defaults | values
+        if len(values) < len(fields) or len(args) > len(fields):
+            raise TypeError(f"{kind}() takes {fields}, the last {len(self._defaults)} optional")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete {name!r}: the record is frozen")
+
+    __delattr__ = __setattr__

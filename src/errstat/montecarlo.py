@@ -2,12 +2,13 @@
 
 Determinism contract: trials are split into fixed chunks of 65536; chunk i
 draws from a PCG64 generator seeded with SeedSequence(entropy=seed,
-spawn_key=(i,)). Worker threads take the chunks from one cursor and draw
-into buffers that the calling thread allocates once per pass. Each folds its
-chunks into a state of its own: exact integer counts, the least and greatest
-key, and kept keys that are sorted after the pass. So the order in which the
-chunks run changes no bit of a result. simulate_pvalues makes two passes over
-the same (seed, chunk) streams, so both see the same trials: the first counts
+spawn_key=(i,)). The calling thread and the threads it starts take the
+chunks from one cursor and draw into buffers that the calling thread
+allocates once per pass. Each folds its chunks into a state of its own:
+exact integer counts, the least and greatest key, and kept keys sorted
+after the pass. So the order in which the chunks run changes no bit of a
+result. simulate_pvalues makes two passes over the same (seed, chunk)
+streams, so both see the same trials: the first counts
 every trial's sort key into fixed bins, the second keeps only the keys of the
 bins that can hold a decile's order statistic, a crossing of an ECDF threshold
 or the KS maximum. The kept keys are what grows with the trial count: the
@@ -29,8 +30,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .decision_cost import CostParams, _checked, _standardized
 from .error_tradeoff import SimConfig, Tail
 from .distributions import (_CODY_MID_CUT, _CODY_SMALL_CUT, _CODY_ZERO_CUT, _erf_small,
                             _erfc_big_ratio, _erfc_mid_ratio, _exp_neg_sq)
-from .errors import DomainError, check_instance, check_int, unscaled
+from .errors import DomainError, Record, check_instance, check_int, unscaled
 
 CHUNK_SIZE = 1 << 16
 RNG_ALGORITHM = "numpy-pcg64/seedseq(entropy=seed, spawn_key=(chunk,))/chunk=65536"
@@ -58,8 +57,7 @@ def _normal_cdf_vec(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0.0, 0.5 * ec, 1.0 - 0.5 * ec)
 
 
-@dataclass(frozen=True)
-class SimOutcome:
+class SimOutcome(Record):
     """Confusion counts from simulated studies plus derived rates.
 
     empirical_fpr is the false-positive share of all positives; it is None
@@ -107,38 +105,42 @@ def _map_chunks(fn, total: int, workers: int, make) -> list:
     # Runs fn(start, buffers, state) on each chunk, state being the running thread's own
     # make() and buffers its two float64 and one bool buffers cut to the chunk's size, and
     # returns the states. fn folds the chunk into its state; every fold here is order-free.
-    # min(workers, chunks, CPUs) threads take the chunks from one cursor. The states and
-    # buffers are made on the calling thread: one made on a pool thread lands in that
-    # thread's malloc arena, which keeps its pages after the pass and so raises the peak
-    # RSS. A failure stops the other threads at their next chunk.
+    # min(workers, chunks, CPUs) runners take the chunks from one cursor: the calling thread
+    # and the threads it starts. The states and buffers are made on the calling thread: one
+    # made on a started thread lands in that thread's malloc arena, which keeps its pages
+    # after the pass and so raises the peak RSS. The first failure moves the cursor to the
+    # end, which stops the other runners at their next chunk, and is raised after the join.
     workers = min(check_int(workers, "workers", 1), -(-total // CHUNK_SIZE), os.cpu_count() or 1)
     states = [make() for _ in range(workers)]
     scratch = [(np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE, dtype=bool))
                for _ in range(workers)]
     cursor = 0  # the first trial of the next chunk
+    failures = []
     lock = threading.Lock()
 
-    def run(buffers, state):
+    def run(buffers, state, threads=()):
         nonlocal cursor
-        while True:
-            with lock:
-                start, cursor = cursor, cursor + CHUNK_SIZE
-            if start >= total:
-                return
-            fn(start, [buf[:total - start] for buf in buffers], state)
-
-    if workers == 1:
-        run(scratch[0], states[0])
-        return states
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, *pair) for pair in zip(scratch, states)]
         try:
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
+            for thread in threads:
+                thread.start()
+            while True:
+                with lock:
+                    start, cursor = cursor, cursor + CHUNK_SIZE
+                if start >= total:
+                    return
+                fn(start, [buf[:total - start] for buf in buffers], state)
+        except BaseException as error:  # kept for the calling thread to raise
             with lock:
                 cursor = total
-    for future in futures:
-        future.result()
+                failures.append(error)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(scratch[1:], states[1:])]
+    run(scratch[0], states[0], threads)
+    for thread in threads:
+        if thread.ident is not None:  # one that failed to start never ran
+            thread.join()
+    if failures:
+        raise failures[0]
     return states
 
 
@@ -504,8 +506,7 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
             float(best))
 
 
-@dataclass(frozen=True)
-class PValueSimSummary:
+class PValueSimSummary(Record):
     """Empirical p-value distribution against its analytic reference.
 
     deciles: the nine sample deciles of the simulated p-values, by numpy's
@@ -578,8 +579,7 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     )
 
 
-@dataclass(frozen=True)
-class CostSimEstimate:
+class CostSimEstimate(Record):
     """Monte Carlo estimate of the expected cost at a threshold."""
 
     mean_cost: float

@@ -11,10 +11,9 @@ default under the two-sided convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .error_tradeoff import GaussianTestModel, Tail, _at_level
-from .errors import check_finite, check_instance, check_member, check_open_unit, check_positive
+from .errors import (Record, check_finite, check_instance, check_member, check_open_unit,
+                     check_positive)
 
 
 class AlternativeSpec(GaussianTestModel):
@@ -42,8 +41,7 @@ def quantile_under_alternative(q: float, spec: GaussianTestModel) -> float:
     return spec.tail.p_value_quantile(q, spec.noncentrality)
 
 
-@dataclass(frozen=True)
-class ObservedResult:
+class ObservedResult(Record):
     """An observed test outcome carried as the statistic d = sqrt(n) * delta_obs.
 
     Build it from exactly one of: the statistic itself, a two-sided p-value

@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import error_tradeoff
-from .errors import (DomainError, InfeasibleParameterError, check_at_least, check_finite,
-                     check_instance, check_open_unit, check_positive, check_sequence)
+from .errors import (DomainError, InfeasibleParameterError, Record, check_at_least,
+                     check_finite, check_instance, check_open_unit, check_positive, check_sequence)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class ScreeningParams:
+class ScreeningParams(Record):
     """Level, power, and prior probability that the tested null is true."""
 
     alpha: float
@@ -40,8 +38,7 @@ class ScreeningParams:
         object.__setattr__(self, "prior_null", check_open_unit(self.prior_null, "prior_null"))
 
 
-@dataclass(frozen=True)
-class PriorOdds:
+class PriorOdds(Record):
     """Odds R that a tested hypothesis's alternative is true, R = (1-prior)/prior."""
 
     ratio: float

@@ -14,12 +14,11 @@ the lag-regression context) is available for the same operations.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import _StudentT, _normal_cdf, _normal_quantile
 from .error_tradeoff import Tail
-from .errors import (DomainError, check_finite, check_instance, check_int, check_member,
+from .errors import (DomainError, Record, check_finite, check_instance, check_int, check_member,
                      check_open_unit, check_positive, check_sequence)
 
 
@@ -33,8 +32,7 @@ class ClaimDirection(Enum):
     LESS_THAN = "less_than"
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(Record):
     """Point estimate, its standard error, and the sizes behind them.
 
     n is the number of observations; df defaults to n - 2 (the residual
@@ -71,8 +69,7 @@ class SummaryStats:
         raise DomainError("Student-t reference needs df (or n to derive df = n - 2)")
 
 
-@dataclass(frozen=True)
-class SeverityClaim:
+class SeverityClaim(Record):
     """A one-sided claim about the parameter: direction relative to a bound."""
 
     direction: ClaimDirection

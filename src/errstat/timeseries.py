@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .distributions import _StudentT
 from .error_tradeoff import Tail
-from .errors import (CsvFormatError, DegenerateDataError, DomainError, _fail, check_finite,
-                     check_instance, check_int, check_sequence, unscaled)
+from .errors import (CsvFormatError, DegenerateDataError, DomainError, Record, _fail,
+                     check_finite, check_instance, check_int, check_sequence, unscaled)
 from .severity import SummaryStats
 
 # Relative residual variance below which a fit is reported as exact
@@ -28,8 +27,7 @@ from .severity import SummaryStats
 _PERFECT_FIT_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     """An ordered run of values with integer labels (e.g. years), no gaps."""
 
     values: tuple[float, ...]
@@ -111,8 +109,7 @@ def read_series_csv(path: str | bytes | os.PathLike) -> Series:
     return Series(tuple(values), start_label=labels[0])
 
 
-@dataclass(frozen=True)
-class LagFit:
+class LagFit(Record):
     """OLS results for Y_t on Y_{t-tau}: intercept, slope, and inference pieces."""
 
     beta0: float

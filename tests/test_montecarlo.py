@@ -5,7 +5,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -221,25 +220,42 @@ def test_rng_contract_is_recorded():
     assert "chunk" in outcome.rng
 
 
+@pytest.fixture
+def started(monkeypatch):
+    # every threading.Thread started while the test runs, in the order they start
+    started = []
+
+    class Recorder(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorder)
+    return started
+
+
 @pytest.mark.parametrize("cpus, expected", [(8, 3), (2, 2), (None, 1)])
-def test_workers_are_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected):
-    # workers=64 on three chunks starts min(64, 3 chunks, CPUs) threads, or none
-    # (a serial run) when that is one; the results do not depend on it.
-    pools = []
+def test_workers_are_clamped_to_chunks_and_cpus(monkeypatch, started, cpus, expected):
+    # workers=64 on three chunks runs min(64, 3 chunks, CPUs) runners, the calling thread
+    # and the threads it starts, one state each, and starts no thread (a serial run) when
+    # that is one; the results do not depend on it.
+    runners = []
+    map_chunks = montecarlo._map_chunks
 
-    class Recorder(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def counted(*args):
+        before = len(started)
+        states = map_chunks(*args)
+        runners.append((len(started) - before + 1, len(states)))
+        return states
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(montecarlo, "_map_chunks", counted)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
     config = SimConfig(num_trials=2 * CHUNK_SIZE + 7, seed=5, prior_null=0.3, effect_size=0.4)
     studies = simulate_studies(config, workers=64)
     pvalues = simulate_pvalues(config, workers=64)
-    # one pool for the studies and one for each of the two p-value passes; the p-value
-    # summary is serial
-    assert pools == ([expected] * 3 if expected > 1 else [])
+    # one pass for the studies and two for the p-values; the p-value summary is serial
+    assert runners == [(expected, expected)] * 3
+    assert len(started) == 3 * (expected - 1) and not any(t.is_alive() for t in started)
     assert studies == simulate_studies(config, workers=1)
     assert pvalues == simulate_pvalues(config, workers=1)
 
@@ -395,15 +411,16 @@ def test_chunks_start_without_a_plan_of_all_chunks():
     assert starts == [0, CHUNK_SIZE, 2 * CHUNK_SIZE]
 
 
-def test_parallel_chunks_are_submitted_a_few_at_a_time(monkeypatch):
-    # The pool gets one task per thread, not one per chunk, and every chunk runs once, on
-    # its thread's buffers cut to its size. min(workers, chunks, CPUs) states are made, all
-    # on the calling thread, so that no pool thread's arena holds them, and come back.
+def test_parallel_chunks_are_submitted_a_few_at_a_time(monkeypatch, started):
+    # min(workers, chunks, CPUs) runners take one task each, not one per chunk: the calling
+    # thread and the threads it starts. Every chunk runs once, on its runner's buffers cut to
+    # its size, and folds into its runner's state, the calling thread's being the first.
+    # The states are all made on the calling thread, so that no started thread's arena
+    # holds them, and come back.
     lock = threading.Lock()
     ran = []
     made = []
     makers = set()
-    submitted = []
 
     def make():
         made.append([])
@@ -414,29 +431,26 @@ def test_parallel_chunks_are_submitted_a_few_at_a_time(monkeypatch):
         assert [buf.dtype for buf in buffers] == [np.float64, np.float64, bool]
         assert len({buf.size for buf in buffers}) == 1
         with lock:
-            ran.append((start, buffers[0].size))
+            ran.append((start, buffers[0].size, threading.current_thread(), state))
         state.append(start)
 
-    class Counting(ThreadPoolExecutor):
-        def submit(self, *args):
-            submitted.append(args)
-            return super().submit(*args)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Counting)
     edge = 2 * CHUNK_SIZE + 7
     for workers, cpus, total in ((2, 2, 5000 * CHUNK_SIZE), (1, 2, edge), (2, 2, edge),
                                  (3, 2, edge), (3, 4, edge), (4, 4, edge)):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        for record in (made, ran, submitted):
+        for record in (made, ran, started):
             record.clear()
         states = montecarlo._map_chunks(fn, total, workers, make)
         starts = range(0, total, CHUNK_SIZE)
-        assert sorted(ran) == [(start, min(CHUNK_SIZE, total - start)) for start in starts]
-        # each chunk folded into the state of the thread that ran it
+        assert sorted(run[:2] for run in ran) == [(start, min(CHUNK_SIZE, total - start))
+                                                  for start in starts]
+        # each chunk folded into the state of the runner that ran it
         assert sorted(start for state in states for start in state) == list(starts)
         threads = min(workers, len(starts), cpus)
         assert len(made) == len(states) == threads and all(map(operator.is_, states, made))
-        assert len(submitted) == (threads if threads > 1 else 0)
+        assert len(started) == threads - 1 and not any(t.is_alive() for t in started)
+        runners = [threading.current_thread(), *started]
+        assert all(state is states[runners.index(thread)] for *_, thread, state in ran)
     assert makers == {threading.get_ident()}
 
 
@@ -512,6 +526,32 @@ def test_a_failing_chunk_stops_the_other_threads(monkeypatch):
     with pytest.raises(Stop):
         montecarlo._map_chunks(fn, 2 ** 50, 2, lambda: None)
     assert 10 <= len(starts) <= 13
+
+
+def test_a_thread_that_cannot_start_stops_the_pass(monkeypatch):
+    # The second of two threads to start fails as a thread the system cannot make would: the
+    # error reaches the caller once the thread that did start has stopped, and the calling
+    # thread runs no chunk of the 2**50 trials.
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    started = []
+    ran = []
+
+    class Failing(threading.Thread):
+        def start(self):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    def fn(start, buffers, state):
+        ran.append(threading.current_thread())
+        time.sleep(1e-3)
+
+    monkeypatch.setattr(threading, "Thread", Failing)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        montecarlo._map_chunks(fn, 2 ** 50, 3, lambda: None)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert set(ran) <= set(started) and len(ran) < 1000
 
 
 # The simulators at the edges of their inputs give finite numbers, None where a value is

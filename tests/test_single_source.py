@@ -11,11 +11,12 @@ a ScreeningParams only from a fixed --power. The normal/Student-t choice of the
 severity reference law is made in one place, and decision_cost, like
 montecarlo, takes its critical values from Tail. The chunk runner alone
 starts the simulators' threads and makes their chunk buffers. Each public
-name is listed once in the package's table of exports, numpy is imported by
-montecarlo alone, and a bare `import errstat` loads neither typing nor
-pathlib. No
-validator is handed a complement 1.0 - p: a check guards what the caller
-passed, and a level the code computed is never checked again.
+name is listed once in the package's table of exports, and numpy is imported
+by montecarlo alone. Each process imports only what it runs: `import errstat,
+errstat.cli` loads none of typing, pathlib, dataclasses or inspect, and the
+simulators load neither concurrent.futures nor logging. No validator is
+handed a complement 1.0 - p: a check guards what the caller passed, and a
+level the code computed is never checked again.
 """
 
 import ast
@@ -72,7 +73,7 @@ def test_pvalues_are_sorted_in_place_not_gathered(text):
     assert text not in (SRC / "montecarlo.py").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("text", ["ThreadPoolExecutor(", "np.empty(CHUNK_SIZE"])
+@pytest.mark.parametrize("text", ["threading.Thread(", "np.empty(CHUNK_SIZE"])
 def test_chunk_threads_and_buffers_are_made_only_by_the_chunk_runner(text):
     source = (SRC / "montecarlo.py").read_text(encoding="utf-8")
     runner = next(node for node in ast.parse(source).body
@@ -144,14 +145,26 @@ def test_numpy_is_imported_by_montecarlo_alone():
     assert hits == ["montecarlo.py"], hits
 
 
-def test_import_loads_neither_typing_nor_pathlib():
-    # without site, whose .pth files may import them on their own
-    code = "import sys, errstat; print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
+def _loaded(modules: str, unwanted: set, *flags: str) -> list:
+    # the unwanted modules that importing modules loads in a fresh interpreter
+    code = f"import sys, {modules}; print(sorted({unwanted!r} & set(sys.modules)))"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC.parent) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                           env=env)
-    assert proc.returncode == 0 and proc.stdout.split() == ["[]"], (proc.stdout, proc.stderr)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_import_loads_none_of_typing_pathlib_dataclasses_or_inspect():
+    # without site, whose .pth files may import them on their own
+    unwanted = {"typing", "pathlib", "dataclasses", "inspect"}
+    assert _loaded("errstat, errstat.cli", unwanted, "-S") == ["[]"]
+
+
+def test_simulators_load_neither_concurrent_futures_nor_logging():
+    # with site, which numpy needs; numpy itself imports inspect
+    assert _loaded("errstat.montecarlo", {"concurrent.futures", "logging"}) == ["[]"]
 
 
 def test_public_names_resolve_and_star_import_binds_the_simulators():

@@ -1,6 +1,5 @@
 """The shared precondition validators and the error surface they give the library."""
 
-import dataclasses
 import enum
 import math
 import random
@@ -63,7 +62,7 @@ from errstat import (
     type2_error,
 )
 from errstat import errors
-from errstat.errors import DomainError, ErrstatError
+from errstat.errors import DomainError, ErrstatError, Record
 from errstat.montecarlo import RNG_ALGORITHM
 from errstat.timeseries import Series
 
@@ -268,7 +267,7 @@ def test_real_fields_are_stored_as_float():
                CostParams(x, x, x, x, x + 1, x), SummaryStats(x, x), SeverityClaim("less_than", x),
                ObservedResult(x), SimConfig(10, 1, x, x, x), Series((x, x, np.float64(x)))]
     for obj in objects:
-        fields = [getattr(obj, field.name) for field in dataclasses.fields(obj)]
+        fields = [getattr(obj, name) for name in obj._fields]
         types = {type(v) for value in fields for v in (value if type(value) is tuple else (value,))}
         assert float in types and np.float32 not in types, obj
     assert type(false_positive_rate(ScreeningParams(np.float32(0.05), 0.8, 0.5))) is float
@@ -303,7 +302,7 @@ _ANY_VALUE = st.one_of(
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(data=st.data())
 def test_parameter_classes_construct_or_raise_errstat_error(cls, data):
-    args = [data.draw(_ANY_VALUE) for _ in dataclasses.fields(cls)]
+    args = [data.draw(_ANY_VALUE) for _ in cls._fields]
     try:
         cls(*args)
     except ErrstatError:
@@ -435,14 +434,14 @@ _SWEPT_CALLS = {
 
 
 def _finite_numbers(value):
-    # the numbers in a result, through tuples, lists and result dataclasses; enum members,
+    # the numbers in a result, through tuples, lists and result records; enum members,
     # None (undefined) and the simulators' generator record pass
     if value is None or value == RNG_ALGORITHM:
         return True
     if isinstance(value, (tuple, list)):
         return all(_finite_numbers(v) for v in value)
-    if dataclasses.is_dataclass(value):
-        return all(_finite_numbers(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, Record):
+        return all(_finite_numbers(getattr(value, name)) for name in value._fields)
     if isinstance(value, enum.Enum) or type(value) is int:
         return True
     return type(value) is float and math.isfinite(value)
