@@ -7,21 +7,18 @@ chunks from one cursor and draw into buffers that the calling thread
 allocates once per pass. Each folds its chunks into a state of its own:
 exact integer counts, the least and greatest key, and kept keys sorted
 after the pass. So the order in which the chunks run changes no bit of a
-result. simulate_pvalues makes two passes over the same (seed, chunk)
-streams, so both see the same trials: the first counts
-every trial's sort key into fixed bins, the second keeps only the keys of the
-bins that can hold a decile's order statistic, a crossing of an ECDF threshold
-or the KS maximum. The kept keys are what grows with the trial count: the
-traced peak stayed under 9 MiB up to 2**23 trials, then grew to about 2.2 B
-per trial (17 MiB at 2**24 one-sided, 151 MiB at 2**26 two-sided). One-sided
-p-values that crowd just below 1.0 are bracketed through their upper-tail
-mass, and blocks of them tied at 1.0 count whole: at 2**22 trials the traced
-peak stays at 5.9 MiB for shifts from -5 to -10. The summary then evaluates
-the Gaussian kernel at the block edges, on the kept keys of the blocks each
-field needs, and in the KS search on pieces of 64 kept keys; every other
-block counts whole at its least key. Every field is the float a pass over all
-trials, sorted, would give. Serial and parallel runs are therefore identical
-bit for bit and the only state is the (seed, chunk_index) pair. The generator
+result. simulate_pvalues makes two passes over the same (seed, chunk) streams,
+so both see the same trials: the first counts every trial's sort key into
+fixed bins, the second keeps only the keys of the bins that can hold a decile's
+order statistic, a crossing of an ECDF threshold or the KS maximum
+(simulate_pvalues gives the measured peak memory). The summary then evaluates
+the reference law at the block edges, on the kept keys of the blocks that
+straddle an ECDF threshold, and in the KS search on pieces of 64 kept keys;
+every other block counts whole at its least key. The deciles read the p-value
+law only at the 18 order statistics they interpolate (PValueSimSummary states
+their rule). Every field is the float a pass over all trials, sorted by key,
+would give. Serial and parallel runs are therefore identical bit for bit and
+the only state is the (seed, chunk_index) pair. The generator
 family is recorded in every result so outputs are self-describing.
 """
 
@@ -201,17 +198,16 @@ _STRIDE = 64
 _PIECES_PER_BATCH = CHUNK_SIZE // _STRIDE
 _TENTHS = np.arange(1, 10) / 10.0
 
-# Relative slack of every bracket. Both summary laws (the reference CDF value and the
-# p-value) are monotone in the sorted key, and each operation between the key and the
-# erfc argument t rounds monotonically, so only the Cody evaluation at t can put two
-# values out of order. It does so at the ulp scale: over 2^17 consecutive doubles,
-# _normal_cdf_vec falls between neighbours 6,947 times at the x = -0.66 cut (by up to
-# 2 ulps) and 5,430 times at x = -1.28 (up to 6 ulps, 3.8 eps relative). Against
-# mpmath's erfc at the same double t (100,000 random x from -37.5 to 8.3 and 32,000
-# next to the cuts) its relative error stays below 4 eps, so two values in the wrong
-# order differ by under 8 eps relative, 9 for the two-sided sum of two laws. 2^-40 is
-# 4096 eps: a wide margin that costs nothing, since sorted neighbours lie about 1/n
-# apart.
+# Relative slack of every bracket of the reference law (the reference CDF value), which
+# is monotone in the sorted key. Each operation between the key and the erfc argument t
+# rounds monotonically, so only the Cody evaluation at t can put two values out of
+# order. It does so at the ulp scale: over 2^17 consecutive doubles, _normal_cdf_vec
+# falls between neighbours 6,947 times at the x = -0.66 cut (by up to 2 ulps) and 5,430
+# times at x = -1.28 (up to 6 ulps, 3.8 eps relative). Its relative error against erfc
+# at the same double t stays below 4 eps (tests/test_tail_accuracy.py), so two values in
+# the wrong order differ by under 8 eps relative, 9 for the two-sided sum of two terms.
+# 2^-40 is 4096 eps: a wide margin that costs nothing, since sorted neighbours lie about
+# 1/n apart.
 _SLACK = 2.0 ** -40
 
 # The first pass counts keys into at most _MAX_BINS bins over the keys of statistics
@@ -273,6 +269,10 @@ class _Partition:
         upper = np.append(edges[1:], np.nextafter(top, np.inf))  # past each block's keys
         self.single = np.nextafter(edges, np.inf) >= upper
 
+    def holding(self, positions: np.ndarray) -> np.ndarray:
+        # the block that holds each position among the sorted keys
+        return np.searchsorted(self.positions, positions, side="right") - 1
+
 
 def _pass(draw, n: int, workers: int, bins: _Bins, fn, make=lambda: None) -> list:
     # Draws each chunk's keys into its thread's buffers, bins them and folds them with
@@ -311,21 +311,20 @@ def _first_partition(draw, n: int, workers: int, bins: _Bins) -> _Partition:
     return _Partition(edges, sizes, top, of_bin)
 
 
-def _brackets(ends: np.ndarray, single: np.ndarray,
-              slack: float = _SLACK) -> tuple[np.ndarray, np.ndarray]:
+def _brackets(ends: np.ndarray, single: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Bounds on every value in each block, from the values at its least key and at the
     # next block's (at the greatest key, for the last block); exact in a one-value block.
-    lo, hi = ends[:-1] * (1.0 - slack), ends[1:] * (1.0 + slack)
+    lo, hi = ends[:-1] * (1.0 - _SLACK), ends[1:] * (1.0 + _SLACK)
     lo[single] = hi[single] = ends[:-1][single]
     return lo, hi
 
 
-def _straddling(lo, hi, t_lo, t_hi) -> np.ndarray:
-    # The blocks that can hold a value from t_lo to t_hi, for some pair of thresholds.
-    # The brackets, widened to running extremes, rise with the block: the blocks wholly
-    # <= t_lo come before `below`, those wholly > t_hi from `above` on.
-    below = np.searchsorted(np.maximum.accumulate(hi), t_lo, side="right")
-    above = np.searchsorted(np.minimum.accumulate(lo[::-1])[::-1], t_hi, side="right")
+def _straddling(lo, hi, thresholds) -> np.ndarray:
+    # The blocks that can hold values on both sides of some threshold. The brackets,
+    # widened to running extremes, rise with the block: the blocks wholly <= a threshold
+    # come before `below`, those wholly above it from `above` on.
+    below = np.searchsorted(np.maximum.accumulate(hi), thresholds, side="right")
+    above = np.searchsorted(np.minimum.accumulate(lo[::-1])[::-1], thresholds, side="right")
     marked = np.zeros(lo.size, dtype=bool)
     for a, b in zip(below, above):
         marked[a:b] = True
@@ -362,54 +361,29 @@ def _quantiles(n: int, q: np.ndarray, order_statistics) -> np.ndarray:
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _needed(part: _Partition, n: int, ref_lo, ref_hi, p_ends, ks) -> tuple[np.ndarray, ...]:
-    # The blocks whose keys each field reads: those that straddle a reference tenth;
-    # those that hold one of the 18 ranks the deciles read, or a value that can fall
-    # within those blocks' brackets; and the KS candidates, whose upper bound ks[0] passes
-    # the best lower bound in ks[1]. The brackets are widened by _SLACK once more, the
-    # thresholds by one _SLACK beyond that, so that every other block lies on one side of
-    # each threshold, its least key included.
-    #
-    # Only one-sided keys are positive, and there p is the upper-tail mass
-    # _normal_cdf_vec(-key) taken from 1.0 with one rounding. The mass falls with the key,
-    # misordered by under 8 eps relative, and 1 - mass rounds monotonically, so a block of
-    # positive keys is bracketed through its mass. A relative bracket there would be about
-    # 2^-40 wide in p and swallow the gaps between p-values crowded just below 1.0.
-    first = np.searchsorted(part.edges, 0.0, side="right")  # the blocks of positive keys
-    mass = _normal_cdf_vec(-np.append(part.edges[first:], part.top))
-    up = ~part.single[first:]
-
-    def p_brackets(slack):
-        lo, hi = _brackets(p_ends, part.single, slack)
-        lo[first:][up] = 1.0 - mass[:-1][up] * (1.0 + slack)
-        hi[first:][up] = 1.0 - mass[1:][up] * (1.0 - slack)
-        return lo, hi
-
-    held = np.searchsorted(part.positions, np.append(*_ranks(n, _TENTHS)[:2]), side="right") - 1
-    t_lo, t_hi = (bound[held] for bound in p_brackets(3 * _SLACK))
-    ranks = _straddling(*p_brackets(2 * _SLACK), np.nextafter(t_lo, -np.inf), t_hi)
-    ranks[held] = True
-    # A block whose bracket is one value holds only that value, which its least key has
-    # too: it counts whole. Besides the blocks one double wide, these are the blocks of
-    # p-values tied at 0.0, and those tied at 1.0, whose mass widened by _SLACK is at
-    # most 2^-54, so that 1 - mass rounds to 1.0.
-    ranks[np.equal(*p_brackets(_SLACK))] = False
-    return (_straddling(ref_lo * (1.0 - _SLACK), ref_hi * (1.0 + _SLACK), _TENTHS, _TENTHS),
-            ranks, ks[0] > ks[1].max())
+def _needed(part: _Partition, n: int, ref_lo, ref_hi, ks) -> tuple[np.ndarray, ...]:
+    # The blocks whose keys each field reads: those that straddle a reference tenth, their
+    # brackets widened by _SLACK once more, so that every other block lies on one side of
+    # each tenth, its least key included; the blocks that hold the 18 ranks the deciles
+    # read; and the KS candidates, whose upper bound ks[0] passes the best lower bound in
+    # ks[1].
+    held = np.zeros(part.sizes.size, dtype=bool)
+    held[part.holding(np.append(*_ranks(n, _TENTHS)[:2]))] = True
+    return (_straddling(ref_lo * (1.0 - _SLACK), ref_hi * (1.0 + _SLACK), _TENTHS),
+            held, ks[0] > ks[1].max())
 
 
 def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
     # (deciles, ECDF at the reference deciles, KS distance) of the n keys that
     # draw(start, out) writes, chunk by chunk, into out: minus how extreme each
-    # statistic is, so that ascending keys are ascending p-values. Each field is the
-    # float a pass over every sorted key gives; draw must give the same keys each pass.
+    # statistic is, so that ascending keys are ascending p-values. The deciles are
+    # numpy's linear rule over the p-values of the sorted keys, in key order; the ECDF
+    # and KS distance are the floats a pass over every sorted key gives. draw must give
+    # the same keys each pass.
     def reference_law(stat):
         # two-sided, -|stat| - shift can overflow to -inf, whose cdf is the exact value 0
         with np.errstate(over="ignore"):
             return tail.rejection(stat, shift, _normal_cdf_vec)
-
-    def p_law(stat):
-        return tail.p_value(stat, _normal_cdf_vec)
 
     def at(law, keys):
         # law of the statistic -keys, 8192 at a time (the kernel's temporaries stay small)
@@ -422,14 +396,13 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
     # summary can read, in whatever order the threads take the chunks, then sorts them.
     bins = _Bins(n, shift, tail)
     part = _first_partition(draw, n, workers, bins)
-    ends = np.append(part.edges, part.top)
-    ref_ends, p_ends = at(reference_law, ends), at(p_law, ends)
+    ref_ends = at(reference_law, np.append(part.edges, part.top))
     ref = _brackets(ref_ends, part.single)
     bounds = _ks_bounds(part.positions[:-1], part.positions[1:], n, *ref)
     best = bounds[1].max()  # the KS search starts here, exact in a one-value block
-    tenths, ranks, ks = _needed(part, n, *ref, p_ends, bounds)
+    tenths, held, ks = _needed(part, n, *ref, bounds)
     del ref, bounds  # per block: not held through the keep pass
-    stored = (tenths | ranks | ks) & ~part.single
+    stored = (tenths | held | ks) & ~part.single
     in_play = stored[part.of_bin]  # by bin
 
     size = int(part.sizes[stored].sum())
@@ -458,30 +431,29 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
     kept_first = np.cumsum(sizes) - sizes  # where each stored block starts in kept
     offset = part.positions[chosen] - kept_first  # from a kept index to the key's position
 
-    def tally(law, law_ends, marked):
-        # The distinct values of law over all keys, ascending, and how many keys are at
-        # most each. The kept keys of the marked blocks give their exact values, tallied
-        # a chunk of kept keys at a time; every other block counts whole at its least
-        # key, whose value lies on the same side as the block's values of every
-        # threshold the summary tests.
-        whole = ~(marked & stored)
-        values, counts = law_ends[:-1][whole], part.sizes[whole]
-        exact = np.repeat(marked[chosen], sizes)  # by kept key
-        for s in range(0, size, CHUNK_SIZE):
-            keys = kept[s:s + CHUNK_SIZE][exact[s:s + CHUNK_SIZE]]
-            if keys.size:
-                found, found_counts = np.unique(at(law, keys), return_counts=True)
-                values, counts = np.append(values, found), np.append(counts, found_counts)
-        distinct = np.unique(values)
-        at_most = np.zeros(distinct.size, dtype=np.int64)
-        np.add.at(at_most, np.searchsorted(distinct, values), counts)
-        return distinct, np.cumsum(at_most)
+    # ECDF at the reference tenths, by how many tenths each value passes: a block that
+    # straddles no tenth counts whole at its least key, the kept keys of the others one
+    # by one.
+    exact = tenths & stored
+    passes = np.zeros(_TENTHS.size + 1, dtype=np.int64)
+    np.add.at(passes, np.searchsorted(_TENTHS, ref_ends[:-1][~exact]), part.sizes[~exact])
+    marked = np.repeat(exact[chosen], sizes)  # by kept key
+    for s in range(0, size, CHUNK_SIZE):
+        keys = kept[s:s + CHUNK_SIZE][marked[s:s + CHUNK_SIZE]]
+        np.add.at(passes, np.searchsorted(_TENTHS, at(reference_law, keys)), 1)
+    del marked  # a byte per kept key: not held through the KS search
+    at_deciles = np.cumsum(passes)[:-1]
 
-    reference, ref_at_most = tally(reference_law, ref_ends, tenths)
-    at_deciles = np.append(0, ref_at_most)[np.searchsorted(reference, _TENTHS, side="right")]
-    p_values, p_at_most = tally(p_law, p_ends, ranks)
-    deciles = _quantiles(n, _TENTHS,
-                         lambda r: p_values[np.searchsorted(p_at_most, r, side="right")])
+    def p_values_at(r):
+        # the p-values of the keys at positions r, from the kept keys of the block that
+        # holds each or from the one value of a one-value block
+        block = part.holding(r)
+        keys = part.edges[block]
+        read = ~part.single[block]
+        keys[read] = kept[r[read] - offset[np.searchsorted(chosen, block[read])]]
+        return tail.p_value(-keys, _normal_cdf_vec)
+
+    deciles = _quantiles(n, _TENTHS, p_values_at)
 
     # KS: max over the 1-based ranks i of max(i/n - ref, ref - (i-1)/n), from the
     # partition's best lower bound (exact in a one-value block) and the pieces of _STRIDE
@@ -510,7 +482,12 @@ class PValueSimSummary(Record):
     """Empirical p-value distribution against its analytic reference.
 
     deciles: the nine sample deciles of the simulated p-values, by numpy's
-        default (linear) quantile rule.
+        default (linear, Hyndman & Fan type 7) rule over the p-values of
+        the trials sorted by how extreme their statistics are. That is
+        np.quantile of the p-values, except where the Gaussian kernel puts
+        neighbouring p-values out of order by a few ulps; a decile then
+        differs from np.quantile by a few eps relative at most (an ulp in
+        the crafted cases the tests hold it to).
     cdf_at_reference_deciles: empirical CDF evaluated where the reference
         law puts probability 0.1, ..., 0.9, read off the probability
         integral transform: entry k is the share of trials whose reference
@@ -521,14 +498,14 @@ class PValueSimSummary(Record):
 
     The trials are drawn twice from the same streams: counted into fixed bins
     the first time, and the second time only the keys of the bins that can
-    change a field are kept. The ECDF counts and the deciles take exact values
-    on the kept keys of the few blocks each needs, and count every other block
-    whole at its least key, which lies on the same side of every threshold they
-    test or, where p-values tie at 1.0, holds the block's one value. The KS
-    distance reads the kept keys in pieces of 64, only where a piece's bound
-    passes the best value known. Every field is the value a pass over all
-    trials would give, but the Gaussian kernel runs only at the block edges and
-    on some of the kept keys.
+    change a field are kept. The deciles read the p-value law at the keys of
+    the 18 ranks they interpolate. The ECDF counts take exact values on the
+    kept keys of the blocks that straddle a reference tenth, and count every
+    other block whole at its least key, which lies on the same side of every
+    tenth. The KS distance reads the kept keys in pieces of 64, only where a
+    piece's bound passes the best value known. Every field is the value a pass
+    over all trials would give, but the Gaussian kernel runs only at the block
+    edges and on some of the kept keys.
     """
 
     num_trials: int
@@ -547,15 +524,12 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     null-uniformity check); prior_null plays no role here.
 
     Each worker holds a few chunk-sized buffers and the bin counts, and the
-    summary the kept keys plus a few arrays per block. The traced peak
-    (workers 2) stayed under 9 MiB up to 2**23 trials. From there the kept
-    keys grow to about 2.2 B per trial: 17 MiB at 2**24 trials one-sided,
-    151 MiB at 2**26 two-sided. One-sided shifts of about -6 or below crowd
-    the p-values just below 1.0, or tie them at 1.0; the summary brackets
-    them through their upper-tail mass, so few blocks straddle a threshold
-    the deciles test, and blocks tied at 1.0 count whole: at 2**22 trials
-    the peak stays at 5.9 MiB for shifts from -5 to -10. A kept-key array
-    that cannot be allocated raises DomainError.
+    summary the kept keys plus a few arrays per block. Traced peaks (workers
+    2, seed 9, effect_size 0.3): under 6.5 MiB up to 2**23 trials on either
+    tail, and 5.9 MiB at 2**22 trials for one-sided effects from -5 to -10,
+    whose p-values crowd just below 1.0 or tie at 1.0. Past 2**23 the kept
+    keys grow with the trials: 24 MiB at 2**24 one-sided, 249 MiB at 2**26
+    two-sided. A kept-key array that cannot be allocated raises DomainError.
     """
     check_instance(config, SimConfig, "config")
     design = config.design

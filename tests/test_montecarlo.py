@@ -262,9 +262,7 @@ def test_workers_are_clamped_to_chunks_and_cpus(monkeypatch, started, cpus, expe
 
 # What simulate_pvalues may hold at once up to 2^23 trials: a few chunk-sized buffers per
 # worker, the first pass's bin counts and the blocks made of them, and the kept keys.
-# Beyond, the kept keys grow to about 2.2 B per trial (17 MiB at 2^24 trials one-sided,
-# 151 MiB at 2^26). At 2^22 trials and workers 2 the one-sided shifts from -5 to -10,
-# whose p-values crowd just below 1.0 or tie at 1.0, peak at 5.9 MiB.
+# The simulate_pvalues docstring gives the measured peaks.
 # A small call first loads the modules a call imports, which stay loaded.
 _PVALUE_PEAK_BYTES = 10 << 20
 
@@ -303,11 +301,10 @@ def test_simulate_pvalues_memory_holds_where_every_key_ties(workers):
 @pytest.mark.parametrize("shift, below_one", [(-10.0, 0.0), (-7.25, 1.2e-9)],
                          ids=["tie", "crowd"])
 def test_simulate_pvalues_memory_holds_where_pvalues_crowd_at_one(shift, below_one, workers):
-    # A one-sided shift of -10 ties about 96% of the p-values at 1.0; their blocks count
-    # whole, so only the keys below the tie are kept (it held 42.5 MiB when all were).
-    # At -7.25 the deciles lie within 1.2e-9 of 1.0, a few ulps apart at the top; bracketed
-    # through the upper-tail mass, few blocks straddle them (a bracket 2^-40 wide in p kept
-    # 30.2 MiB).
+    # A one-sided shift of -10 ties about 96% of the p-values at 1.0, and at -7.25 the
+    # deciles lie within 1.2e-9 of 1.0, a few ulps apart at the top. The deciles read only
+    # the blocks that hold their ranks, so neither keeps more keys than another shift
+    # (keeping every tied key held 42.5 MiB, and a bracket 2^-40 wide in p kept 30.2 MiB).
     config = SimConfig(num_trials=1 << 22, seed=9, effect_size=shift)
     simulate_pvalues(SimConfig(CHUNK_SIZE + 1, 9), workers)
     tracemalloc.start()
@@ -337,6 +334,27 @@ def test_simulate_pvalues_reads_the_kernel_at_few_trials(monkeypatch, tail):
     monkeypatch.undo()
     assert summary == simulate_pvalues(config)
     assert 0 < sum(points) <= config.num_trials // 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("tail", [Tail.ONE_SIDED_UPPER, Tail.TWO_SIDED])
+def test_simulate_pvalues_reads_the_pvalue_law_at_the_deciles_ranks_only(monkeypatch, tail,
+                                                                       workers):
+    # The deciles interpolate the p-values of the keys at 18 ranks, two per tenth, and
+    # nothing else reads the p-value law: not the block edges, not the kept keys.
+    points = []
+    p_value = Tail.p_value
+
+    def counting(self, x, cdf):
+        points.append(np.size(x))
+        return p_value(self, x, cdf)
+
+    monkeypatch.setattr(Tail, "p_value", counting)
+    config = SimConfig(num_trials=1 << 20, seed=4, effect_size=0.4, n_per_study=3, tail=tail)
+    summary = simulate_pvalues(config, workers)
+    monkeypatch.undo()
+    assert summary == simulate_pvalues(config, workers)
+    assert 0 < sum(points) <= 18
 
 
 @pytest.mark.parametrize("trials, effect, tail, passes", [

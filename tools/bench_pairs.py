@@ -8,9 +8,10 @@ Both trees get current bytecode first (compileall with bytecode writing on), so
 neither arm compiles modules inside a timed process. For each of SEEDS and
 PAIRS pairs, every workload runs once in each tree, the tree that goes first
 alternating from pair to pair; each run is `perfbench/run.py --workload W
---seed S --seconds T --trace 0` in that tree, T being the change's
-BENCHMARK.json run_seconds. The output holds, per seed, workload and
-tree, the median and quartiles of the four gated metrics and every raw value,
+--seed S --seconds T --trace 0` in that tree. The workloads, T (run_seconds)
+and the gated end-to-end metrics with their directions come from the change's
+BENCHMARK.json. The output holds, per seed, workload and
+tree, the median and quartiles of the gated metrics and every raw value,
 the share of pairs the change won on each metric, and the minor page faults and
 the growth of the peak RSS (ru_maxrss) of each simulator call in a fresh process
 of each tree (first and second call).
@@ -28,9 +29,8 @@ import sys
 from pathlib import Path
 
 import numpy
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
-METRICS = {"setup_s": "lower", "op_ms": "lower", "peak_rss_mb": "lower", "ops_ok_frac": "higher"}
-WORKLOADS = ("cli_batch", "lib_curves", "mc_validate")
 PAIRS = 10
 SEEDS = (1, 2)
 
@@ -73,12 +73,12 @@ def compile_tree(tree: Path) -> None:
                        check=True, stdout=subprocess.DEVNULL)
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(tree: Path, workload: str, seed: int, seconds: float, metrics: dict) -> dict:
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
                           str(seed), "--seconds", str(seconds), "--trace", "0"], cwd=tree,
                          check=True, capture_output=True, text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
-    return {name: result["metrics"][name]["value"] for name in METRICS} | {
+    return {name: result["metrics"][name]["value"] for name in metrics} | {
         "correct": result["correct"]}
 
 
@@ -95,26 +95,29 @@ def main() -> None:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = json.loads((trees["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    seconds, workloads = spec["run_seconds"], [w["name"] for w in spec["workloads"]]
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     for tree in trees.values():
         compile_tree(tree)
-    raw = {seed: {w: {arm: [] for arm in trees} for w in WORKLOADS} for seed in SEEDS}
+    raw = {seed: {w: {arm: [] for arm in trees} for w in workloads} for seed in SEEDS}
     for seed in SEEDS:
         for pair in range(PAIRS):
             order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
-            for workload in WORKLOADS:
+            for workload in workloads:
                 for arm in order:
-                    raw[seed][workload][arm].append(run(trees[arm], workload, seed, seconds))
+                    raw[seed][workload][arm].append(run(trees[arm], workload, seed, seconds,
+                                                        metrics))
                 print(f"seed {seed} pair {pair} {workload}: " + ", ".join(
                     f"{arm} op_ms {raw[seed][workload][arm][-1]['op_ms']:.1f}" for arm in trees),
                       file=sys.stderr, flush=True)
     summary = {}
-    for seed, workloads in raw.items():
-        for workload, arms in workloads.items():
-            entry = {arm: {name: quartiles([r[name] for r in runs]) for name in METRICS}
+    for seed, by_workload in raw.items():
+        for workload, arms in by_workload.items():
+            entry = {arm: {name: quartiles([r[name] for r in runs]) for name in metrics}
                      | {"correct": all(r["correct"] for r in runs)} for arm, runs in arms.items()}
             wins = {}
-            for name, better in METRICS.items():
+            for name, better in metrics.items():
                 pairs = list(zip(arms["parent"], arms["change"]))
                 won = sum((c[name] < p[name]) if better == "lower" else (c[name] > p[name])
                           for p, c in pairs)
@@ -131,6 +134,11 @@ def main() -> None:
         "order": "alternating: the parent first in even pairs, the change first in odd ones",
         "bytecode": "both trees compiled with compileall, bytecode writing on, before the runs",
         "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
+                        # what numpy.show_runtime() reports: the SIMD extensions numpy's build
+                        # assumes, and those it dispatches to on this CPU
+                        "numpy_simd": {"baseline": list(__cpu_baseline__),
+                                       "found": [f for f in __cpu_dispatch__
+                                                 if __cpu_features__[f]]},
                         "machine": platform.machine(), "cpus": os.cpu_count(),
                         "platform": platform.platform()},
         "workloads": summary,
