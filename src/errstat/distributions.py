@@ -15,14 +15,22 @@ mutable global state, and no numpy import here.
 
 Each public kernel checks its arguments once and hands them to a private
 core. The solvers call the cores directly: the Halley steps of
-normal_quantile, and the bracket and Newton loop of student_t_quantile,
-which run on one Student-t law per df (``_StudentT``) that computes
+normal_quantile, and the bracketed Newton loop of student_t_quantile, which
+run on one Student-t law per df (``_StudentT``) that computes
 log B(df/2, 1/2) once; the loop computes the density's log normaliser once
-per solve. That loop is one solve for |x| signed by p's side of 1/2: raw
-Newton on the cdf from 1/2 up, and below 1/2 Newton on the log of the exact
-lower tail, which is near linear in log|x| far out; no level is reflected
-through 1 - p. The scalar hot loops compare where they would call abs() or
-max(), and the Gaussian cdf evaluates Cody's erfc in its own body.
+per solve, and takes about three cdf calls. That loop is one solve for |x|
+in a bracket built from its own iterates. From 1/2 to a cut at 0.99 it takes
+raw Newton steps on the cdf from the normal quantile. Below 1/2 and above the
+cut it works in tail coordinates, tail(|x|) = q with q = p or the exact
+q = 1 - p, by Newton on log tail in log|x|, near linear far out, from Hill's
+(1970, CACM Algorithm 396) seed, or the closed forms at df 1 and 2; no level
+is reflected through a complement that rounds. It stops on a step within
+1e-14 * max(1, |x|), or where the cdf's own rounding stalls it: a repeated
+cdf value, or a step back across the root that does not halve the one
+before. At its centre, x^2 / df < 1e-4, the t cdf takes 1 - w =
+x^2 / (df + x^2) and log w directly, not from w = df / (df + x^2), which
+rounds toward 1 there. The scalar hot loops compare where they would call abs() or max(),
+and the Gaussian cdf evaluates Cody's erfc in its own body.
 """
 
 from __future__ import annotations
@@ -157,17 +165,19 @@ def normal_quantile(p: float) -> float:
     return _normal_quantile(check_open_unit(p, "p"))
 
 
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    # Modified Lentz evaluation of the continued fraction for I_x(a, b). The clamps and
-    # the stop rule test -t < v < t, which is abs(v) < t for every float, NaN included.
-    # m counts as a float: Python converts an int m exactly, so each operation rounds alike.
+def _beta_cont_frac(a: float, b: float, x: float, first: float | None = None) -> float:
+    # Modified Lentz evaluation of the continued fraction for I_x(a, b). first is its first
+    # denominator 1 - (a + b) x / (a + 1), which a caller that knows 1 - x better than x
+    # forms for itself. The clamps and the stop rule test -t < v < t, which is abs(v) < t
+    # for every float, NaN included. m counts as a float: Python converts an int m
+    # exactly, so each operation rounds alike.
     eps = 1e-15
     fpmin = 1e-300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
+    d = 1.0 - qab * x / qap if first is None else first
     if -fpmin < d < fpmin:
         d = fpmin
     d = 1.0 / d
@@ -200,19 +210,47 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     return h
 
 
-def _reg_inc_beta(a: float, b: float, log_beta: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for x in [0, 1]; log_beta is log B(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
+def _reg_inc_beta(a: float, b: float, log_beta: float, x: float, y: float, log_x: float,
+                  log_y: float, first: float | None = None) -> float:
+    """Regularized incomplete beta I_x(a, b) for x in (0, 1), handed y = 1 - x, the logs
+    of both and, optionally, the first denominator of the continued fraction in x, so a
+    caller that knows y better than 1 - x rounds never forms 1 - x; log_beta is log B(a, b)."""
+    front = math.exp(a * log_x + b * log_y - log_beta)
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+        return front * _beta_cont_frac(a, b, x, first) / a
+    return 1.0 - front * _beta_cont_frac(b, a, y) / b
 
 
 _LGAMMA_HALF = math.lgamma(0.5)
+
+# The Student-t quantile solves on the cdf from 1/2 up to _CUT and in tail coordinates
+# beyond it. No root below the cut lies past _BODY_MAX: the df 1 quantile at the cut is
+# cot(pi / 100) = 31.82, and the quantiles above 1/2 fall as df grows.
+_CUT = 0.99
+_BODY_MAX = 32.0
+
+
+def _hill_seed(df: int, q: float) -> float:
+    # y with Pr(T > y) near q, for df >= 3 and 0 < q < 1/2: Hill (1970), CACM Algorithm 396,
+    # at the two-tailed level 2q; an expansion about the normal quantile, and far out,
+    # where (2 d q)^(2/df) is small, one in its powers
+    n = float(df)
+    a = 1.0 / (n - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(0.5 * a * math.pi) * n
+    y = (2.0 * d * q) ** (2.0 / n)
+    if y > 0.05 + a:
+        x = _normal_quantile(q)
+        y = x * x
+        if n < 5.0:
+            c += 0.3 * (n - 4.5) * (x + 0.6)
+        c += (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        return math.sqrt(n * math.expm1(a * y * y))
+    y = ((1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
+          + 0.5 / (n + 4.0)) * y - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / y
+    return math.sqrt(n * y)
 
 
 class _StudentT:
@@ -230,64 +268,89 @@ class _StudentT:
         self.log_beta = math.lgamma(a) + _LGAMMA_HALF - math.lgamma(a + 0.5)
 
     def cdf(self, x: float) -> float:
-        df = self.df
+        # the tail Pr(T > |x|) = I_w(df/2, 1/2) / 2 with w = df / (df + x^2), then its side
+        df, a = self.df, self.a
         x2 = x * x
-        if x2 < math.inf:
-            tail = 0.5 * _reg_inc_beta(self.a, 0.5, self.log_beta, df / (df + x2))
+        r = x2 / df
+        if r < 1e-4:
+            # The centre, where w rounds toward 1: 1 - w = x^2 / (df + x^2), log w =
+            # -log1p(x^2 / df) and the continued fraction's first denominator
+            # 1 - (a + 1/2) w / (a + 1) are taken directly, never through w.
+            z = x2 / (df + x2)
+            if z == 0.0:
+                tail = 0.5
+            else:
+                tail = 0.5 * _reg_inc_beta(a, 0.5, self.log_beta, 1.0 / (1.0 + r), z,
+                                           -math.log1p(r), math.log(z),
+                                           (0.5 + (a + 0.5) * z) / (a + 1.0))
+        elif x2 < math.inf:
+            w = df / (df + x2)
+            tail = 0.5 * _reg_inc_beta(a, 0.5, self.log_beta, w, 1.0 - w, math.log(w),
+                                       math.log1p(-w))
         else:
             # Beyond |x| ~ 1.34e154 the square overflows. There w = df / (df + x^2) is
             # df / x^2 < 1e-292, so (1 - w)^(1/2) and the continued fraction are 1 to
             # the last bit and the tail is its front factor w^(df/2) / (df B(df/2, 1/2)).
-            tail = 0.5 * (math.sqrt(df) / abs(x)) ** df * math.exp(-self.log_beta) / self.a
+            tail = 0.5 * (math.sqrt(df) / abs(x)) ** df * math.exp(-self.log_beta) / a
         return 1.0 - tail if x > 0.0 else tail
 
     def quantile(self, p: float) -> float:
-        # Solve on p's own side of 1/2 for y = |x|, with s = -1 below 1/2 and +1 from it on:
-        # f = s * (cdf(s * y) - p) rises with y, and below 1/2, c = cdf(-y) is the exact
-        # lower tail, so no level is reflected through 1 - p. Grow the bracket up to the
-        # float maximum, then refine. Above 1/2 the cdf rounds to 1 before hi passes 2**52
-        # (at df 1, the slowest); below it, a root past the floats raises.
-        s = -1.0 if p < 0.5 else 1.0
+        # One solve for y = |x|, inside a bisection bracket [lo, hi] whose ends are the
+        # iterates on either side of the root.
+        # - From 1/2 to the cut: raw Newton on the cdf from the normal quantile, which
+        #   climbs the concave upper cdf from the left.
+        # - Beyond, in tail coordinates: tail(y) = q, with q = p below 1/2 and q = 1 - p
+        #   (exact) above the cut. Newton on log tail in log y, near linear far out, from
+        #   Hill's seed; df 1 and 2 have closed forms that no step on the rounded tail
+        #   improves.
+        # The solve stops on a step within 1e-14 * max(1, y), or once the cdf's own
+        # rounding stalls it: a residual repeated on a flat step of the cdf, or a step
+        # back across the root that does not halve the one before.
         df = self.df
-        lo, hi = 0.0, 1.0
-        while s * (self.cdf(s * hi) - p) < 0.0:
-            if hi == _FLOAT_MAX:
-                raise DomainError("the Student-t quantile overflows a float")
-            lo = hi
-            hi = min(2.0 * hi, _FLOAT_MAX)
-        y = min(max(s * _normal_quantile(p), lo), hi)
-        # the density's log normaliser and power, and log p, once per solve
+        body = 0.5 <= p <= _CUT
+        if body:
+            s, y, hi = 1.0, _normal_quantile(p), _BODY_MAX
+        else:
+            s, q = (-1.0, p) if p < 0.5 else (1.0, 1.0 - p)
+            if df == 1:
+                # cot(pi q), taken as tan(pi (1/2 - q)) near 1/2, where 1/2 - q is exact
+                y = 1.0 / math.tan(math.pi * q) if q < 0.25 else math.tan(math.pi * (0.5 - q))
+                if y == math.inf:
+                    raise DomainError("the Student-t quantile overflows a float")
+                return s * y
+            if df == 2:
+                return s * (1.0 - 2.0 * q) / math.sqrt(2.0 * q * (1.0 - q))
+            y, hi = _hill_seed(df, q), _FLOAT_MAX
+        lo, last, last_f = 0.0, 0.0, math.nan
+        # the density's log normaliser and power, once per solve
         log_norm = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
                     - 0.5 * math.log(df * math.pi))
         power = 0.5 * (df + 1)
-        log_p = math.log(p)
-        # the floor is max(dens, 1e-300) and tol 1e-14 * max(1.0, y), NaN cases included
         for _ in range(100):
-            c = self.cdf(s * y)
-            f = s * (c - p)
+            t = self.cdf(-y)  # the tail at y, exact on either side of 1/2
+            f = (1.0 - t) - p if body else q - t  # > 0 past the root
             if f > 0.0:
                 hi = y
             else:
                 lo = y
             log_dens = log_norm - power * math.log1p(y * y / df)
-            if s > 0.0:
-                dens = math.exp(log_dens)
-                if dens < 1e-300:
-                    dens = 1e-300
-                y_new = y - f / dens
-            elif c > 0.0:
-                # Newton on log c, near linear in log y far out, where raw Newton on c
-                # crawls in from the left. Once y * y overflows, log_dens is -inf: bisect.
-                log_c = math.log(c)
-                y_new = y + (log_c - log_p) * math.exp(log_c - log_dens)
+            if body:
+                y_new = y - f / math.exp(log_dens)
+            elif t > 0.0:
+                # the step u in log y, as d log tail / d log y = -y dens / tail; a step
+                # that would overflow, or a tail that underflowed to 0 and has no log, bisects
+                u = math.log(t / q) * math.exp(math.log(t) - math.log(y) - log_dens)
+                y_new = y * math.exp(u) if u < 709.0 else math.inf
             else:
-                y_new = math.nan  # a tail that underflowed to 0 has no log: bisect
+                y_new = math.nan
             if not (lo <= y_new <= hi):
                 y_new = 0.5 * lo + 0.5 * hi  # as 0.5 * (lo + hi), whose sum can overflow
+            step = y_new - y
             tol = 1e-14 * (y if y > 1.0 else 1.0)
-            if -tol <= y_new - y <= tol:
+            if (-tol <= step <= tol or f == last_f
+                    or (step * last < 0.0 and 4.0 * step * step >= last * last)):
                 return s * y_new
-            y = y_new
+            y, last, last_f = y_new, step, f
         return s * y
 
 
@@ -298,9 +361,15 @@ def student_t_cdf(x: float, df: int) -> float:
 
 
 def student_t_quantile(p: float, df: int) -> float:
-    """Inverse of student_t_cdf, solved on p's own side of 1/2 for |x| inside a bisection
-    bracket: raw Newton from 1/2 up, Newton on the log of the lower tail below it. A p
-    below 1/2 is never reflected through 1 - p, so p down to 5e-324 is accepted; a
-    quantile past the floats (df 1 below p ~ 1.8e-309) raises DomainError."""
+    """Inverse of student_t_cdf, solved for |x| inside a bisection bracket.
+
+    From 1/2 to the cut at 0.99, raw Newton on the cdf from the normal quantile. Below
+    1/2 and above the cut, Newton on log tail(|x|) = log q in log|x| from Hill's (1970)
+    seed, in tail coordinates: q = p below 1/2 and the exact q = 1 - p above the cut, so
+    no level is reflected through a complement that rounds and p down to 5e-324 is
+    accepted; df 1 and 2 take their closed forms. A solve stops on a step within
+    1e-14 * max(1, |x|), or where the cdf's rounding stalls it: a repeated cdf value, or
+    a step back across the root that does not halve the one before. A quantile past the
+    floats (df 1 below p ~ 1.8e-309) raises DomainError."""
     p = check_open_unit(p, "p")
     return _StudentT(check_int(df, "df", 1)).quantile(p)
