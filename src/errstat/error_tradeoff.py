@@ -24,19 +24,20 @@ class Tail(Enum):
     ONE_SIDED_UPPER = "one_sided_upper"
     TWO_SIDED = "two_sided"
 
-    def critical(self, alpha: float) -> float:
+    def critical(self, alpha: float, name: str = "alpha") -> float:
         """z_{1-alpha}, or z_{1-alpha/2} two-sided, as -quantile: exact, no 1 - alpha rounding.
 
-        Raises DomainError for a two-sided level whose half is not a float (the
-        smallest subnormals), where the half underflows to 0 or rounds.
+        Raises DomainError, naming the level as name, for a two-sided level whose
+        half is not a float (the smallest subnormals), where the half underflows
+        to 0 or rounds.
         """
-        alpha = check_open_unit(alpha, "alpha")
+        alpha = check_open_unit(alpha, name)
         if self is Tail.ONE_SIDED_UPPER:
             return -_normal_quantile(alpha)
         half = 0.5 * alpha
         if half + half != alpha:
-            raise DomainError(f"the two-sided level alpha={alpha!r} has no half in floats: "
-                              f"alpha / 2 rounds to {half!r}")
+            raise DomainError(f"the two-sided level {name}={alpha!r} has no half in floats: "
+                              f"{name} / 2 rounds to {half!r}")
         return -_normal_quantile(half)
 
     def extremity(self, stat):
@@ -132,7 +133,7 @@ def _at_level(law, level: float, model: GaussianTestModel, tail=None, name: str 
     level = check_open_unit(level, name)
     check_instance(model, GaussianTestModel, "model")
     tail = model.tail if tail is None else check_member(tail, Tail, "tail")
-    return law(tail, tail.critical(level), model.noncentrality)
+    return law(tail, tail.critical(level, name), model.noncentrality)
 
 
 def type2_error(alpha: float, model: GaussianTestModel) -> float:

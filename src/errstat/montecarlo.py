@@ -12,14 +12,14 @@ so both see the same trials: the first counts every trial's sort key into
 fixed bins, the second keeps only the keys of the bins that can hold a decile's
 order statistic, a crossing of an ECDF threshold or the KS maximum
 (simulate_pvalues gives the measured peak memory). The summary then evaluates
-the reference law at the block edges, on the kept keys of the blocks that
-straddle an ECDF threshold, and in the KS search on pieces of 64 kept keys;
-every other block counts whole at its least key. The deciles read the p-value
-law only at the 18 order statistics they interpolate (PValueSimSummary states
-their rule). Every field is the float a pass over all trials, sorted by key,
-would give. Serial and parallel runs are therefore identical bit for bit and
-the only state is the (seed, chunk_index) pair. The generator
-family is recorded in every result so outputs are self-describing.
+the reference law at the block edges and once on each kept key, a read that
+feeds both the ECDF and the KS distance; every other block counts whole at its
+least key. The deciles read the p-value law only at the 18 order statistics
+they interpolate (PValueSimSummary states their rule). Every field is the float
+a pass over all trials, sorted by key, would give. Serial and parallel runs are
+therefore identical bit for bit and the only state is the (seed, chunk_index)
+pair. The generator family is recorded in every result so outputs are
+self-describing.
 """
 
 from __future__ import annotations
@@ -191,11 +191,9 @@ def simulate_studies(config: SimConfig, workers: int = 1) -> SimOutcome:
 # into blocks of about _STRIDE consecutive keys. It knows each block's size and a key at
 # or below its first one, and evaluates a law (the p-value, or the reference CDF value)
 # there. It reads the exact values of a block's keys only where the block can change an
-# ECDF count or a decile, and counts every other block whole at its least key; the KS
-# distance reads the kept keys in pieces of _STRIDE, only where a piece's bound passes
-# the best value known.
+# ECDF count, a decile or the KS distance, and counts every other block whole at its
+# least key; the ECDF and the KS distance share one read of the reference law per kept key.
 _STRIDE = 64
-_PIECES_PER_BATCH = CHUNK_SIZE // _STRIDE
 _TENTHS = np.arange(1, 10) / 10.0
 
 # Relative slack of every bracket of the reference law (the reference CDF value), which
@@ -331,12 +329,6 @@ def _straddling(lo, hi, thresholds) -> np.ndarray:
     return marked
 
 
-def _blocks(edges: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    # Every index of the given runs, run b being edges[b] .. edges[b + 1] - 1.
-    starts, sizes = edges[blocks], edges[blocks + 1] - edges[blocks]
-    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-
-
 def _ks_bounds(first, past, n: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     # Upper and lower bounds of the largest KS term over positions first .. past - 1,
     # per run of positions whose reference values lie in lo .. hi.
@@ -361,16 +353,16 @@ def _quantiles(n: int, q: np.ndarray, order_statistics) -> np.ndarray:
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _needed(part: _Partition, n: int, ref_lo, ref_hi, ks) -> tuple[np.ndarray, ...]:
-    # The blocks whose keys each field reads: those that straddle a reference tenth, their
+def _needed(part: _Partition, n: int, ref_lo, ref_hi, ks) -> np.ndarray:
+    # The blocks whose keys the summary reads: those that straddle a reference tenth, their
     # brackets widened by _SLACK once more, so that every other block lies on one side of
     # each tenth, its least key included; the blocks that hold the 18 ranks the deciles
     # read; and the KS candidates, whose upper bound ks[0] passes the best lower bound in
     # ks[1].
     held = np.zeros(part.sizes.size, dtype=bool)
     held[part.holding(np.append(*_ranks(n, _TENTHS)[:2]))] = True
-    return (_straddling(ref_lo * (1.0 - _SLACK), ref_hi * (1.0 + _SLACK), _TENTHS),
-            held, ks[0] > ks[1].max())
+    return (_straddling(ref_lo * (1.0 - _SLACK), ref_hi * (1.0 + _SLACK), _TENTHS)
+            | held | (ks[0] > ks[1].max()))
 
 
 def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
@@ -380,29 +372,26 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
     # numpy's linear rule over the p-values of the sorted keys, in key order; the ECDF
     # and KS distance are the floats a pass over every sorted key gives. draw must give
     # the same keys each pass.
-    def reference_law(stat):
-        # two-sided, -|stat| - shift can overflow to -inf, whose cdf is the exact value 0
-        with np.errstate(over="ignore"):
-            return tail.rejection(stat, shift, _normal_cdf_vec)
-
-    def at(law, keys):
-        # law of the statistic -keys, 8192 at a time (the kernel's temporaries stay small)
+    def reference_at(keys):
+        # the reference law of the statistic -keys, 8192 at a time (the kernel's temporaries
+        # stay small); two-sided, -|stat| - shift can overflow to -inf, whose cdf is exactly 0
         out = np.empty(keys.size)
-        for s in range(0, keys.size, 1 << 13):
-            out[s:s + (1 << 13)] = law(-keys[s:s + (1 << 13)])
+        with np.errstate(over="ignore"):
+            for s in range(0, keys.size, 1 << 13):
+                out[s:s + (1 << 13)] = tail.rejection(-keys[s:s + (1 << 13)], shift,
+                                                      _normal_cdf_vec)
         return out
 
     # Pass 1 cuts the keys into blocks; the keep pass stores the keys of every block the
     # summary can read, in whatever order the threads take the chunks, then sorts them.
     bins = _Bins(n, shift, tail)
     part = _first_partition(draw, n, workers, bins)
-    ref_ends = at(reference_law, np.append(part.edges, part.top))
+    ref_ends = reference_at(np.append(part.edges, part.top))
     ref = _brackets(ref_ends, part.single)
     bounds = _ks_bounds(part.positions[:-1], part.positions[1:], n, *ref)
     best = bounds[1].max()  # the KS search starts here, exact in a one-value block
-    tenths, held, ks = _needed(part, n, *ref, bounds)
+    stored = _needed(part, n, *ref, bounds) & ~part.single
     del ref, bounds  # per block: not held through the keep pass
-    stored = (tenths | held | ks) & ~part.single
     in_play = stored[part.of_bin]  # by bin
 
     size = int(part.sizes[stored].sum())
@@ -431,19 +420,6 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
     kept_first = np.cumsum(sizes) - sizes  # where each stored block starts in kept
     offset = part.positions[chosen] - kept_first  # from a kept index to the key's position
 
-    # ECDF at the reference tenths, by how many tenths each value passes: a block that
-    # straddles no tenth counts whole at its least key, the kept keys of the others one
-    # by one.
-    exact = tenths & stored
-    passes = np.zeros(_TENTHS.size + 1, dtype=np.int64)
-    np.add.at(passes, np.searchsorted(_TENTHS, ref_ends[:-1][~exact]), part.sizes[~exact])
-    marked = np.repeat(exact[chosen], sizes)  # by kept key
-    for s in range(0, size, CHUNK_SIZE):
-        keys = kept[s:s + CHUNK_SIZE][marked[s:s + CHUNK_SIZE]]
-        np.add.at(passes, np.searchsorted(_TENTHS, at(reference_law, keys)), 1)
-    del marked  # a byte per kept key: not held through the KS search
-    at_deciles = np.cumsum(passes)[:-1]
-
     def p_values_at(r):
         # the p-values of the keys at positions r, from the kept keys of the block that
         # holds each or from the one value of a one-value block
@@ -455,25 +431,22 @@ def _summarize(draw, n: int, shift: float, tail: Tail, workers: int = 1):
 
     deciles = _quantiles(n, _TENTHS, p_values_at)
 
-    # KS: max over the 1-based ranks i of max(i/n - ref, ref - (i-1)/n), from the
-    # partition's best lower bound (exact in a one-value block) and the pieces of _STRIDE
-    # consecutive kept keys whose bound passes the best value known.
-    def position(i):
-        # the position among all keys of kept[i]
-        return i + offset[np.searchsorted(kept_first, i, side="right") - 1]
-
-    piece_ends = np.append(np.arange(0, size, _STRIDE), size)
-    refs = np.append(at(reference_law, kept[piece_ends[:-1]]), ref_ends[-1])
-    bound = _ks_bounds(position(piece_ends[:-1]), position(piece_ends[1:] - 1) + 1, n,
-                       *_brackets(refs, np.zeros(refs.size - 1, dtype=bool)))[0]
-    pieces = np.flatnonzero(bound > best)
-    for s in range(0, pieces.size, _PIECES_PER_BATCH):
-        batch = pieces[s:s + _PIECES_PER_BATCH]
-        batch = batch[bound[batch] > best]
-        if batch.size:
-            i = _blocks(piece_ends, batch)
-            rank, value = position(i) + 1.0, at(reference_law, kept[i])
-            best = max(best, np.maximum(rank / n - value, value - (rank - 1.0) / n).max())
+    # One read of the reference law per kept key, 8192 at a time, feeds the ECDF and KS.
+    # ECDF at the reference tenths, by how many tenths each value passes: an unstored
+    # block lies on one side of every tenth, or holds one value, so it counts whole at its
+    # least key; a stored one counts key by key, to the same integers where it straddles
+    # no tenth. KS: max over the 1-based ranks i of max(i/n - ref, ref - (i-1)/n), from
+    # the partition's best lower bound (exact in a one-value block), which no block
+    # outside the KS candidates passes.
+    passes = np.zeros(_TENTHS.size + 1, dtype=np.int64)
+    np.add.at(passes, np.searchsorted(_TENTHS, ref_ends[:-1][~stored]), part.sizes[~stored])
+    for s in range(0, size, 1 << 13):
+        value = reference_at(kept[s:s + (1 << 13)])
+        passes += np.bincount(np.searchsorted(_TENTHS, value), minlength=passes.size)
+        i = np.arange(s, s + value.size)
+        rank = i + offset[np.searchsorted(kept_first, i, side="right") - 1] + 1.0
+        best = max(best, np.maximum(rank / n - value, value - (rank - 1.0) / n).max())
+    at_deciles = np.cumsum(passes)[:-1]
     return (tuple(float(v) for v in deciles), tuple(int(k) / n for k in at_deciles),
             float(best))
 
@@ -499,13 +472,13 @@ class PValueSimSummary(Record):
     The trials are drawn twice from the same streams: counted into fixed bins
     the first time, and the second time only the keys of the bins that can
     change a field are kept. The deciles read the p-value law at the keys of
-    the 18 ranks they interpolate. The ECDF counts take exact values on the
-    kept keys of the blocks that straddle a reference tenth, and count every
-    other block whole at its least key, which lies on the same side of every
-    tenth. The KS distance reads the kept keys in pieces of 64, only where a
-    piece's bound passes the best value known. Every field is the value a pass
-    over all trials would give, but the Gaussian kernel runs only at the block
-    edges and on some of the kept keys.
+    the 18 ranks they interpolate. The ECDF counts and the KS distance share
+    one read of the reference law per kept key. The ECDF counts every other
+    block whole at its least key, which lies on the same side of every tenth,
+    and the KS distance starts from a lower bound that no other block can
+    pass. Every field is the value a pass over all trials would give, but the
+    Gaussian kernel runs only at the block edges, once per kept key and at the
+    deciles' 18 keys.
     """
 
     num_trials: int
@@ -528,7 +501,7 @@ def simulate_pvalues(config: SimConfig, workers: int = 1) -> PValueSimSummary:
     2, seed 9, effect_size 0.3): under 6.5 MiB up to 2**23 trials on either
     tail, and 5.9 MiB at 2**22 trials for one-sided effects from -5 to -10,
     whose p-values crowd just below 1.0 or tie at 1.0. Past 2**23 the kept
-    keys grow with the trials: 24 MiB at 2**24 one-sided, 249 MiB at 2**26
+    keys grow with the trials: 23 MiB at 2**24 one-sided, 212 MiB at 2**26
     two-sided. A kept-key array that cannot be allocated raises DomainError.
     """
     check_instance(config, SimConfig, "config")

@@ -59,8 +59,7 @@ class ObservedResult(Record):
 
     @classmethod
     def from_p_value(cls, p_observed: float) -> "ObservedResult":
-        p_observed = check_open_unit(p_observed, "p_observed")
-        return cls(Tail.TWO_SIDED.critical(p_observed))
+        return cls(Tail.TWO_SIDED.critical(p_observed, "p_observed"))
 
     @classmethod
     def from_summary(cls, estimate: float, stderr: float) -> "ObservedResult":

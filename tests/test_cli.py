@@ -250,6 +250,15 @@ def test_pdist_reproducibility_scalar():
     assert payload["reproducibility_probability"] == pytest.approx(0.5000442877, abs=1e-6)
 
 
+def test_pdist_p_obs_with_no_float_half_names_p_observed(capsys):
+    # the level with no half is the observed p-value, not --alpha
+    code, err = main_exit(["pdist", "--reproducibility", "--p-obs", "5e-324", "--alpha", "0.05"],
+                          capsys)
+    assert code == 2
+    assert err == ("error: the two-sided level p_observed=5e-324 has no half in floats: "
+                   "p_observed / 2 rounds to 0.0\n")
+
+
 def test_analyze_reference_report():
     payload = json.loads(run_cli(
         "analyze", "--estimate", "0.5782", "--stderr", "0.1654", "--n", "15",

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from errstat import (AlternativeSpec, GaussianTestModel, ObservedResult, Tail,
-                     cdf_under_alternative, power, reproducibility_probability,
-                     required_sample_size, type2_error)
+                     cdf_under_alternative, pdf_under_alternative, power,
+                     reproducibility_probability, required_sample_size, type2_error)
 from errstat.distributions import normal_cdf, normal_quantile
 from errstat.errors import DomainError, InfeasibleParameterError
 
@@ -112,18 +112,21 @@ def test_critical_checks_the_level_it_is_given(tail, alpha):
         tail.critical(alpha)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: Tail.TWO_SIDED.critical(5e-324),
-    lambda: Tail.TWO_SIDED.critical(1.5e-323),
-    lambda: type2_error(5e-324, GaussianTestModel(0.5, 1, "two_sided")),
-    lambda: cdf_under_alternative(5e-324, AlternativeSpec(0.5, 1, "two_sided")),
-    lambda: ObservedResult.from_p_value(5e-324),
-    lambda: reproducibility_probability(ObservedResult(1.0), 5e-324),
+@pytest.mark.parametrize("call, name", [
+    (lambda: Tail.TWO_SIDED.critical(5e-324), "alpha"),
+    (lambda: Tail.TWO_SIDED.critical(1.5e-323), "alpha"),
+    (lambda: type2_error(5e-324, GaussianTestModel(0.5, 1, "two_sided")), "alpha"),
+    (lambda: cdf_under_alternative(5e-324, AlternativeSpec(0.5, 1, "two_sided")), "p"),
+    (lambda: pdf_under_alternative(5e-324, AlternativeSpec(0.5), Tail.TWO_SIDED), "p"),
+    (lambda: ObservedResult.from_p_value(5e-324), "p_observed"),
+    (lambda: reproducibility_probability(ObservedResult(1.0), 5e-324), "alpha"),
 ], ids=["critical_5e-324", "critical_1.5e-323", "type2_error", "cdf_under_alternative",
-        "from_p_value", "reproducibility_probability"])
-def test_a_two_sided_level_with_no_float_half_raises(call):
-    # half of 5e-324 underflows to 0, and half of 1.5e-323 rounds to 1e-323
-    with pytest.raises(DomainError, match="^the two-sided level alpha=.* has no half in floats"):
+        "pdf_under_alternative", "from_p_value", "reproducibility_probability"])
+def test_a_two_sided_level_with_no_float_half_raises(call, name):
+    # half of 5e-324 underflows to 0, and half of 1.5e-323 rounds to 1e-323; the message
+    # names the level as the caller's argument does
+    with pytest.raises(DomainError, match=f"^the two-sided level {name}=.* has no half in "
+                                          f"floats: {name} / 2 rounds to "):
         call()
 
 

@@ -336,6 +336,36 @@ def test_simulate_pvalues_reads_the_kernel_at_few_trials(monkeypatch, tail):
     assert 0 < sum(points) <= config.num_trials // 8
 
 
+@pytest.mark.parametrize("tail, terms", [(Tail.ONE_SIDED_UPPER, 1), (Tail.TWO_SIDED, 2)])
+def test_simulate_pvalues_reads_the_reference_law_once_per_kept_key(monkeypatch, tail, terms):
+    # The reference law (terms cdf calls per point) is read at the block edges and the
+    # greatest key, and once on each kept key for both the ECDF and the KS distance; the
+    # deciles read the p-value law (one cdf call) at their 18 keys.
+    points = []
+    blocks = []
+
+    def counting(x):
+        points.append(np.size(x))
+        return _normal_cdf_vec(x)
+
+    needed = montecarlo._needed
+
+    def choosing(part, *args):
+        mask = needed(part, *args)
+        blocks.append((part.sizes.size, int(part.sizes[mask & ~part.single].sum())))
+        return mask
+
+    monkeypatch.setattr(montecarlo, "_normal_cdf_vec", counting)
+    monkeypatch.setattr(montecarlo, "_needed", choosing)
+    config = SimConfig(num_trials=1 << 20, seed=4, effect_size=0.4, n_per_study=3, tail=tail)
+    summary = simulate_pvalues(config, workers=2)
+    monkeypatch.undo()
+    assert summary == simulate_pvalues(config)
+    (edges, kept), = blocks
+    assert 0 < kept < config.num_trials // 16
+    assert sum(points) == terms * (edges + 1 + kept) + 18
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("tail", [Tail.ONE_SIDED_UPPER, Tail.TWO_SIDED])
 def test_simulate_pvalues_reads_the_pvalue_law_at_the_deciles_ranks_only(monkeypatch, tail,
@@ -388,10 +418,10 @@ def test_kept_keys_that_cannot_be_allocated_raise_domain_error(monkeypatch):
         raise MemoryError
 
     def choosing(part, *args):
-        masks = needed(part, *args)  # per field; the keys of their union are kept
-        sizes.append(int(part.sizes[np.logical_or.reduce(masks) & ~part.single].sum()))
+        mask = needed(part, *args)  # the blocks whose keys are kept, unless of one value
+        sizes.append(int(part.sizes[mask & ~part.single].sum()))
         monkeypatch.setattr(montecarlo.np, "empty", empty)
-        return masks
+        return mask
 
     monkeypatch.setattr(montecarlo, "_needed", choosing)
     with pytest.raises(DomainError) as raised:
